@@ -13,6 +13,10 @@ arbitrary code.  ``init=False`` dataclass fields (derived values such as
 :class:`~repro.predictors.confidence.ConfidenceScale` probability
 tables) are skipped on encode and recomputed by ``__post_init__`` on
 decode, so round-tripped objects compare equal to the originals.
+
+A field removed from a class is listed in :data:`_RETIRED_FIELDS`, so
+artifacts written while it existed still decode; any other unknown
+field stays an error.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ import importlib
 _DC_KEY = "$dc"
 _ENUM_KEY = "$enum"
 _TUPLE_KEY = "$tuple"
+
+#: (class reference, field) pairs the class no longer has, dropped on
+#: decode.  ``StoreSpec.columnar`` selected a trace plane that is gone.
+_RETIRED_FIELDS = frozenset({("repro.api.spec:StoreSpec", "columnar")})
 
 
 def _class_ref(cls: type) -> str:
@@ -71,13 +79,13 @@ def decode(value):
         if _ENUM_KEY in value:
             return _resolve(value[_ENUM_KEY])[value["name"]]
         if _DC_KEY in value:
-            cls = _resolve(value[_DC_KEY])
+            ref = value[_DC_KEY]
             fields = {
                 key: decode(item)
                 for key, item in value.items()
-                if key != _DC_KEY
+                if key != _DC_KEY and (ref, key) not in _RETIRED_FIELDS
             }
-            return cls(**fields)
+            return _resolve(ref)(**fields)
         if _TUPLE_KEY in value:
             return tuple(decode(item) for item in value[_TUPLE_KEY])
         return {key: decode(item) for key, item in value.items()}

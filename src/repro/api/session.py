@@ -51,7 +51,6 @@ class Session:
                     trace_store=(
                         TraceStore(root) if root is not None else None
                     ),
-                    columnar=store.columnar,
                 ),
                 # Pinned, not env-following: an explicit spec always
                 # wins over ambient state (shared-engine sessions follow
@@ -69,9 +68,10 @@ class Session:
         The shared engine is used only when the spec's store agrees
         with what the environment resolves to anyway — then sharing is
         observationally equivalent and buys the cross-run memo.  Any
-        disagreement (an explicit path, a pinned ``columnar`` that the
-        environment contradicts) gets a private engine with the spec's
-        settings, so an explicit spec always wins over ambient state.
+        disagreement (an explicit path, a pinned ``result_lake`` that
+        the environment contradicts) gets a private engine with the
+        spec's settings, so an explicit spec always wins over ambient
+        state.
         (One documented exception: ``path=None`` means "the default
         cache location" and resolves through the environment, so a
         process that disabled persistence is never forced to write the
@@ -92,8 +92,8 @@ class Session:
         with the same engine state) yields digest-identical artifacts.
         """
         # The telemetry plane (DESIGN.md §13) activates for this scope
-        # when the spec enables it; otherwise REPRO_OBS steers it like
-        # any other plane variable.  Off (the default) is free: no
+        # when the spec enables it; otherwise REPRO_OBS steers it.
+        # Off (the default) is free: no
         # runtime resolves and the artifact carries no telemetry.
         with obs_runtime.activated(spec.obs):
             swept = self.engine.sweep(

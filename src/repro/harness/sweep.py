@@ -175,9 +175,7 @@ class SweepEngine:
         if engine is None:
             engine = SweepEngine(
                 simulator=Simulator(
-                    core_config,
-                    trace_store=self.simulator.trace_store,
-                    columnar=self.simulator.columnar,
+                    core_config, trace_store=self.simulator.trace_store
                 ),
                 sampling=self.sampling,
                 result_lake=self.result_lake,

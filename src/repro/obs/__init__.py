@@ -1,10 +1,8 @@
 """The telemetry plane (DESIGN.md §13): tracing, metrics, profiling.
 
-Everything here defaults **off** and is gated exactly like the compute
-planes (``REPRO_COLUMNAR=0`` / ``REPRO_GENRENAME=0``): with ``REPRO_OBS``
-unset the simulator runs the identical step sequence, produces
-bit-identical stats and digest-identical artifacts, and pays no
-measurable overhead.  With ``REPRO_OBS=1`` (or an enabled
+Everything here defaults **off**: with ``REPRO_OBS`` unset the simulator
+runs the identical step sequence, produces bit-identical stats and
+digest-identical artifacts, and pays no measurable overhead.  With ``REPRO_OBS=1`` (or an enabled
 :class:`ObsSpec` on the experiment spec):
 
 * a :class:`~repro.obs.tracer.Tracer` appends span/event records

@@ -4,12 +4,11 @@ Two tools in one module:
 
 * :func:`phase_profile` runs the perf harness's protocol (trace built
   outside the timed region, fresh pipeline per run) with every pipeline
-  stage wrapped in a wall-clock accumulator, across the four compute-
-  plane combinations (generated vs generic rename/issue × vectorised vs
-  pure warming — DESIGN.md §12), and emits one comparable, versioned
-  JSON payload.  Stage wrapping is instance-attribute shadowing — the
-  same binding trick the columnar fetch and generated loops use — so
-  whatever plane is installed is exactly what gets attributed.
+  stage wrapped in a wall-clock accumulator, and emits one comparable,
+  versioned JSON payload.  Stage wrapping is instance-attribute
+  shadowing — the same binding trick the columnar fetch and generated
+  loops use — so whatever stage is installed is exactly what gets
+  attributed.
 * :func:`overhead_gate` is the observability plane's own CI gate: it
   A/B-times the identical run with obs off and on (interleaved repeats,
   best-of), requires bit-identical stats and an on-plane throughput
@@ -24,10 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 
 #: Profile payload layout version.
@@ -44,29 +41,7 @@ STAGE_ATTRS: tuple[tuple[str, str], ...] = (
     ("idle", "_fast_forward_idle"),
 )
 
-#: The four compute-plane combinations (genrename, vecwarm).
-ALL_COMBOS: tuple[tuple[int, int], ...] = ((1, 1), (1, 0), (0, 1), (0, 0))
-
 DEFAULT_BENCHMARKS: tuple[str, ...] = ("mcf", "bzip2")
-
-
-@contextmanager
-def _env_overrides(**overrides: str | None):
-    """Set/unset environment variables for a scope (``None`` = unset)."""
-    saved = {name: os.environ.get(name) for name in overrides}
-    try:
-        for name, value in overrides.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def _instrument_stages(pipeline, acc: dict[str, float]) -> None:
@@ -74,8 +49,7 @@ def _instrument_stages(pipeline, acc: dict[str, float]) -> None:
 
     ``getattr`` picks up whatever is installed — generic class methods,
     generated loops, the columnar fetch — and the wrapper becomes the
-    instance attribute ``_step`` dispatches to, so attribution follows
-    the active plane automatically.
+    instance attribute ``_step`` dispatches to.
     """
     clock = time.perf_counter
     for stage, attr in STAGE_ATTRS:
@@ -91,16 +65,16 @@ def _instrument_stages(pipeline, acc: dict[str, float]) -> None:
         setattr(pipeline, attr, timed)
 
 
-def _profile_combo(benchmarks, mechanism, warmup: int, measure: int,
+def _profile_cells(benchmarks, mechanism, warmup: int, measure: int,
                    sampling, seed: int) -> dict:
-    """Stage attribution for one compute-plane combination."""
+    """Stage attribution over one cell per benchmark."""
     from repro.pipeline.core import Pipeline
     from repro.pipeline.simulator import _TRACE_SLACK, Simulator
     from repro.sampling import SampledRun
 
     clock = time.perf_counter
     # A private, store-less simulator: interpretation really runs (and
-    # is really timed) for this combo instead of hitting a shared cache.
+    # is really timed) instead of hitting a shared cache.
     simulator = Simulator(trace_store=None)
     stages = {name: 0.0 for name, _ in STAGE_ATTRS}
     stages["interp"] = 0.0
@@ -152,15 +126,16 @@ def phase_profile(
     warmup: int | None = None,
     measure: int | None = None,
     sampling=None,
-    combos: str = "all",
+    combos: str = "current",
     seed: int = 1,
 ) -> dict:
-    """Per-stage wall attribution across the compute-plane combinations.
+    """Per-stage wall attribution of one profiled run.
 
-    ``combos="all"`` runs all four genrename × vecwarm planes;
-    ``"current"`` profiles only the environment's active plane.  The
-    default run is sampled (so warming shows up as a phase); pass an
-    inactive *sampling* for a full-detail profile.
+    The default run is sampled (so warming shows up as a phase); pass an
+    inactive *sampling* for a full-detail profile.  There is one compute
+    plane: the result sits under ``combos`` as its single entry, keyed
+    ``"current"``, and *combos* is accepted for existing callers and
+    changes nothing.
     """
     from repro.api import env as api_env
     from repro.pipeline.config import MechanismConfig
@@ -172,21 +147,9 @@ def phase_profile(
     if sampling is None:
         sampling = replace(api_env.sampling_from_env(), enabled=True)
     mechanism = MechanismConfig.preset(mechanism_name)
-    results: dict[str, dict] = {}
-    if combos == "current":
-        selected = [(
-            int(api_env.genrename_enabled()), int(api_env.vecwarm_enabled())
-        )]
-    else:
-        selected = list(ALL_COMBOS)
-    for genrename, vecwarm in selected:
-        with _env_overrides(
-            REPRO_GENRENAME=str(genrename), REPRO_VECWARM=str(vecwarm)
-        ):
-            key = f"genrename={genrename},vecwarm={vecwarm}"
-            results[key] = _profile_combo(
-                benchmarks, mechanism, warmup, measure, sampling, seed
-            )
+    result = _profile_cells(
+        benchmarks, mechanism, warmup, measure, sampling, seed
+    )
     return {
         "format": PROFILE_FORMAT,
         "unit": "seconds of wall clock per stage (instrumented run)",
@@ -196,7 +159,7 @@ def phase_profile(
         "measure": measure,
         "sampled": bool(sampling is not None and sampling.active),
         "seed": seed,
-        "combos": results,
+        "combos": {"current": result},
     }
 
 
@@ -208,27 +171,24 @@ def render_profile(payload: dict) -> str:
         f"warmup {payload['warmup']}, measure {payload['measure']}, "
         f"{'sampled' if payload['sampled'] else 'full detail'}",
     ]
-    for combo, result in payload["combos"].items():
-        # Interpretation is timed outside the pipeline-run wall, so
-        # shares are of the combined (interp + run) total.
-        wall = (
-            result["wall_seconds"]
-            + result["stages_seconds"].get("interp", 0.0)
-        ) or 1e-9
-        lines.append(f"\n[{combo}]  run wall {result['wall_seconds']:.3f}s "
-                     f"(+ interp), "
-                     f"~{result['kips_instrumented']:.0f} KIPS instrumented")
-        stage_items = sorted(
-            result["stages_seconds"].items(),
-            key=lambda item: -item[1],
-        )
-        for stage, seconds in stage_items:
-            share = 100.0 * seconds / wall
-            lines.append(f"  {stage:<8} {seconds:>8.3f}s  {share:5.1f}%")
-        lines.append(
-            f"  {'other':<8} {result['other_seconds']:>8.3f}s  "
-            f"{100.0 * result['other_seconds'] / wall:5.1f}%"
-        )
+    (result,) = payload["combos"].values()
+    # Interpretation is timed outside the pipeline-run wall, so shares
+    # are of the combined (interp + run) total.
+    wall = (
+        result["wall_seconds"] + result["stages_seconds"].get("interp", 0.0)
+    ) or 1e-9
+    lines.append(f"run wall {result['wall_seconds']:.3f}s (+ interp), "
+                 f"~{result['kips_instrumented']:.0f} KIPS instrumented")
+    stage_items = sorted(
+        result["stages_seconds"].items(), key=lambda item: -item[1],
+    )
+    for stage, seconds in stage_items:
+        share = 100.0 * seconds / wall
+        lines.append(f"  {stage:<8} {seconds:>8.3f}s  {share:5.1f}%")
+    lines.append(
+        f"  {'other':<8} {result['other_seconds']:>8.3f}s  "
+        f"{100.0 * result['other_seconds'] / wall:5.1f}%"
+    )
     return "\n".join(lines)
 
 
@@ -254,13 +214,21 @@ def overhead_gate(
     best-of wall per arm is the throughput estimate (the perf harness's
     robust estimator).  Returns ``(ok, report)``: ``ok`` requires the
     on-arm stats to equal the off-arm stats field-for-field AND on-KIPS
-    >= ``(1 - tolerance) * off-KIPS``.
+    >= ``(1 - tolerance) * off-KIPS``.  The off arm must really run
+    unobserved, so an observed process (``REPRO_OBS`` set) is refused.
     """
     from repro.harness.sweep import shared_engine
+    from repro.obs import runtime as obs_runtime
+    from repro.obs.config import ObsSpec
     from repro.pipeline.config import MechanismConfig
     from repro.pipeline.core import Pipeline
     from repro.pipeline.simulator import _TRACE_SLACK
 
+    if obs_runtime.current() is not None:
+        raise ValueError(
+            "the overhead gate needs an unobserved process for its off "
+            "arm; unset REPRO_OBS"
+        )
     clock = time.perf_counter
     simulator = shared_engine().simulator
     mechanism = MechanismConfig.preset(mechanism_name)
@@ -271,15 +239,14 @@ def overhead_gate(
         obs_dir = tempfile.mkdtemp(prefix="repro-obs-gate-")
     best: dict[str, float | None] = {"off": None, "on": None}
     observed_stats: dict[str, dict] = {}
-    arm_env = {
-        "off": dict(REPRO_OBS=None, REPRO_OBS_DIR=None,
-                    REPRO_METRICS_EVERY=None),
-        "on": dict(REPRO_OBS="1", REPRO_OBS_DIR=obs_dir,
-                   REPRO_METRICS_EVERY=str(metrics_every)),
+    arm_spec = {
+        "off": None,
+        "on": ObsSpec(enabled=True, dir=obs_dir,
+                      metrics_every=metrics_every),
     }
     for _ in range(max(1, repeats)):
         for arm in ("off", "on"):
-            with _env_overrides(**arm_env[arm]):
+            with obs_runtime.activated(arm_spec[arm]):
                 pipeline = Pipeline(
                     trace, simulator.core_config, mechanism, seed
                 )

@@ -54,6 +54,7 @@ from repro.isa.opcodes import FuClass
 from repro.isa.registers import FP_BASE, RegClass, reg_class
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig, MechanismConfig
+from repro.pipeline.genrename import install_fast_stages
 from repro.pipeline.stats import Stats
 from repro.predictors.zero import ZeroPredictor
 from repro.rename.free_list import FreeList
@@ -237,16 +238,11 @@ class Pipeline:
         self._total_committed = 0
         self._last_progress_cycle = 0
 
-        # Generated compute plane (DESIGN.md §12): bind per-mechanism
-        # specialised rename/issue loops as instance attributes, exactly
-        # like the columnar fetch binding above.  REPRO_GENRENAME=0
-        # keeps the generic methods live as the differential oracle.
-        from repro.api.env import genrename_enabled
-
-        if genrename_enabled():
-            from repro.pipeline.genrename import install_fast_stages
-
-            install_fast_stages(self)
+        # Generated rename/issue loops (DESIGN.md §12): per-mechanism
+        # specialisations bound as instance attributes, exactly like the
+        # columnar fetch binding above.  The generic _rename/_issue stay
+        # as the reference the equivalence tests compare them against.
+        install_fast_stages(self)
 
         # Telemetry plane (DESIGN.md §13): a metrics hub samples this
         # pipeline every N committed instructions — but only when an
@@ -691,68 +687,6 @@ class Pipeline:
     # Issue
     # ==================================================================
 
-    def _schedule_op(self, op: InflightOp, cycle: int) -> None:
-        """Park *op* where its next wakeup will find it.
-
-        Computes the earliest cycle at which every *known* readiness
-        condition is met.  If some source's completion is still unknown
-        the op subscribes to that producer (preg waiter list / producer
-        waiter list) and is rescheduled when the producer issues.
-        """
-        reg_ready = self._reg_ready
-        wake = 0
-        preg = op.src_preg1
-        if preg >= 0:
-            t = reg_ready[preg]
-            if t > wake:
-                if t >= _INF:
-                    waiters = self._preg_waiters.get(preg)
-                    if waiters is None:
-                        self._preg_waiters[preg] = [op]
-                    else:
-                        waiters.append(op)
-                    return
-                wake = t
-        preg = op.src_preg2
-        if preg >= 0:
-            t = reg_ready[preg]
-            if t > wake:
-                if t >= _INF:
-                    waiters = self._preg_waiters.get(preg)
-                    if waiters is None:
-                        self._preg_waiters[preg] = [op]
-                    else:
-                        waiters.append(op)
-                    return
-                wake = t
-        if (op.dist_used or op.likely_candidate) and op.producer is not None:
-            # §IV.F: the predicted instruction is made dependent on the
-            # producer so validation can catch the value on the bypass.
-            producer = op.producer
-            t = producer.complete_cycle
-            if t is None:
-                if producer.waiters is None:
-                    producer.waiters = [op]
-                else:
-                    producer.waiters.append(op)
-                return
-            if t > wake:
-                wake = t
-        if wake <= cycle:
-            # Ready now.  Only dispatch-time scheduling can reach this
-            # branch (wakeups triggered from _do_issue always target a
-            # future cycle — completion is at least cycle + 1), and a
-            # dispatching op is the youngest in flight, so appending
-            # keeps the ready list seq-sorted without a re-sort.
-            self._ready.append(op)
-        else:
-            bucket = self._wakeup.get(wake)
-            if bucket is None:
-                self._wakeup[wake] = [op]
-                heappush(self._wakeup_heap, wake)
-            else:
-                bucket.append(op)
-
     def _issue(self, cycle: int) -> None:
         bucket = self._wakeup.pop(cycle, None)
         if bucket is not None:
@@ -886,9 +820,9 @@ class Pipeline:
                     break
 
         if to_wake is not None:
-            # Batched _schedule_op re-insertion, one flat pass per
-            # completion cycle: every deferred call's body runs here with
-            # all scheduler structures in locals and no per-waiter call.
+            # Batched re-parking of the woken waiters, one flat pass per
+            # completion cycle, with all scheduler structures in locals
+            # and no per-waiter call.
             # Deferral past the issue loop is behaviour-preserving:
             # reg_ready entries written this cycle are final before the
             # pass runs, wakeup buckets are seq-sorted when drained, and
@@ -1195,10 +1129,10 @@ class Pipeline:
                 iq_entries.append(op)
                 iq_live += 1
                 iq._live = iq_live
-                # Inlined _schedule_op for the dispatch case.  The op is
-                # the youngest in flight, so when it is ready now it is
-                # appended to the (seq-sorted) ready list without a
-                # re-sort — the same invariant the method relies on.
+                # Park the op where its wakeup will find it (module
+                # docstring).  The op is the youngest in flight, so when
+                # it is ready now it is appended to the (seq-sorted)
+                # ready list without a re-sort.
                 preg = op.src_preg1
                 t1 = reg_ready[preg] if preg >= 0 else 0
                 if t1 >= _INF:

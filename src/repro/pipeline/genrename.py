@@ -23,9 +23,10 @@ tests and documented in DESIGN.md §12):
   the LSQ lists/buckets rebuild on squash) are re-hoisted from their
   owner on every call, never embedded;
 * generated bodies mirror the generic loops statement for statement —
-  the generic ``_rename``/``_issue`` stay live as the differential
-  oracle behind ``REPRO_GENRENAME=0`` and the golden suites pin both
-  planes digest-identical.
+  every pipeline installs them, and the generic ``_rename``/``_issue``
+  stay as the reference the equivalence tests compare them against
+  (the tests skip :func:`install_fast_stages` to select the generic
+  loops).
 """
 
 from __future__ import annotations

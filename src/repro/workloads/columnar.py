@@ -22,10 +22,12 @@ the columns themselves the representation the hot paths consume:
   replay one trace through many mechanism cells pay materialisation
   once per process, exactly like the old eager decode, while loads,
   unfetched slack and functionally-warmed spans pay nothing at all.
-* :func:`columnar_enabled` — the ``REPRO_COLUMNAR`` escape hatch.  The
-  default is on; ``REPRO_COLUMNAR=0`` keeps the legacy eager-``DynInst``
-  path alive as a live differential-testing oracle
-  (``tests/test_columnar_equivalence.py`` pins both paths bit-identical).
+Store loads and fresh interpretation always yield a
+:class:`ColumnarTrace`.  Object :class:`~repro.workloads.trace.Trace`
+inputs (``Simulator.run_trace``, the examples) keep the object-walking
+fetch and warming loops, which double as the reference
+``tests/test_columnar_equivalence.py`` compares the columnar loops
+against, on an object trace decoded from the same payload.
 
 Invariants the equivalence suite relies on:
 
@@ -64,21 +66,6 @@ KIND_RETURN = 8
 KIND_LOAD = 16
 KIND_STORE = 32
 KIND_HAS_FU = 64  # executes on a functional unit (fu != FuClass.NONE)
-
-
-def columnar_enabled() -> bool:
-    """Whether the runtime consumes packed columns (``REPRO_COLUMNAR``).
-
-    Defaults to on.  ``REPRO_COLUMNAR=0`` (or ``off``/``no``/``false``)
-    selects the legacy eager-``DynInst`` trace path — kept alive as the
-    differential-testing oracle, not as a supported fast path.  The
-    environment read lives in :mod:`repro.api.env` (the single
-    ``REPRO_*`` front door); prefer pinning the plane explicitly through
-    :class:`repro.api.StoreSpec`.
-    """
-    from repro.api.env import columnar_from_env
-
-    return columnar_from_env()
 
 
 def _opcode_statics() -> list[tuple]:
@@ -315,20 +302,6 @@ class ColumnarTrace:
             payload["addr"].tolist(), payload["target_pc"].tolist(),
             bytes(payload["flags"]),
         )
-
-    @classmethod
-    def from_trace(cls, trace, budget: int | None = None) -> "ColumnarTrace":
-        """Columnar view of an object trace (used on cold interpretation).
-
-        The existing ``DynInst`` objects seed the row cache — they are
-        field-identical to what the materialiser would rebuild (codec
-        property suite), so nothing is decoded twice.
-        """
-        if isinstance(trace, ColumnarTrace):
-            return trace
-        columnar = cls.from_payload(pack_trace(trace, budget or len(trace)))
-        columnar.rows[:] = trace.instructions
-        return columnar
 
     def to_payload(self, budget: int) -> dict:
         """Repack the columns into a codec payload (no rows touched)."""

@@ -126,7 +126,7 @@ class TestSpecSerialisation:
                 enabled=True, interval=1000, detail_ratio=0.25,
                 detail_warmup=64,
             ),
-            store=StoreSpec(path="/tmp/somewhere", columnar=False),
+            store=StoreSpec(path="/tmp/somewhere", result_lake=True),
             seeds=(1, 2),
             workers=2,
         )
@@ -236,10 +236,9 @@ class TestEnvOverlay:
 
     def test_store_spec_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_STORE", "/tmp/store-here")
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
         store = StoreSpec.from_env()
         assert store.path == "/tmp/store-here"
-        assert store.enabled and not store.columnar
+        assert store.enabled
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")
         assert not StoreSpec.from_env().enabled
         assert StoreSpec.from_env().resolve_root() is None
@@ -311,10 +310,13 @@ class TestTypoGuard:
         for name in (
             "REPRO_WARMUP", "REPRO_MEASURE", "REPRO_SCALE", "REPRO_SEEDS",
             "REPRO_SAMPLING", "REPRO_INTERVAL", "REPRO_DETAIL_RATIO",
-            "REPRO_DETAIL_WARMUP", "REPRO_TRACE_STORE", "REPRO_COLUMNAR",
-            "REPRO_WORKERS", "REPRO_FULL",
+            "REPRO_DETAIL_WARMUP", "REPRO_TRACE_STORE",
+            "REPRO_RESULT_LAKE", "REPRO_WORKERS", "REPRO_FULL",
         ):
             assert name in api_env.KNOWN_VARS
+        assert len(api_env.KNOWN_VARS) == 21
+        for retired in ("REPRO_COLUMNAR", "REPRO_GENRENAME", "REPRO_VECWARM"):
+            assert retired not in api_env.KNOWN_VARS
 
 
 class TestDeprecationShims:
@@ -412,6 +414,30 @@ class TestSessionAndResult:
         with pytest.raises(ValueError, match="fingerprint"):
             RunResult.from_dict(relabeled)
 
+    def test_artifact_with_retired_columnar_field_still_loads(
+        self, tmp_path, capsys
+    ):
+        # Artifacts written while StoreSpec had a ``columnar`` field
+        # carry it in their embedded spec; the decoder drops exactly
+        # that retired key.
+        from repro.api.cli import main
+
+        result = private_session().run(tiny_spec())
+        payload = result.to_dict()
+        payload["spec"]["store"]["columnar"] = True
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        restored = RunResult.load(path)
+        assert restored.digest() == result.digest()
+        assert restored.spec == result.spec
+        assert main(["report", str(path)]) == 0
+        assert main(["inspect", str(path)]) == 0
+        capsys.readouterr()
+        # Any other unknown field is still an error.
+        payload["spec"]["store"]["colour"] = "blue"
+        with pytest.raises(TypeError, match="colour"):
+            RunResult.from_dict(payload)
+
     def test_default_session_shares_the_process_engine(self):
         from repro.harness.sweep import shared_engine
 
@@ -420,16 +446,16 @@ class TestSessionAndResult:
     def test_for_spec_never_lets_env_override_an_explicit_pin(
         self, monkeypatch
     ):
-        # An explicitly pinned columnar=True must survive REPRO_COLUMNAR=0:
-        # the shared engine (columnar follows env) is only acceptable when
-        # the environment agrees with the spec.
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        spec = tiny_spec(store=StoreSpec(columnar=True))
+        # An explicitly pinned result_lake=False must survive
+        # REPRO_RESULT_LAKE=1: the shared engine (the lake follows env)
+        # is only acceptable when the environment agrees with the spec.
+        monkeypatch.setenv("REPRO_RESULT_LAKE", "1")
+        spec = tiny_spec(store=StoreSpec(result_lake=False))
         session = Session.for_spec(spec)
         from repro.harness.sweep import shared_engine
 
         assert session.engine is not shared_engine()
-        assert session.simulator.columnar is True
+        assert session.engine.result_lake is False
 
     def test_session_for_spec_honours_private_store(self, tmp_path):
         spec = tiny_spec(store=StoreSpec(path=str(tmp_path / "store")))

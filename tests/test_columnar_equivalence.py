@@ -1,32 +1,37 @@
-"""Differential equivalence: columnar runtime vs the eager-DynInst oracle.
+"""Differential equivalence: columnar runtime vs the object-trace loops.
 
-``REPRO_COLUMNAR=0`` keeps the legacy trace plane — eager ``DynInst``
-decode on store load, object-walking fetch and warming loops — alive as
-a live oracle.  Every test here runs the same cell through both planes
-and asserts *bit-identical* statistics, so any drift in the columnar
-fetch loop, the lazy row materialiser, the column-indexed warmer or the
-codec itself fails immediately.
+Store loads and fresh interpretation always yield a ``ColumnarTrace``;
+object ``Trace`` inputs (``Simulator.run_trace``, the examples) keep the
+object-walking fetch and warming loops.  Every test here runs the same
+cell through both, the object side on a trace decoded from the same
+packed payload (``helpers.plant_object_trace``), and asserts
+*bit-identical* statistics, so any drift in the columnar fetch loop, the
+lazy row materialiser, the column-indexed warmer or the codec itself
+fails immediately.
 
 The cells mirror ``tests/test_determinism.py``'s golden set (every
 golden mechanism config), extend over all validation modes, and cover
 sampled mode (functional warming + drains) plus the on-disk store round
-trip in both planes.
+trip.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.validation import ValidationMode
+from repro.isa.instruction import DynInst
 from repro.pipeline.config import MechanismConfig
 from repro.pipeline.simulator import Simulator
 from repro.sampling import SamplingConfig
-from repro.workloads.columnar import ColumnarTrace
-from repro.workloads.store import TraceStore
+from repro.workloads.columnar import ColumnarTrace, unpack_trace
+from repro.workloads.store import TraceStore, workload_code_version
 from repro.workloads.trace import Trace
 
 
-from helpers import stats_dict  # noqa: E402  (shared test helper)
+from helpers import plant_object_trace, stats_dict  # noqa: E402
 
 
 #: The golden set of tests/test_determinism.py: every mechanism config
@@ -39,7 +44,6 @@ GOLDEN_CELLS = [
 
 
 def run_cell(
-    monkeypatch,
     columnar: bool,
     benchmark: str,
     mechanism: MechanismConfig,
@@ -48,10 +52,11 @@ def run_cell(
     store_root=None,
     sampling: SamplingConfig | None = None,
 ) -> dict:
-    """One (benchmark, mechanism) cell under the requested trace plane."""
-    monkeypatch.setenv("REPRO_COLUMNAR", "1" if columnar else "0")
+    """One (benchmark, mechanism) cell on a columnar or object trace."""
     store = TraceStore(store_root) if store_root is not None else None
     simulator = Simulator(trace_store=store)
+    if not columnar:
+        plant_object_trace(simulator, benchmark, warmup, measure)
     result = simulator.run_benchmark(
         benchmark, mechanism, warmup=warmup, measure=measure, seed=1,
         sampling=sampling,
@@ -60,27 +65,36 @@ def run_cell(
 
 
 class TestTracePlaneSelection:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
+    def test_default_is_columnar(self):
         trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
         assert isinstance(trace, ColumnarTrace)
 
-    def test_escape_hatch_restores_dyninst_trace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
-        assert isinstance(trace, Trace)
-
-    def test_planes_share_one_store_artifact(self, monkeypatch, tmp_path):
-        # One file on disk serves both planes: the payload is the wire
-        # format either way, only the in-memory view differs.
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
+    def test_planes_share_one_store_artifact(self, tmp_path):
+        # One file on disk: the store serves it as a columnar view, and
+        # the same payload decodes into the object rows it stands for.
         Simulator(trace_store=TraceStore(tmp_path)).trace_for("mcf", 1, 800)
-        assert len(list(tmp_path.glob("*.trace"))) == 1
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        legacy = Simulator(trace_store=TraceStore(tmp_path))
-        trace = legacy.trace_for("mcf", 1, 800)
-        assert legacy.trace_store.hits == 1
-        assert isinstance(trace, Trace)
+        (path,) = tmp_path.glob("*.trace")
+        warm = Simulator(trace_store=TraceStore(tmp_path))
+        columnar = warm.trace_for("mcf", 1, 800)
+        assert warm.trace_store.hits == 1
+        assert isinstance(columnar, ColumnarTrace)
+        with open(path, "rb") as handle:
+            decoded, _ = unpack_trace(pickle.load(handle))
+        assert isinstance(decoded, Trace)
+
+        def rows(trace):
+            return [[getattr(d, f) for f in DynInst.__slots__] for d in trace]
+
+        assert rows(decoded) == rows(columnar)
+
+    def test_planted_object_trace_is_served(self):
+        simulator = Simulator(trace_store=None)
+        plant_object_trace(simulator, "mcf", 100, 400)
+        key = ("mcf", 1, workload_code_version())
+        assert isinstance(simulator._trace_cache[key][0], Trace)
+        assert simulator.trace_for("mcf", 1, 500) is (
+            simulator._trace_cache[key][0]
+        )
 
 
 class TestGoldenCellEquivalence:
@@ -88,39 +102,28 @@ class TestGoldenCellEquivalence:
         "bench,mechanism,warmup,measure", GOLDEN_CELLS,
         ids=lambda value: getattr(value, "__name__", str(value)),
     )
-    def test_columnar_equals_dyninst(
-        self, monkeypatch, bench, mechanism, warmup, measure
-    ):
-        columnar = run_cell(
-            monkeypatch, True, bench, mechanism(), warmup, measure
-        )
-        legacy = run_cell(
-            monkeypatch, False, bench, mechanism(), warmup, measure
-        )
+    def test_columnar_equals_dyninst(self, bench, mechanism, warmup, measure):
+        columnar = run_cell(True, bench, mechanism(), warmup, measure)
+        legacy = run_cell(False, bench, mechanism(), warmup, measure)
         assert columnar == legacy
 
-    def test_store_round_trip_equivalence(self, monkeypatch, tmp_path):
-        # Interpret + persist once (columnar), then load the same
-        # artifact through both planes: all three runs bit-identical.
+    def test_store_round_trip_equivalence(self, tmp_path):
+        # Interpret + persist once, then load the same artifact as a
+        # columnar view and as decoded objects: all three runs
+        # bit-identical.
         mechanism = MechanismConfig.rsep_realistic()
-        cold = run_cell(
-            monkeypatch, True, "mcf", mechanism, 1000, 4000,
-            store_root=tmp_path,
-        )
-        warm_columnar = run_cell(
-            monkeypatch, True, "mcf", mechanism, 1000, 4000,
-            store_root=tmp_path,
-        )
-        warm_legacy = run_cell(
-            monkeypatch, False, "mcf", mechanism, 1000, 4000,
-            store_root=tmp_path,
-        )
+        cold = run_cell(True, "mcf", mechanism, 1000, 4000,
+                        store_root=tmp_path)
+        warm_columnar = run_cell(True, "mcf", mechanism, 1000, 4000,
+                                 store_root=tmp_path)
+        warm_legacy = run_cell(False, "mcf", mechanism, 1000, 4000,
+                               store_root=tmp_path)
         assert cold == warm_columnar == warm_legacy
 
 
 class TestValidationModeEquivalence:
-    """All validation modes through both planes (queue traffic, squash
-    drain and §IV.F retention all ride on trace-plane-fed state)."""
+    """All validation modes on both trace forms (queue traffic, squash
+    drain and §IV.F retention all ride on trace-fed state)."""
 
     def _variants(self):
         yield MechanismConfig.rsep_validation(ValidationMode.IDEAL)
@@ -131,14 +134,10 @@ class TestValidationModeEquivalence:
             start_train_threshold=15,
         )
 
-    def test_all_modes_match(self, monkeypatch):
+    def test_all_modes_match(self):
         for mechanism in self._variants():
-            columnar = run_cell(
-                monkeypatch, True, "hmmer", mechanism, 500, 3000
-            )
-            legacy = run_cell(
-                monkeypatch, False, "hmmer", mechanism, 500, 3000
-            )
+            columnar = run_cell(True, "hmmer", mechanism, 500, 3000)
+            legacy = run_cell(False, "hmmer", mechanism, 500, 3000)
             assert columnar == legacy, mechanism.name
 
 
@@ -155,34 +154,24 @@ class TestSampledEquivalence:
         MechanismConfig.rsep_realistic,
         MechanismConfig.rsep_plus_vp,
     ], ids=lambda factory: factory.__name__)
-    def test_sampled_columnar_equals_dyninst(
-        self, monkeypatch, mechanism_factory
-    ):
+    def test_sampled_columnar_equals_dyninst(self, mechanism_factory):
         kwargs = dict(warmup=1500, measure=6000, sampling=self.SAMPLING)
-        columnar = run_cell(
-            monkeypatch, True, "xalancbmk", mechanism_factory(), **kwargs
-        )
-        legacy = run_cell(
-            monkeypatch, False, "xalancbmk", mechanism_factory(), **kwargs
-        )
+        columnar = run_cell(True, "xalancbmk", mechanism_factory(), **kwargs)
+        legacy = run_cell(False, "xalancbmk", mechanism_factory(), **kwargs)
         assert columnar["warmed"] > 0  # the warmer really ran
         assert columnar == legacy
 
-    def test_checkpoint_crosses_planes(self, monkeypatch, tmp_path):
-        # A µarch checkpoint captured under the columnar plane restores
-        # bit-identically under the legacy plane (and vice versa): the
-        # warmed state is a pure function of the trace *content*.
+    def test_checkpoint_crosses_planes(self, tmp_path):
+        # A µarch checkpoint captured on a columnar trace restores
+        # bit-identically on the object trace: the warmed state is a
+        # pure function of the trace *content*.
         mechanism = MechanismConfig.rsep_realistic()
         kwargs = dict(warmup=1500, measure=4000, sampling=self.SAMPLING)
-        cold = run_cell(
-            monkeypatch, True, "mcf", mechanism, store_root=tmp_path,
-            **kwargs,
-        )
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
+        cold = run_cell(True, "mcf", mechanism, store_root=tmp_path, **kwargs)
         restored_store = TraceStore(tmp_path)
-        restored = Simulator(trace_store=restored_store).run_benchmark(
-            "mcf", mechanism, seed=1, **kwargs
-        )
+        simulator = Simulator(trace_store=restored_store)
+        plant_object_trace(simulator, "mcf", 1500, 4000)
+        restored = simulator.run_benchmark("mcf", mechanism, seed=1, **kwargs)
         assert restored_store.checkpoint_hits == 1
         # A genuine restore: no fallback re-warm rewrote the artifact.
         assert restored_store.checkpoint_writes == 0

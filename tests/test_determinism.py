@@ -14,12 +14,19 @@ code-generated predictor paths against their generic references.
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
+from repro.core.validation import ValidationMode
 from repro.harness.runner import ExperimentRunner
-from repro.pipeline.config import MechanismConfig
+from repro.pipeline.config import MECHANISM_PRESETS, MechanismConfig
 from repro.pipeline.simulator import Simulator
 from repro.predictors.distance import DistancePredictor, DistancePredictorConfig
+from repro.sampling import SamplingConfig
+from repro.workloads.store import cell_stats_digest
 
 
 from helpers import stats_dict  # noqa: E402  (shared test helper)
@@ -94,6 +101,81 @@ class TestGoldenStats:
             warmup=0, measure=8000, seed=1,
         )
         assert stats_dict(result.stats) == GOLDEN_LIBQUANTUM_RSEP_VP
+
+
+FULL_DETAIL = SamplingConfig(enabled=False)
+SAMPLED = SamplingConfig(
+    enabled=True, interval=1000, detail_ratio=0.25, detail_warmup=128,
+)
+
+
+def _golden(bench, mechanism, warmup, measure, sampling, digest):
+    suffix = "-sampled" if sampling.enabled else ""
+    return pytest.param(
+        bench, mechanism, warmup, measure, sampling, digest,
+        id=f"{bench}-{mechanism.name}{suffix}",
+    )
+
+
+# ``cell_stats_digest`` of every preset, every validation mode and the
+# sampled cells, captured while the generated/generic rename loops and
+# the three functional warmers all still ran side by side and agreed.
+GOLDEN_DIGESTS = [
+    *(
+        _golden("mcf", MECHANISM_PRESETS[name](), 500, 3000, FULL_DETAIL,
+                digest)
+        for name, digest in (
+            ("baseline", "486e6949defaf81b"),
+            ("move_elim", "486e6949defaf81b"),
+            ("rsep", "571d42e7df1ab0cd"),
+            ("rsep+vpred", "571d42e7df1ab0cd"),
+            ("rsep-realistic", "92f89629ee976288"),
+            ("vpred", "486e6949defaf81b"),
+            ("zero_pred", "486e6949defaf81b"),
+        )
+    ),
+    *(
+        _golden("hmmer", mechanism, 500, 3000, FULL_DETAIL, digest)
+        for mechanism, digest in (
+            (MechanismConfig.rsep_validation(ValidationMode.IDEAL),
+             "af3caf67abeb542d"),
+            (MechanismConfig.rsep_validation(ValidationMode.REISSUE_LOCK_FU),
+             "8cdce8c222b555e0"),
+            (MechanismConfig.rsep_validation(ValidationMode.REISSUE_ANY_FU),
+             "8cdce8c222b555e0"),
+            (MechanismConfig.rsep_validation(
+                ValidationMode.REISSUE_ANY_FU, sampling=True,
+                start_train_threshold=15,
+            ), "c1dfdf52ddef8bb1"),
+        )
+    ),
+    *(
+        _golden("xalancbmk", MECHANISM_PRESETS[name](), 1500, 6000, SAMPLED,
+                digest)
+        for name, digest in (
+            ("baseline", "ef2f5a54cde49c71"),
+            ("rsep-realistic", "e7a631e551ec89d3"),
+            ("rsep+vpred", "d2d5e679b88dd154"),
+            ("rsep", "6753a060b6120b19"),
+        )
+    ),
+]
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize(
+        "bench,mechanism,warmup,measure,sampling,digest", GOLDEN_DIGESTS
+    )
+    def test_cell_digest_matches_golden(
+        self, bench, mechanism, warmup, measure, sampling, digest
+    ):
+        result = Simulator(trace_store=None).run_benchmark(
+            bench, mechanism, warmup=warmup, measure=measure, seed=1,
+            sampling=sampling,
+        )
+        if sampling.enabled:
+            assert result.stats.warmed > 0  # the warmer really ran
+        assert cell_stats_digest(dataclasses.asdict(result.stats)) == digest
 
 
 class TestSameSeedDeterminism:

@@ -1,20 +1,15 @@
-"""Differential equivalence for the native-speed compute plane (PR 7).
+"""Differential equivalence for the generated compute stages.
 
-Two generated planes ship behind environment gates, each with its
-generic implementation kept live as the oracle:
-
-* ``REPRO_GENRENAME`` — per-mechanism generated rename/issue loops
-  (``repro.pipeline.genrename``) vs the generic ``Pipeline._rename`` /
-  ``_issue`` methods;
-* ``REPRO_VECWARM`` — the NumPy event-indexed functional warmer
-  (``repro.sampling.vecwarm``) vs the pure-Python column loop.
-
-Every test here runs the same cell through both planes (and the four
-on/off combinations) asserting *bit-identical* statistics, mirroring
-``tests/test_columnar_equivalence.py``'s treatment of the columnar
-plane.  The memoised distance-predictor fast path and the issue-port
-arms inlined into both issue loops get direct hypothesis equivalence
-tests of their own.
+Every pipeline installs per-mechanism generated rename/issue loops
+(``repro.pipeline.genrename``).  The generic ``Pipeline._rename`` /
+``_issue`` methods stay as their reference: the tests here select them
+by replacing the install with a no-op, run the same cell through both
+(every preset and every validation mode, in full detail and sampled),
+and assert *bit-identical* statistics.  The four plane combinations
+cross that choice with the trace form (columnar vs object trace, as in
+``tests/test_columnar_equivalence.py``).  The memoised distance-
+predictor fast path and the issue-port arms inlined into both issue
+loops get direct hypothesis equivalence tests of their own.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import env as api_env
 from repro.backend.fu import FuClass, IssuePorts, PortConfig
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
@@ -32,22 +26,35 @@ from repro.pipeline.config import (
     MECHANISM_PRESETS,
     MechanismConfig,
 )
+from repro.pipeline.core import Pipeline
 from repro.pipeline.simulator import Simulator
 from repro.predictors.distance import (
     DistancePredictor,
     DistancePredictorConfig,
 )
 from repro.sampling import SamplingConfig
-from repro.sampling import vecwarm
-from repro.sampling.warming import FunctionalWarmer
 from repro.workloads.store import TraceStore
 
-from helpers import stats_dict  # noqa: E402  (shared test helper)
+from helpers import (  # noqa: E402  (shared test helpers)
+    plant_object_trace,
+    stats_dict,
+    use_generic_stages,
+)
 
 
 SAMPLING = SamplingConfig(
     enabled=True, interval=1000, detail_ratio=0.25, detail_warmup=128,
 )
+
+#: Every validation mode, plus the sampled-sharing variant.
+VALIDATION_VARIANTS = [
+    MechanismConfig.rsep_validation(mode) for mode in ValidationMode
+] + [
+    MechanismConfig.rsep_validation(
+        ValidationMode.REISSUE_ANY_FU, sampling=True,
+        start_train_threshold=15,
+    ),
+]
 
 
 def run_cell(
@@ -57,44 +64,25 @@ def run_cell(
     warmup: int,
     measure: int,
     *,
-    genrename: bool = True,
-    vectorised: bool = True,
+    generated: bool = True,
+    columnar: bool = True,
     store_root=None,
     sampling: SamplingConfig | None = None,
 ) -> dict:
-    """One cell under the requested compute-plane combination."""
-    monkeypatch.setenv("REPRO_GENRENAME", "1" if genrename else "0")
-    monkeypatch.setenv("REPRO_VECWARM", "1" if vectorised else "0")
-    store = TraceStore(store_root) if store_root is not None else None
-    simulator = Simulator(trace_store=store)
-    result = simulator.run_benchmark(
-        benchmark, mechanism, warmup=warmup, measure=measure, seed=1,
-        sampling=sampling,
-    )
-    return stats_dict(result.stats)
-
-
-class TestEnvFrontDoor:
-    def test_new_vars_are_known(self):
-        assert "REPRO_GENRENAME" in api_env.KNOWN_VARS
-        assert "REPRO_VECWARM" in api_env.KNOWN_VARS
-        unknown = api_env.warn_unknown_vars(
-            {"REPRO_GENRENAME": "0", "REPRO_VECWARM": "0"}
+    """One cell on the requested rename/issue stages and trace form."""
+    with monkeypatch.context() as patch:
+        if not generated:
+            use_generic_stages(patch)
+        store = TraceStore(store_root) if store_root is not None else None
+        simulator = Simulator(trace_store=store)
+        if not columnar:
+            plant_object_trace(simulator, benchmark, warmup, measure)
+        result = simulator.run_benchmark(
+            benchmark, mechanism, warmup=warmup, measure=measure, seed=1,
+            sampling=sampling if sampling is not None
+            else SamplingConfig(enabled=False),
         )
-        assert unknown == []
-
-    @pytest.mark.parametrize("reader,name", [
-        (api_env.genrename_enabled, "REPRO_GENRENAME"),
-        (api_env.vecwarm_enabled, "REPRO_VECWARM"),
-    ], ids=["genrename", "vecwarm"])
-    def test_readers_default_on_and_gate_off(self, monkeypatch, reader, name):
-        monkeypatch.delenv(name, raising=False)
-        assert reader() is True
-        for off in api_env.OFF_VALUES:
-            monkeypatch.setenv(name, off)
-            assert reader() is False
-        monkeypatch.setenv(name, "1")
-        assert reader() is True
+    return stats_dict(result.stats)
 
 
 class TestGeneratedRenameEquivalence:
@@ -103,29 +91,38 @@ class TestGeneratedRenameEquivalence:
     @pytest.mark.parametrize("preset", sorted(MECHANISM_PRESETS))
     def test_all_presets_match(self, monkeypatch, preset):
         mechanism = MECHANISM_PRESETS[preset]()
-        generated = run_cell(
-            monkeypatch, "mcf", mechanism, 500, 3000, genrename=True
-        )
+        generated = run_cell(monkeypatch, "mcf", mechanism, 500, 3000)
         generic = run_cell(
-            monkeypatch, "mcf", mechanism, 500, 3000, genrename=False
+            monkeypatch, "mcf", mechanism, 500, 3000, generated=False
         )
         assert generated == generic
 
+    @pytest.mark.parametrize("preset", sorted(MECHANISM_PRESETS))
+    def test_all_presets_match_sampled(self, monkeypatch, preset):
+        mechanism = MECHANISM_PRESETS[preset]()
+        kwargs = dict(sampling=SAMPLING)
+        generated = run_cell(monkeypatch, "mcf", mechanism, 500, 3000,
+                             **kwargs)
+        generic = run_cell(monkeypatch, "mcf", mechanism, 500, 3000,
+                           generated=False, **kwargs)
+        assert generated["warmed"] > 0  # the warmer really ran
+        assert generated == generic
+
     def test_all_validation_modes_match(self, monkeypatch):
-        variants = [
-            MechanismConfig.rsep_validation(mode) for mode in ValidationMode
-        ]
-        variants.append(MechanismConfig.rsep_validation(
-            ValidationMode.REISSUE_ANY_FU, sampling=True,
-            start_train_threshold=15,
-        ))
-        for mechanism in variants:
-            generated = run_cell(
-                monkeypatch, "hmmer", mechanism, 500, 3000, genrename=True
-            )
+        for mechanism in VALIDATION_VARIANTS:
+            generated = run_cell(monkeypatch, "hmmer", mechanism, 500, 3000)
             generic = run_cell(
-                monkeypatch, "hmmer", mechanism, 500, 3000, genrename=False
+                monkeypatch, "hmmer", mechanism, 500, 3000, generated=False
             )
+            assert generated == generic, mechanism.name
+
+    def test_all_validation_modes_match_sampled(self, monkeypatch):
+        for mechanism in VALIDATION_VARIANTS:
+            generated = run_cell(monkeypatch, "hmmer", mechanism, 500, 3000,
+                                 sampling=SAMPLING)
+            generic = run_cell(monkeypatch, "hmmer", mechanism, 500, 3000,
+                               generated=False, sampling=SAMPLING)
+            assert generated["warmed"] > 0
             assert generated == generic, mechanism.name
 
     def test_code_cache_shared_per_fingerprint(self):
@@ -143,104 +140,54 @@ class TestGeneratedRenameEquivalence:
         assert other[0] is not first[0]
 
     def test_escape_hatch_restores_generic_methods(self, monkeypatch):
-        from repro.pipeline.core import Pipeline
-
+        # Every pipeline binds the generated loops; the no-op install
+        # the equivalence tests use leaves the generic methods in place.
         trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
-        monkeypatch.setenv("REPRO_GENRENAME", "0")
+        pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
+        assert "_rename" in vars(pipeline) and "_issue" in vars(pipeline)
+        use_generic_stages(monkeypatch)
         pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
         assert "_rename" not in vars(pipeline)
         assert "_issue" not in vars(pipeline)
-        monkeypatch.setenv("REPRO_GENRENAME", "1")
-        pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
-        assert "_rename" in vars(pipeline) and "_issue" in vars(pipeline)
-
-
-class TestVectorisedWarmingEquivalence:
-    """Pure vs vectorised warming on sampled cells (the only consumer)."""
-
-    @pytest.mark.parametrize("factory", [
-        MechanismConfig.baseline,
-        MechanismConfig.rsep_realistic,
-        MechanismConfig.rsep_plus_vp,
-        MechanismConfig.rsep_ideal,
-    ], ids=lambda factory: factory.__name__)
-    def test_sampled_cells_match(self, monkeypatch, factory):
-        kwargs = dict(warmup=1500, measure=6000, sampling=SAMPLING)
-        fast = run_cell(
-            monkeypatch, "xalancbmk", factory(), vectorised=True, **kwargs
-        )
-        pure = run_cell(
-            monkeypatch, "xalancbmk", factory(), vectorised=False, **kwargs
-        )
-        assert fast["warmed"] > 0  # the warmer really ran
-        assert fast == pure
-
-    def test_vecwarm_plane_selected_by_default(self, monkeypatch):
-        from repro.pipeline.core import Pipeline
-
-        pytest.importorskip("numpy")
-        monkeypatch.delenv("REPRO_VECWARM", raising=False)
-        trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
-        pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
-        assert isinstance(
-            vecwarm.make_warmer(pipeline), vecwarm.VecFunctionalWarmer
-        )
-
-    def test_no_numpy_falls_back_cleanly(self, monkeypatch):
-        from repro.pipeline.core import Pipeline
-
-        monkeypatch.setattr(vecwarm, "np", None)
-        assert not vecwarm.numpy_available()
-        simulator = Simulator(trace_store=None)
-        trace = simulator.trace_for("mcf", 1, 500)
-        pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
-        warmer = vecwarm.make_warmer(pipeline)
-        assert type(warmer) is FunctionalWarmer
-        # And a sampled run still works end to end on the pure plane.
-        result = simulator.run_benchmark(
-            "mcf", MechanismConfig.rsep_realistic(), warmup=1000,
-            measure=2000, seed=1, sampling=SAMPLING,
-        )
-        assert result.stats.warmed > 0
 
 
 class TestFourPlaneCombinations:
-    """genrename × vecwarm: all four combinations digest-identical,
-    including through a sampled-checkpoint capture/restore cycle."""
+    """Generated vs generic rename/issue × columnar vs object trace: all
+    four combinations digest-identical, including through a sampled-
+    checkpoint capture/restore cycle."""
 
     def test_sampled_rsep_realistic_all_combinations(self, monkeypatch):
         kwargs = dict(warmup=1500, measure=4000, sampling=SAMPLING)
         reference = run_cell(
             monkeypatch, "mcf", MechanismConfig.rsep_realistic(),
-            genrename=False, vectorised=False, **kwargs,
+            generated=False, columnar=False, **kwargs,
         )
-        for genrename in (True, False):
-            for vectorised in (True, False):
-                if not genrename and not vectorised:
+        for generated in (True, False):
+            for columnar in (True, False):
+                if not generated and not columnar:
                     continue
                 observed = run_cell(
                     monkeypatch, "mcf", MechanismConfig.rsep_realistic(),
-                    genrename=genrename, vectorised=vectorised, **kwargs,
+                    generated=generated, columnar=columnar, **kwargs,
                 )
-                assert observed == reference, (genrename, vectorised)
+                assert observed == reference, (generated, columnar)
 
     def test_checkpoint_crosses_planes(self, monkeypatch, tmp_path):
-        # A µarch checkpoint captured under the fast planes restores
-        # bit-identically under the oracle planes: warmed state is a
-        # pure function of the trace content, and the restore re-stamps
-        # the fast-predict memo version (see checkpoint.py).
+        # A µarch checkpoint captured on the generated loops over a
+        # columnar trace restores bit-identically on the generic loops
+        # over an object trace: warmed state is a pure function of the
+        # trace content, and the restore re-stamps the fast-predict memo
+        # version (see checkpoint.py).
         mechanism = MechanismConfig.rsep_realistic()
         kwargs = dict(warmup=1500, measure=4000, sampling=SAMPLING)
         cold = run_cell(
-            monkeypatch, "mcf", mechanism, genrename=True,
-            vectorised=True, store_root=tmp_path, **kwargs,
+            monkeypatch, "mcf", mechanism, store_root=tmp_path, **kwargs,
         )
-        monkeypatch.setenv("REPRO_GENRENAME", "0")
-        monkeypatch.setenv("REPRO_VECWARM", "0")
+        use_generic_stages(monkeypatch)
         restored_store = TraceStore(tmp_path)
-        restored = Simulator(trace_store=restored_store).run_benchmark(
-            "mcf", mechanism, seed=1, **kwargs
-        )
+        simulator = Simulator(trace_store=restored_store)
+        plant_object_trace(simulator, "mcf", 1500, 4000)
+        restored = simulator.run_benchmark("mcf", mechanism, seed=1, **kwargs)
         assert restored_store.checkpoint_hits == 1
         # A genuine restore: no fallback re-warm rewrote the artifact.
         assert restored_store.checkpoint_writes == 0

@@ -16,13 +16,14 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import stats_dict
+from helpers import stats_dict, use_generic_stages
 from repro.api import env as api_env
 from repro.api.cli import main as cli_main
 from repro.api.result import KNOWN_SECTIONS, CellResult, RunResult
 from repro.api.session import Session
 from repro.api.spec import (
     ExperimentSpec,
+    SamplingSpec,
     StoreSpec,
     WindowSpec,
     default_mechanisms,
@@ -61,6 +62,17 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     )
     settings_.update(overrides)
     return ExperimentSpec(**settings_)
+
+
+@pytest.fixture(autouse=True)
+def close_env_runtime():
+    """Close the env-resolved runtime a test leaves cached, so no event
+    file stays open past the test that wrote it."""
+    yield
+    from repro.obs import runtime
+
+    if runtime._env_runtime is not None:
+        runtime._env_runtime.close()
 
 
 def obs_env(monkeypatch, tmp_path, every: int = 100) -> str:
@@ -265,14 +277,19 @@ class TestMetricsHub:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("genrename,vecwarm",
+    @pytest.mark.parametrize("generated,sampled",
                              [(1, 1), (1, 0), (0, 1), (0, 0)])
     def test_obs_is_invisible_on_every_compute_plane(
-        self, monkeypatch, tmp_path, genrename, vecwarm
+        self, monkeypatch, tmp_path, generated, sampled
     ):
-        monkeypatch.setenv("REPRO_GENRENAME", str(genrename))
-        monkeypatch.setenv("REPRO_VECWARM", str(vecwarm))
-        spec = tiny_spec(benchmarks=("mcf", "dealII"))
+        """Generated or generic rename/issue loops, on a sampled run
+        (functional warmer, chunked detail spans) or a full-detail one."""
+        if not generated:
+            use_generic_stages(monkeypatch)
+        sampling = SamplingSpec(
+            enabled=True, interval=200, detail_ratio=0.5, detail_warmup=32,
+        ) if sampled else SamplingSpec()
+        spec = tiny_spec(benchmarks=("mcf", "dealII"), sampling=sampling)
 
         monkeypatch.delenv("REPRO_OBS", raising=False)
         baseline = Session.for_spec(spec).run(spec)
@@ -284,6 +301,7 @@ class TestBitIdentity:
         assert observed.digest() == baseline.digest()
         for cell_a, cell_b in zip(baseline.cells, observed.cells):
             assert stats_dict(cell_a.stats) == stats_dict(cell_b.stats)
+            assert (cell_a.stats.warmed > 0) == bool(sampled)
 
     def test_obs_spec_never_joins_the_fingerprint(self):
         spec = tiny_spec()
@@ -536,7 +554,7 @@ class TestProfiler:
     def test_profile_cli(self, tmp_path, capsys):
         out_path = tmp_path / "profile.json"
         assert cli_main(["profile", "--benchmark", "mcf", "--warmup", "200",
-                         "--measure", "1000", "--combos", "current",
+                         "--measure", "1000",
                          "--json", str(out_path)]) == 0
         assert "phase profile" in capsys.readouterr().out
         assert json.loads(out_path.read_text())["format"] == 1

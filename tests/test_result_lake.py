@@ -54,6 +54,28 @@ class TestLakeRoundTrip:
         assert warm.lake_hits == 1
         assert stats_dict(served.stats) == stats_dict(baseline.stats)
 
+    def test_sampled_cell_served_identical_to_fresh(self, tmp_path):
+        from repro.sampling import SamplingConfig
+
+        sampling = SamplingConfig(
+            enabled=True, interval=500, detail_ratio=0.5, detail_warmup=64
+        )
+        kwargs = dict(seed=1, warmup=256, measure=1000, sampling=sampling)
+        cold = _engine(tmp_path)
+        reference = cold.run_cell(
+            "mcf", MechanismConfig.rsep_realistic(), **kwargs
+        )
+        warm = _engine(tmp_path)
+        served = warm.run_cell(
+            "mcf", MechanismConfig.rsep_realistic(), **kwargs
+        )
+        assert warm.cell_misses == 0
+        fresh = SweepEngine(
+            simulator=Simulator(trace_store=None)
+        ).run_cell("mcf", MechanismConfig.rsep_realistic(), **kwargs)
+        assert stats_dict(served.stats) == stats_dict(fresh.stats)
+        assert stats_dict(served.stats) == stats_dict(reference.stats)
+
     def test_memo_takes_precedence_over_lake(self, tmp_path):
         engine = _engine(tmp_path)
         engine.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
@@ -210,42 +232,6 @@ class TestLakeRobustness:
         # A code edit means a different token: miss, new artifact.
         assert warm.lake_hits == 0 and warm.cell_misses == 1
         assert len(_cell_files(tmp_path)) == 2
-
-
-class TestPlaneEquivalence:
-    def test_lake_served_cell_identical_on_all_four_planes(
-        self, tmp_path, monkeypatch
-    ):
-        """A cell laked under the default planes serves bit-identically
-        on every REPRO_GENRENAME × REPRO_VECWARM combination (the plane
-        flags never join the key: planes are bit-identical by the
-        equivalence suite, and this pins that the lake agrees)."""
-        from repro.sampling import SamplingConfig
-
-        sampling = SamplingConfig(
-            enabled=True, interval=500, detail_ratio=0.5, detail_warmup=64
-        )
-        kwargs = dict(seed=1, warmup=256, measure=1000, sampling=sampling)
-        cold = _engine(tmp_path)
-        reference = cold.run_cell(
-            "mcf", MechanismConfig.rsep_realistic(), **kwargs
-        )
-        for genrename in ("1", "0"):
-            for vecwarm in ("1", "0"):
-                monkeypatch.setenv("REPRO_GENRENAME", genrename)
-                monkeypatch.setenv("REPRO_VECWARM", vecwarm)
-                warm = _engine(tmp_path)
-                served = warm.run_cell(
-                    "mcf", MechanismConfig.rsep_realistic(), **kwargs
-                )
-                assert warm.cell_misses == 0, (genrename, vecwarm)
-                fresh = SweepEngine(
-                    simulator=Simulator(trace_store=None)
-                ).run_cell("mcf", MechanismConfig.rsep_realistic(), **kwargs)
-                assert stats_dict(served.stats) == stats_dict(fresh.stats)
-                assert stats_dict(served.stats) == stats_dict(
-                    reference.stats
-                )
 
 
 class TestParallelAndSharded:

@@ -20,6 +20,10 @@ The contract under test (DESIGN.md §8):
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,3 +325,35 @@ class TestReporting:
         stats.warmed = 5000
         stats.ipc_ci = 0.0123
         assert format_ipc(stats) == "1.234 ±0.012"
+
+
+class TestNoNumpy:
+    def test_sampled_cell_never_imports_numpy(self):
+        # A fresh interpreter: the CLI import plus one sampled cell (the
+        # warmer included) must leave NumPy unimported.
+        probe = (
+            "import sys\n"
+            "import repro.api.cli\n"
+            "from repro.pipeline.config import MechanismConfig\n"
+            "from repro.pipeline.simulator import Simulator\n"
+            "from repro.sampling import SamplingConfig\n"
+            "sampling = SamplingConfig(enabled=True, interval=1000,\n"
+            "                          detail_ratio=0.25, detail_warmup=128)\n"
+            "result = Simulator(trace_store=None).run_benchmark(\n"
+            "    'mcf', MechanismConfig.rsep_realistic(), warmup=500,\n"
+            "    measure=2000, seed=1, sampling=sampling)\n"
+            "assert result.stats.warmed > 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(
+                    Path(__file__).resolve().parent.parent / "src"
+                ),
+            },
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
