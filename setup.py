@@ -4,12 +4,8 @@ Kept as a plain ``setup.py`` (no ``pyproject.toml``) so ``pip install
 -e .`` works in offline environments whose setuptools cannot build
 PEP 660 editable wheels (no ``wheel`` package available).
 
-Installs the unified front door plus two deprecated aliases:
-
-* ``repro``       → ``repro.api.cli`` (sweep / perf / figures / report /
-  inspect — see DESIGN.md §10)
-* ``repro-sweep`` → deprecated alias of ``python -m repro.harness.sweep``
-* ``repro-perf``  → deprecated alias of ``python -m repro.harness.perf``
+Installs one console script: ``repro`` → ``repro.api.cli``, the unified
+front door (DESIGN.md §10).
 """
 
 from setuptools import find_packages, setup
@@ -27,8 +23,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro = repro.api.cli:main",
-            "repro-sweep = repro.api.cli:sweep_alias_main",
-            "repro-perf = repro.api.cli:perf_alias_main",
         ],
     },
 )

@@ -16,9 +16,6 @@ through the one environment overlay (explicit flag beats ``REPRO_*``
 beats default) and executes it through a
 :class:`~repro.api.session.Session`, so a CLI invocation, a bench and a
 library call are the same experiment value — fingerprint and all.
-
-The pre-PR 5 ``repro-sweep`` / ``repro-perf`` entry points survive as
-deprecated aliases of the underlying module CLIs.
 """
 
 from __future__ import annotations
@@ -96,7 +93,6 @@ def _spec_summary(spec: ExperimentSpec) -> str:
         + ("disabled" if not spec.store.enabled
            else (spec.store.path or "default cache"))
         + f", lake {'on' if spec.store.result_lake else 'off'}",
-        f"workers     : {spec.workers}",
         f"shards      : {spec.shards if spec.shards > 1 else 'in-process'}",
         f"cells       : {spec.cells}",
     ])
@@ -141,32 +137,29 @@ def _cmd_sweep(args) -> int:
                 ("--benchmark", args.benchmarks),
                 ("--mechanism", args.mechanisms),
                 ("--seeds", args.seeds), ("--warmup", args.warmup),
-                ("--measure", args.measure), ("--workers", args.workers),
-                ("--json", args.json),
+                ("--measure", args.measure), ("--json", args.json),
             ) if value is not None
         ]
         if ignored:
             print("repro sweep --smoke runs a fixed gate; it cannot take "
                   f"{', '.join(ignored)}", file=sys.stderr)
             return 2
-        if args.hosts is not None:
-            # The loopback-cluster gate: two real `repro serve --tcp`
-            # children, an injected host crash and a corrupt artifact,
-            # and the merge must still be digest-identical in-process.
-            if args.hosts != "loopback":
+        if args.hosts is not None or args.shards is not None:
+            # The fault gate on forked workers (--shards N) or on two
+            # real `repro serve --tcp` children (--hosts loopback): an
+            # injected crash and a corrupt artifact (REPRO_FAULTS), and
+            # the merge must still be digest-identical to in-process.
+            if args.hosts not in (None, "loopback"):
                 print("repro sweep --smoke --hosts runs the loopback "
                       "cluster gate; the only accepted value is "
                       "'loopback'", file=sys.stderr)
                 return 2
-            from repro.cluster.smoke import cluster_smoke
+            from repro.service.smoke import fault_smoke
 
-            return cluster_smoke()
-        if args.shards is not None:
-            # The sharded-service gate: a fault-injected sharded run
-            # (REPRO_FAULTS) must merge digest-identical to in-process.
-            from repro.service.smoke import sharded_smoke
-
-            return sharded_smoke(shards=args.shards)
+            return fault_smoke(
+                hosts=args.hosts,
+                shards=2 if args.shards is None else args.shards,
+            )
         from repro.harness import sweep as sweep_module
 
         smoke_args = (
@@ -192,7 +185,6 @@ def _cmd_sweep(args) -> int:
             measure=args.measure,
             sampling=sampling,
             store=store,
-            workers=args.workers,
             shards=args.shards,
         )
     except (TypeError, ValueError) as error:
@@ -684,6 +676,7 @@ def _cmd_serve(args) -> int:
 
     from repro.service.server import SweepServer
     from repro.service.supervisor import ShardSupervisor
+    from repro.service.worker import ForkDispatcher
 
     tcp = None
     if args.tcp is not None:
@@ -694,7 +687,9 @@ def _cmd_serve(args) -> int:
         except ValueError as error:
             print(f"repro serve: {error}", file=sys.stderr)
             return 2
-    supervisor = ShardSupervisor(deadline=args.timeout)
+    supervisor = ShardSupervisor(
+        dispatcher=ForkDispatcher(deadline=args.timeout)
+    )
     server = SweepServer(
         None if args.tcp is not None and args.no_socket else args.socket,
         supervisor=supervisor, shards=args.shards, tcp=tcp,
@@ -767,8 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warm-up instructions (default: REPRO_WARMUP)")
     sweep.add_argument("--measure", type=int, default=None,
                        help="measured instructions (default: REPRO_MEASURE)")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="sweep worker processes (default: REPRO_WORKERS)")
     sweep.add_argument("--shards", type=int, default=None,
                        help="fault-tolerant sharded service shard count "
                        "(default: REPRO_SHARDS; 0/1 = in-process); with "
@@ -937,31 +930,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     return _cmd_inspect(args)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated console aliases (PR 3's entry points)
-# ---------------------------------------------------------------------------
-
-
-def sweep_alias_main(argv: list[str] | None = None) -> int:
-    """``repro-sweep``: deprecated alias of ``repro sweep --smoke`` /
-    ``python -m repro.harness.sweep``."""
-    print("repro-sweep is deprecated; use `repro sweep` (same flags)",
-          file=sys.stderr)
-    from repro.harness.sweep import main as sweep_main
-
-    return sweep_main(argv)
-
-
-def perf_alias_main(argv: list[str] | None = None) -> int:
-    """``repro-perf``: deprecated alias of ``repro perf`` /
-    ``python -m repro.harness.perf``."""
-    print("repro-perf is deprecated; use `repro perf` (same flags)",
-          file=sys.stderr)
-    from repro.harness.perf import main as perf_main
-
-    return perf_main(argv)
 
 
 if __name__ == "__main__":

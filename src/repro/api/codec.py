@@ -30,8 +30,13 @@ _ENUM_KEY = "$enum"
 _TUPLE_KEY = "$tuple"
 
 #: (class reference, field) pairs the class no longer has, dropped on
-#: decode.  ``StoreSpec.columnar`` selected a trace plane that is gone.
-_RETIRED_FIELDS = frozenset({("repro.api.spec:StoreSpec", "columnar")})
+#: decode.  ``StoreSpec.columnar`` selected a trace plane that is gone;
+#: ``ExperimentSpec.workers`` sized a process pool that is gone
+#: (``shards`` is the one fan-out knob).
+_RETIRED_FIELDS = frozenset({
+    ("repro.api.spec:StoreSpec", "columnar"),
+    ("repro.api.spec:ExperimentSpec", "workers"),
+})
 
 
 def _class_ref(cls: type) -> str:

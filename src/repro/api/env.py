@@ -1,13 +1,9 @@
 """The single place ``REPRO_*`` environment variables are read.
 
-Before this module, window sizes, seed counts, sampling parameters,
-store roots and worker counts were each parsed independently in
-whichever module happened to need them (DESIGN.md §10).
-Every one of those reads now funnels through here: the typed helpers
-below are the implementation, the legacy helpers (``default_windows``,
-``default_seeds``, ``SamplingConfig.from_environment``, …) are
-deprecation shims delegating to them, and :func:`warn_unknown_vars` is
-the typo guard that tells you ``REPRO_MESURE=40000`` did nothing.
+Window sizes, seed counts, sampling parameters, store roots, shard
+counts and the service/cluster settings are each read by one typed
+helper below (DESIGN.md §10), and :func:`warn_unknown_vars` is the typo
+guard that tells you ``REPRO_MESURE=40000`` did nothing.
 
 Only the standard library is imported at module level so this module is
 importable from anywhere in the package (including the modules the rest
@@ -61,9 +57,6 @@ KNOWN_VARS: dict[str, tuple[str, str]] = {
         "ExperimentSpec.store.result_lake",
         "spec-level result lake: serve cells from the store (default off)",
     ),
-    "REPRO_WORKERS": (
-        "ExperimentSpec.workers", "parallel sweep workers (default 1)"
-    ),
     "REPRO_SHARDS": (
         "ExperimentSpec.shards",
         "sharded sweep shard count (0 = in-process, default 0)",
@@ -73,7 +66,7 @@ KNOWN_VARS: dict[str, tuple[str, str]] = {
         "deterministic shard fault injection, e.g. 'crash:0,corrupt:1'",
     ),
     "REPRO_SHARD_TIMEOUT": (
-        "service.ShardSupervisor deadline",
+        "ForkDispatcher / RemoteDispatcher deadline",
         "per-shard wall-clock deadline in seconds (default 120)",
     ),
     "REPRO_HOSTS": (
@@ -159,16 +152,6 @@ def warn_unknown_vars(
     return unknown
 
 
-def deprecated(old: str, new: str) -> None:
-    """Emit the shim warning for a legacy env-reading helper."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (repro.api is the single env "
-        "front door since PR 5)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Typed readers (one per spec field group)
 # ---------------------------------------------------------------------------
@@ -194,20 +177,12 @@ def seeds_from_env() -> list[int]:
     return list(range(1, int(os.environ.get("REPRO_SEEDS", "1")) + 1))
 
 
-def workers_from_env() -> int:
-    """Sweep worker processes: ``REPRO_WORKERS`` or 1 (parallelism stays
-    opt-in — implicit fan-out would surprise profiling and CI timing)."""
-    configured = os.environ.get("REPRO_WORKERS")
-    if configured:
-        return max(1, int(configured))
-    return 1
-
-
 def shards_from_env() -> int:
     """Sharded-sweep shard count: ``REPRO_SHARDS`` or 0 (in-process).
 
-    Like workers, sharding stays opt-in — 0 (or 1) means the classic
-    in-process :class:`~repro.harness.sweep.SweepEngine` path.
+    Sharding stays opt-in — implicit fan-out would surprise profiling
+    and CI timing — so 0 (or 1) means the classic in-process
+    :class:`~repro.harness.sweep.SweepEngine` path.
     """
     configured = os.environ.get("REPRO_SHARDS")
     if configured:
@@ -219,9 +194,9 @@ def shard_timeout_from_env() -> float:
     """Per-shard wall-clock deadline in seconds (``REPRO_SHARD_TIMEOUT``).
 
     A shard attempt that exceeds the deadline is treated as hung: its
-    worker is killed and the shard is re-dispatched (with backoff) up to
-    the supervisor's attempt budget.  The sweep engine's bounded
-    parallel-prefill ``get`` reuses the same deadline.
+    worker is killed (or its host request abandoned) and the shard is
+    re-dispatched (with backoff) up to the supervisor's attempt budget.
+    Both dispatchers read it.
     """
     configured = os.environ.get("REPRO_SHARD_TIMEOUT")
     if configured:

@@ -220,7 +220,7 @@ def figure_spec(
     """The :class:`ExperimentSpec` of one sweep figure.
 
     Everything not fixed by the figure (benchmark subset, window, seeds,
-    store, workers) overlays the environment exactly like
+    store, shards) overlays the environment exactly like
     :meth:`ExperimentSpec.from_env`.
     """
     if name not in FIGURES:

@@ -1,13 +1,13 @@
 """The :class:`Session` facade: specs in, versioned artifacts out.
 
-A session owns the infrastructure — the shared trace store, the
-memoising sweep engine and (through it) the worker pool — and exposes
-exactly one operation: ``run(spec) -> RunResult``.  It routes into the
-existing :class:`~repro.harness.sweep.SweepEngine`, so every guarantee
-that engine gives (interpret once per machine, simulate each unique
-cell once per process, deterministic parallel merge) holds unchanged
-and the stats are bit-identical to the legacy
-:class:`~repro.harness.runner.ExperimentRunner` path.
+A session owns the infrastructure — the shared trace store and the
+memoising sweep engine — and exposes one operation, ``run(spec) ->
+RunResult``, plus its sharded and clustered fan-outs.  It routes into
+the existing :class:`~repro.harness.sweep.SweepEngine`, so every
+guarantee that engine gives (interpret once per machine, simulate each
+unique cell once per process) holds unchanged and the stats are
+bit-identical to the legacy :class:`~repro.harness.runner.ExperimentRunner`
+path.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ class Session:
                 seeds=list(spec.seeds),
                 warmup=spec.window.warmup,
                 measure=spec.window.measure,
-                workers=spec.workers,
                 sampling=spec.sampling,
             )
             cells = [

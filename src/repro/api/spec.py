@@ -115,7 +115,7 @@ class ExperimentSpec:
 
     The grid is ``benchmarks × mechanisms × seeds``; ``window``,
     ``sampling`` and ``store`` parameterise how each cell runs;
-    ``workers`` and ``shards`` how cells fan out.  ``Session.run(spec)``
+    ``shards`` how cells fan out.  ``Session.run(spec)``
     routes the grid into the shared sweep engine, so results are
     bit-identical to the legacy ``ExperimentRunner`` path; ``shards >
     1`` selects the fault-tolerant sharded service
@@ -131,10 +131,9 @@ class ExperimentSpec:
     window: WindowSpec = field(default_factory=WindowSpec)
     sampling: SamplingSpec = field(default_factory=SamplingSpec)
     store: StoreSpec = field(default_factory=StoreSpec)
-    workers: int = 1
     #: Sharded-service fan-out; 0 (or 1) = the in-process engine path.
-    #: Like ``workers``, sharding executes without changing any result,
-    #: so it never joins the fingerprint.
+    #: Sharding executes without changing any result, so it never joins
+    #: the fingerprint.
     shards: int = 0
     #: Observability (DESIGN.md §13): tracing + metrics for the session
     #: executing this spec.  Measurement-plane state like ``store`` —
@@ -172,8 +171,6 @@ class ExperimentSpec:
             raise ValueError(f"duplicate mechanism names: {names}")
         if not self.seeds:
             raise ValueError("an ExperimentSpec needs at least one seed")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.shards < 0:
             raise ValueError("shards must be >= 0 (0 = in-process)")
 
@@ -192,7 +189,6 @@ class ExperimentSpec:
         measure: int | None = None,
         sampling: SamplingSpec | None = None,
         store: StoreSpec | None = None,
-        workers: int | None = None,
         shards: int | None = None,
         obs: ObsSpec | None = None,
         strict: bool = False,
@@ -238,7 +234,6 @@ class ExperimentSpec:
             sampling=env.sampling_from_env() if sampling is None
             else sampling,
             store=StoreSpec.from_env() if store is None else store,
-            workers=env.workers_from_env() if workers is None else workers,
             shards=env.shards_from_env() if shards is None else shards,
             obs=ObsSpec.from_env() if obs is None else obs,
         )
@@ -250,9 +245,9 @@ class ExperimentSpec:
     def fingerprint(self) -> str:
         """Content fingerprint of everything that determines the stats.
 
-        Mechanism display names, the store configuration and the
-        worker/shard counts label or execute the experiment without
-        changing any result (all pinned by the equivalence/determinism
+        Mechanism display names, the store configuration and the shard
+        count label or execute the experiment without changing any
+        result (all pinned by the equivalence/determinism
         suites — the sharded service's merge gate included), so
         none of them participate — two specs with the same fingerprint
         produce bit-identical per-cell statistics.

@@ -13,8 +13,10 @@ One ``repro sweep`` driving many ``repro serve --tcp`` hosts:
   periodic re-ping, dead-host bookkeeping);
 * :mod:`repro.cluster.dispatch` — the ``RemoteDispatcher`` the
   :class:`~repro.service.supervisor.ShardSupervisor` uses in place of
-  forked workers, plus digest-verified lake write-back;
-* :mod:`repro.cluster.smoke` — the loopback-cluster CI gate.
+  forked workers, plus digest-verified lake write-back.
+
+The loopback-cluster CI gate is one backend of
+:func:`repro.service.smoke.fault_smoke`.
 """
 
 from repro.cluster.framing import (  # noqa: F401

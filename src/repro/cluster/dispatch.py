@@ -1,10 +1,11 @@
 """Remote shard dispatch: the supervisor's cluster execution backend.
 
 :class:`RemoteDispatcher` slots into
-:class:`~repro.service.supervisor.ShardSupervisor` in place of forked
-worker processes: each attempt ships the shard's work order to a pooled
-host over the wire protocol and verifies what comes back exactly as the
-spool-file path would (digest on load, then
+:class:`~repro.service.supervisor.ShardSupervisor` in place of
+:class:`~repro.service.worker.ForkDispatcher`'s forked workers: each
+attempt ships the shard's work order to a pooled host over the wire
+protocol and verifies what comes back exactly as a forked worker's
+spool file is verified (digest on load, then
 :func:`~repro.service.shards.validate_shard_result`).  Because the
 ``ShardSpec``/``ShardResult`` JSON contract is unchanged, every
 supervisor robustness property — per-shard deadlines, backoff retry,
@@ -95,7 +96,8 @@ class RemoteDispatcher:
     ) -> ShardResult | tuple[str, str]:
         """One attempt at one shard on the cluster.
 
-        Same contract as the supervisor's process path: a
+        Same contract as :meth:`ForkDispatcher.attempt
+        <repro.service.worker.ForkDispatcher.attempt>`: a
         :class:`ShardResult` on success, a ``(kind, reason)`` tuple on a
         retriable failure.  *fault* travels to the remote worker, so the
         deterministic fault plane drives real remote crashes.
@@ -261,9 +263,10 @@ class RemoteDispatcher:
         """No healthy host: execute on the coordinator's own engine.
 
         Serialised (the engine is not safe for concurrent threads) and
-        fault-free, mirroring the supervisor's spawn-failure degradation
-        — injected faults describe worker/host failures, and here there
-        is no worker left to fail.
+        fault-free, mirroring the spawn-failure degradation of
+        :class:`~repro.service.worker.ForkDispatcher` — injected faults
+        describe worker/host failures, and here there is no worker left
+        to fail.
         """
         async with self._inline_lock:
             obs_tracer().event(

@@ -12,11 +12,7 @@ from repro.harness.reporting import (
     geometric_mean,
     harmonic_mean,
 )
-from repro.harness.runner import (
-    BenchmarkOutcome,
-    ExperimentRunner,
-    default_seeds,
-)
+from repro.harness.runner import BenchmarkOutcome, ExperimentRunner
 
 __all__ = [
     "BenchmarkOutcome",
@@ -26,7 +22,6 @@ __all__ = [
     "Table",
     "analyze_benchmark",
     "analyze_trace",
-    "default_seeds",
     "format_percent",
     "geometric_mean",
     "harmonic_mean",

@@ -13,10 +13,6 @@ identical cells — the same benchmark, window, seed and mechanism
 process no matter how many runners ask for them.  Cells are deterministic
 and run on fresh pipelines, so memoised results are bit-identical to
 reruns.
-
-Sweeps can still fan out over worker processes (``run(..., workers=N)``):
-cells are distributed at benchmark granularity and merged back in task
-order, so results are byte-identical to a sequential sweep.
 """
 
 from __future__ import annotations
@@ -31,16 +27,6 @@ from repro.pipeline.simulator import SimulationResult
 from repro.pipeline.stats import Stats
 from repro.sampling import SamplingConfig
 from repro.workloads.spec2006 import benchmark_names
-
-
-def default_seeds() -> list[int]:
-    """Deprecated: use :func:`repro.api.env.seeds_from_env` (or better,
-    :class:`repro.api.ExperimentSpec`'s ``seeds`` field)."""
-    api_env.deprecated(
-        "repro.harness.runner.default_seeds",
-        "repro.api.env.seeds_from_env",
-    )
-    return api_env.seeds_from_env()
 
 
 @dataclass
@@ -106,21 +92,12 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        mechanisms: list[MechanismConfig],
-        workers: int | None = None,
-    ) -> None:
-        """Execute every (benchmark, mechanism, seed) combination.
-
-        With ``workers`` > 1 missing cells fan out over that many
-        processes; results are merged deterministically (task order), so
-        the cell table is identical to a sequential run.
-        """
+    def run(self, mechanisms: list[MechanismConfig]) -> None:
+        """Execute every (benchmark, mechanism, seed) combination."""
         swept = self.engine.sweep(
             self.benchmarks, mechanisms,
             seeds=self.seeds, warmup=self.warmup, measure=self.measure,
-            workers=workers, sampling=self.sampling,
+            sampling=self.sampling,
         )
         for (benchmark, name), results in swept.items():
             if (benchmark, name) in self._cells:

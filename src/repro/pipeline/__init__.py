@@ -2,11 +2,7 @@
 
 from repro.pipeline.config import CoreConfig, MechanismConfig
 from repro.pipeline.core import InflightOp, Pipeline, PipelineError
-from repro.pipeline.simulator import (
-    SimulationResult,
-    Simulator,
-    default_windows,
-)
+from repro.pipeline.simulator import SimulationResult, Simulator
 from repro.pipeline.stats import Stats
 
 __all__ = [
@@ -18,5 +14,4 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "Stats",
-    "default_windows",
 ]

@@ -37,16 +37,6 @@ _TRACE_SLACK = 4096
 _DEFAULT_STORE = object()
 
 
-def default_windows() -> tuple[int, int]:
-    """Deprecated: use :func:`repro.api.env.window_from_env` (or better,
-    resolve once into a :class:`repro.api.WindowSpec`)."""
-    api_env.deprecated(
-        "repro.pipeline.simulator.default_windows",
-        "repro.api.env.window_from_env",
-    )
-    return api_env.window_from_env()
-
-
 @dataclass
 class SimulationResult:
     """Outcome of one (benchmark, mechanism, seed) run."""

@@ -1,8 +1,9 @@
 """Fault-tolerant sharded sweep service (DESIGN.md §11).
 
 The service layer turns one :class:`~repro.api.spec.ExperimentSpec` into
-shard specs (:mod:`~repro.service.shards`), fans them out to worker
-processes under an async supervisor with deadlines, retry/backoff,
+shard specs (:mod:`~repro.service.shards`), fans them out through a
+dispatcher — forked worker processes (:mod:`~repro.service.worker`) or
+cluster hosts — under an async supervisor with retry/backoff,
 reassignment and quarantine (:mod:`~repro.service.supervisor`), and
 merges the digest-verified shard artifacts back into one
 :class:`~repro.api.result.RunResult` that is bit-identical to an

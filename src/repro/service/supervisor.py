@@ -1,26 +1,24 @@
 """The async shard supervisor: the service's robustness core.
 
-Shards go into an :class:`asyncio.Queue`; a bounded set of worker-slot
-coroutines drains it, each attempt running in its own worker *process*
-(one process per attempt, so one shard's death can never take another
-shard's state with it).  The supervisor watches every attempt with a
-wall-clock deadline and classifies the outcome:
+Shards go into an :class:`asyncio.Queue`; a bounded set of slot
+coroutines drains it, each attempt running through the supervisor's
+dispatcher — :class:`~repro.service.worker.ForkDispatcher` (one forked
+worker process per attempt, the default) or
+:class:`~repro.cluster.dispatch.RemoteDispatcher` (pooled remote hosts).
+A dispatcher owns its deadline and answers every attempt with a verified
+:class:`~repro.service.shards.ShardResult` or a ``(kind, reason)``
+failure; the supervisor owns what happens next:
 
-* **worker death** (non-zero exit, e.g. OOM-kill or segfault) — the
-  shard is re-enqueued with exponential backoff and picked up by any
-  free slot: reassignment, not restart-the-world;
-* **hang** (deadline exceeded) — the worker is killed, then the same
-  retry path;
-* **corrupt / tampered artifact** (parse failure, digest mismatch,
-  foreign fingerprint, wrong cell set) — rejected at the load boundary
-  and re-executed;
+* **retriable failure** (worker or host death, hang past the deadline,
+  corrupt / tampered / foreign artifact) — the shard is re-enqueued
+  with exponential backoff and picked up by any free slot:
+  reassignment, not restart-the-world;
 * **poison shard** (attempt budget exhausted) — quarantined: its cells
   become explicit holes in the merged result instead of aborting the
   sweep;
-* **no workers at all** (process spawn fails, or ``max_workers=0``) —
-  graceful degradation to the in-process
-  :class:`~repro.harness.sweep.SweepEngine` path, same digest-verified
-  merge.
+* **nothing to split** (``shards <= 1`` or a one-cell grid) — the
+  in-process :class:`~repro.harness.sweep.SweepEngine` path, same
+  artifact.
 
 Because every cell is deterministic and every artifact digest-verified,
 a merged sharded run — even one that crashed, hung and corrupted its way
@@ -31,11 +29,7 @@ CI smoke gate (:mod:`repro.service.smoke`) pins exactly that.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import shutil
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.api import env as api_env
 from repro.api.result import RunResult
@@ -46,12 +40,10 @@ from repro.service.faults import FaultPlan
 from repro.service.shards import (
     CellId,
     ShardResult,
-    ShardSpec,
     merge_shards,
     plan_shards,
-    validate_shard_result,
 )
-from repro.service.worker import execute_shard, shard_process_main
+from repro.service.worker import ForkDispatcher
 
 
 @dataclass
@@ -154,42 +146,32 @@ class ShardedSweepResult:
 
 
 class ShardSupervisor:
-    """Fans shards out to worker processes and survives their failures."""
+    """Fans shards out through a dispatcher and survives their failures."""
 
     def __init__(
         self,
         *,
-        deadline: float | None = None,
         max_attempts: int = 3,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        max_workers: int | None = None,
-        poll_interval: float = 0.01,
         faults: FaultPlan | str | None = None,
         dispatcher=None,
     ) -> None:
-        self.deadline = (
-            api_env.shard_timeout_from_env() if deadline is None else deadline
-        )
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        #: Concurrent worker slots; ``None`` = sized per run, ``0`` =
-        #: never spawn processes (forces in-process degradation).
-        self.max_workers = max_workers
-        self.poll_interval = poll_interval
         if faults is None:
             faults = FaultPlan.parse(api_env.faults_from_env())
         elif isinstance(faults, str):
             faults = FaultPlan.parse(faults)
         self.faults = faults
-        #: Execution backend for attempts; ``None`` = fork a worker
-        #: process per attempt.  A :class:`~repro.cluster.dispatch
-        #: .RemoteDispatcher` routes attempts to pooled hosts instead —
-        #: the whole retry/reassignment/quarantine ladder is agnostic.
-        self.dispatcher = dispatcher
+        #: Execution backend for attempts: forked worker processes unless
+        #: a :class:`~repro.cluster.dispatch.RemoteDispatcher` routes them
+        #: to pooled hosts — the retry/reassignment/quarantine ladder is
+        #: the same either way.
+        self.dispatcher = dispatcher or ForkDispatcher()
 
     # ------------------------------------------------------------------
 
@@ -204,10 +186,7 @@ class ShardSupervisor:
     ) -> ShardedSweepResult:
         """Async core, callable from a running loop (``repro serve``)."""
         count = spec.shards if shards is None else shards
-        # max_workers=0 means "never fork" — which only forces the
-        # in-process rung when forking is the backend at all.
-        no_backend = self.max_workers == 0 and self.dispatcher is None
-        if count <= 1 or no_backend or spec.cells < 2:
+        if count <= 1 or spec.cells < 2:
             return await asyncio.get_running_loop().run_in_executor(
                 None, self._run_in_process, spec
             )
@@ -216,7 +195,7 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def _run_in_process(self, spec: ExperimentSpec) -> ShardedSweepResult:
-        """Degradation ladder's last rung: the classic engine path."""
+        """Nothing to split: the classic engine path."""
         from repro.api.session import Session
 
         result = Session.for_spec(spec).run(spec)
@@ -226,7 +205,6 @@ class ShardSupervisor:
         self, spec: ExperimentSpec, count: int
     ) -> ShardedSweepResult:
         shard_specs = plan_shards(spec, count)
-        spool = Path(tempfile.mkdtemp(prefix="repro-shards-"))
         results: dict[int, ShardResult] = {}
         attempts: dict[int, int] = {s.index: 0 for s in shard_specs}
         reports: dict[int, ShardReport] = {
@@ -237,10 +215,7 @@ class ShardSupervisor:
         queue: asyncio.Queue = asyncio.Queue()
         for shard in shard_specs:
             queue.put_nowait((shard, 0))
-        if self.dispatcher is not None:
-            slots = min(len(shard_specs), self.dispatcher.width)
-        else:
-            slots = min(len(shard_specs), self.max_workers or 2)
+        slots = min(len(shard_specs), self.dispatcher.width)
         outstanding = len(shard_specs)
         loop = asyncio.get_running_loop()
         # Slot coroutines interleave, so spans use the explicit
@@ -274,7 +249,9 @@ class ShardSupervisor:
                 span = tracer.begin(
                     "shard.attempt", shard=shard.index, attempt=attempt + 1
                 )
-                outcome = await self._attempt(shard, attempt, spool)
+                outcome = await self.dispatcher.attempt(
+                    shard, attempt, self.faults.fault_for(shard.index, attempt)
+                )
                 if isinstance(outcome, ShardResult):
                     tracer.end(span, "shard.attempt",
                                shard=shard.index, status="ok")
@@ -313,10 +290,7 @@ class ShardSupervisor:
                     delay, queue.put_nowait, (shard, attempt + 1)
                 )
 
-        try:
-            await asyncio.gather(*(slot() for _ in range(slots)))
-        finally:
-            shutil.rmtree(spool, ignore_errors=True)
+        await asyncio.gather(*(slot() for _ in range(slots)))
         with tracer.span(
             "shard.merge", shards=len(results), holes_expected=len(quarantined)
         ):
@@ -339,75 +313,6 @@ class ShardSupervisor:
             quarantined=tuple(sorted(quarantined)),
             attempts=attempts,
             failures=tuple(failures),
-            mode=(
-                "sharded" if self.dispatcher is None
-                else self.dispatcher.mode
-            ),
+            mode=self.dispatcher.mode,
             shard_reports=reports,
         )
-
-    # ------------------------------------------------------------------
-
-    async def _attempt(
-        self, shard: ShardSpec, attempt: int, spool: Path
-    ) -> ShardResult | tuple[str, str]:
-        """One attempt at one shard; a ``(kind, reason)`` return is a
-        retriable failure — ``kind`` is the machine-readable class
-        (spawn/hang/death/no-artifact/corrupt/foreign), ``reason`` the
-        human-readable line that lands in ``failures``."""
-        fault = self.faults.fault_for(shard.index, attempt)
-        if self.dispatcher is not None:
-            # Cluster backend: the dispatcher runs the attempt remotely
-            # and returns the exact same contract, so retry, backoff,
-            # reassignment and quarantine above need no cluster
-            # awareness at all.
-            return await self.dispatcher.attempt(shard, attempt, fault)
-        out_path = spool / f"shard-{shard.index}-attempt-{attempt}.json"
-        process = multiprocessing.Process(
-            target=shard_process_main,
-            args=(shard.to_json(), str(out_path), fault),
-            daemon=True,
-        )
-        try:
-            process.start()
-        except OSError as error:
-            # Can't spawn workers at all: degrade to executing the shard
-            # inline.  Results stay digest-verified by the merge.
-            del process
-            try:
-                return execute_shard(shard)
-            except Exception as inline_error:  # noqa: BLE001
-                return (
-                    "spawn",
-                    f"no worker process ({error}) and inline execution "
-                    f"failed: {inline_error}",
-                )
-        loop = asyncio.get_running_loop()
-        deadline_at = loop.time() + self.deadline
-        while process.is_alive() and loop.time() < deadline_at:
-            await asyncio.sleep(self.poll_interval)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - SIGTERM sufficed
-                process.kill()
-                process.join(timeout=5.0)
-            return (
-                "hang",
-                f"deadline exceeded ({self.deadline:g}s); worker killed",
-            )
-        process.join()
-        if process.exitcode != 0:
-            return ("death", f"worker died (exit code {process.exitcode})")
-        try:
-            text = out_path.read_text(encoding="utf-8")
-        except OSError as error:
-            return (
-                "no-artifact",
-                f"worker exited cleanly but left no artifact ({error})",
-            )
-        try:
-            result = ShardResult.from_json(text)
-        except (ValueError, KeyError, TypeError) as error:
-            return ("corrupt", f"shard artifact rejected: {error}")
-        return validate_shard_result(shard, result) or result

@@ -1,34 +1,44 @@
-"""Shard execution: the worker-process entry point.
+"""Shard execution: the worker process and the dispatcher that forks it.
 
 A worker receives one serialised :class:`~repro.service.shards.ShardSpec`
 and must produce exactly one artifact file: the shard's
 :class:`~repro.service.shards.ShardResult` JSON, written crash-safely
-(temp file + ``os.replace``), so the supervisor either finds a complete
+(temp file + ``os.replace``), so the dispatcher either finds a complete
 artifact or none at all — never a torn one.  Everything the worker needs
 travels in the payload (spec, cells, fault injection); it reads no
 ``REPRO_*`` state of its own, so a shard computes identically no matter
 which process — or attempt — runs it.
 
 :func:`execute_shard` is the fault-free core, also used directly by the
-supervisor's in-process degradation path; :func:`shard_process_main` is
-the ``multiprocessing.Process`` target that wraps it with the
-deterministic fault plane (crash / hang / corrupt / tamper).
+inline degradation paths; :func:`shard_process_main` is the
+``multiprocessing.Process`` target that wraps it with the deterministic
+fault plane (crash / hang / corrupt / tamper); :class:`ForkDispatcher`
+runs one such process per attempt for the
+:class:`~repro.service.supervisor.ShardSupervisor`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import multiprocessing
 import os
+import tempfile
 import time
+from pathlib import Path
 
+from repro.api import env as api_env
 from repro.api.result import CellResult
 from repro.common.atomicio import atomic_write_text
 from repro.obs.runtime import obs_tracer
-from repro.service.shards import ShardResult, ShardSpec
+from repro.service.shards import ShardResult, ShardSpec, validate_shard_result
 
 #: How long a ``hang``-faulted worker sleeps — far past any sane
-#: deadline, so the supervisor's kill path is what ends it.
+#: deadline, so the dispatcher's kill path is what ends it.
 HANG_SLEEP_SECONDS = 3600.0
+
+#: How often a forked attempt is checked against its deadline.
+POLL_SECONDS = 0.01
 
 
 def execute_shard(shard: ShardSpec, engine=None) -> ShardResult:
@@ -122,7 +132,7 @@ def shard_process_main(
 
     * ``crash``  — die immediately (``os._exit``), as an OOM-killed or
       segfaulted worker would: no artifact, non-zero exit code.
-    * ``hang``   — sleep far past any deadline; the supervisor kills us.
+    * ``hang``   — sleep far past any deadline; the dispatcher kills us.
     * ``corrupt``— compute, then write a truncated artifact (complete
       file, torn payload — the parse/digest check must reject it).
     * ``tamper`` — compute, then write well-formed JSON whose stats were
@@ -132,7 +142,7 @@ def shard_process_main(
         os._exit(13)
     if fault == "hang":
         time.sleep(HANG_SLEEP_SECONDS)
-        os._exit(14)  # pragma: no cover - the supervisor kills us first
+        os._exit(14)  # pragma: no cover - the dispatcher kills us first
     shard = ShardSpec.from_json(payload_text)
     # The worker inherits REPRO_OBS through the environment and, thanks
     # to the tracer's ``{pid}`` path template, appends to its *own*
@@ -146,3 +156,97 @@ def shard_process_main(
     elif fault == "tamper":
         text = _tampered(text)
     atomic_write_text(out_path, text)
+
+
+class ForkDispatcher:
+    """Executes shard attempts in forked worker processes for a supervisor.
+
+    One process per attempt, so one shard's death can never take another
+    shard's state with it.  The worker's only output is its artifact in
+    a temporary spool private to the attempt, verified here exactly as
+    :class:`~repro.cluster.dispatch.RemoteDispatcher` verifies a host's
+    reply.  Failures classify onto the supervisor's retry ladder: a
+    worker past the deadline is killed (**hang**), a non-zero exit is a
+    **death**, a clean exit without an artifact is **no-artifact**, and
+    an artifact failing the digest, fingerprint or cell-set checks is
+    **corrupt** / **foreign**.  When no process can be spawned at all,
+    the shard executes inline, fault-free, and still merges
+    digest-verified.
+    """
+
+    #: What the supervisor labels results produced through us.
+    mode = "sharded"
+
+    def __init__(self, *, deadline: float | None = None) -> None:
+        #: Per-attempt wall-clock deadline in seconds
+        #: (``REPRO_SHARD_TIMEOUT`` when not given).
+        self.deadline = (
+            api_env.shard_timeout_from_env() if deadline is None
+            else deadline
+        )
+
+    @property
+    def width(self) -> int:
+        """Concurrent supervisor slots worth running: one per core, at
+        least two so a retry can overlap a healthy worker's shard."""
+        return max(2, os.cpu_count() or 1)
+
+    async def attempt(
+        self, shard: ShardSpec, attempt: int, fault: str | None
+    ) -> ShardResult | tuple[str, str]:
+        """One attempt at one shard in a fresh worker process.
+
+        A :class:`ShardResult` on success, a ``(kind, reason)`` tuple on
+        a retriable failure; *fault* is injected in the worker.
+        """
+        with tempfile.TemporaryDirectory(prefix="repro-shard-") as spool:
+            out_path = Path(spool) / "shard.json"
+            process = multiprocessing.Process(
+                target=shard_process_main,
+                args=(shard.to_json(), str(out_path), fault),
+                daemon=True,
+            )
+            try:
+                process.start()
+            except OSError as error:
+                # Can't spawn workers at all: degrade to executing the
+                # shard inline.  Results stay digest-verified by the merge.
+                try:
+                    return execute_shard(shard)
+                except Exception as inline_error:  # noqa: BLE001
+                    return (
+                        "spawn",
+                        f"no worker process ({error}) and inline "
+                        f"execution failed: {inline_error}",
+                    )
+            loop = asyncio.get_running_loop()
+            deadline_at = loop.time() + self.deadline
+            while process.is_alive() and loop.time() < deadline_at:
+                await asyncio.sleep(POLL_SECONDS)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5.0)
+                if process.is_alive():  # pragma: no cover - SIGTERM sufficed
+                    process.kill()
+                    process.join(timeout=5.0)
+                return (
+                    "hang",
+                    f"deadline exceeded ({self.deadline:g}s); worker killed",
+                )
+            process.join()
+            if process.exitcode != 0:
+                return (
+                    "death", f"worker died (exit code {process.exitcode})"
+                )
+            try:
+                text = out_path.read_text(encoding="utf-8")
+            except OSError as error:
+                return (
+                    "no-artifact",
+                    f"worker exited cleanly but left no artifact ({error})",
+                )
+        try:
+            result = ShardResult.from_json(text)
+        except (ValueError, KeyError, TypeError) as error:
+            return ("corrupt", f"shard artifact rejected: {error}")
+        return validate_shard_result(shard, result) or result

@@ -169,18 +169,6 @@ def cell_stats_digest(stats: dict) -> str:
     ).hexdigest()[:16]
 
 
-def default_store_root() -> Path | None:
-    """Deprecated: use :func:`repro.api.env.store_root_from_env` (or
-    better, a :class:`repro.api.StoreSpec`)."""
-    from repro.api import env as api_env
-
-    api_env.deprecated(
-        "repro.workloads.store.default_store_root",
-        "repro.api.env.store_root_from_env",
-    )
-    return api_env.store_root_from_env()
-
-
 class TraceStore:
     """Content-addressed on-disk cache of packed functional traces."""
 
@@ -278,7 +266,7 @@ class TraceStore:
         every other artifact writer via
         :func:`repro.common.atomicio.atomic_write_bytes` — guarantees
         readers never see a partial write, and concurrent writers
-        (parallel sweep workers interpreting the same benchmark) race
+        (shard workers interpreting the same benchmark) race
         benignly: both produce identical bytes.
         """
         path = self.path_for(benchmark, seed, version)

@@ -106,8 +106,6 @@ class TestSpecValidation:
             ExperimentSpec(benchmarks=("mcf",), mechanisms=())
         with pytest.raises(ValueError):
             ExperimentSpec(benchmarks=("mcf",), seeds=())
-        with pytest.raises(ValueError):
-            ExperimentSpec(benchmarks=("mcf",), workers=0)
 
     def test_cells_counts_the_grid(self):
         spec = tiny_spec(seeds=(1, 2, 3))
@@ -128,7 +126,7 @@ class TestSpecSerialisation:
             ),
             store=StoreSpec(path="/tmp/somewhere", result_lake=True),
             seeds=(1, 2),
-            workers=2,
+            shards=2,
         )
         restored = ExperimentSpec.from_json(spec.to_json())
         assert restored == spec
@@ -153,7 +151,7 @@ class TestSpecSerialisation:
         )
         assert renamed.fingerprint() == spec.fingerprint()
         other_store = dataclasses.replace(
-            spec, store=StoreSpec(path="/elsewhere"), workers=4
+            spec, store=StoreSpec(path="/elsewhere"), shards=4
         )
         assert other_store.fingerprint() == spec.fingerprint()
 
@@ -311,36 +309,18 @@ class TestTypoGuard:
             "REPRO_WARMUP", "REPRO_MEASURE", "REPRO_SCALE", "REPRO_SEEDS",
             "REPRO_SAMPLING", "REPRO_INTERVAL", "REPRO_DETAIL_RATIO",
             "REPRO_DETAIL_WARMUP", "REPRO_TRACE_STORE",
-            "REPRO_RESULT_LAKE", "REPRO_WORKERS", "REPRO_FULL",
+            "REPRO_RESULT_LAKE", "REPRO_SHARDS", "REPRO_FULL",
         ):
             assert name in api_env.KNOWN_VARS
-        assert len(api_env.KNOWN_VARS) == 21
-        for retired in ("REPRO_COLUMNAR", "REPRO_GENRENAME", "REPRO_VECWARM"):
+        assert len(api_env.KNOWN_VARS) == 20
+        for retired in (
+            "REPRO_COLUMNAR", "REPRO_GENRENAME", "REPRO_VECWARM",
+            "REPRO_WORKERS",
+        ):
             assert retired not in api_env.KNOWN_VARS
 
 
 class TestDeprecationShims:
-    def test_legacy_helpers_warn_and_delegate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEEDS", "3")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        from repro.harness.runner import default_seeds
-        from repro.harness.sweep import default_workers
-        from repro.pipeline.simulator import default_windows
-        from repro.sampling import SamplingConfig
-        from repro.workloads.store import default_store_root
-
-        with pytest.deprecated_call():
-            assert default_seeds() == [1, 2, 3]
-        with pytest.deprecated_call():
-            assert default_workers() == 2
-        with pytest.deprecated_call():
-            assert default_windows() == api_env.window_from_env()
-        with pytest.deprecated_call():
-            assert (SamplingConfig.from_environment()
-                    == api_env.sampling_from_env())
-        with pytest.deprecated_call():
-            assert default_store_root() == api_env.store_root_from_env()
-
     def test_runner_resolves_environment_once(self, monkeypatch):
         monkeypatch.setenv("REPRO_WARMUP", "512")
         monkeypatch.setenv("REPRO_MEASURE", "2048")
@@ -417,26 +397,30 @@ class TestSessionAndResult:
     def test_artifact_with_retired_columnar_field_still_loads(
         self, tmp_path, capsys
     ):
-        # Artifacts written while StoreSpec had a ``columnar`` field
-        # carry it in their embedded spec; the decoder drops exactly
-        # that retired key.
+        # Artifacts written while StoreSpec had a ``columnar`` field, or
+        # ExperimentSpec a ``workers`` field, carry it in their embedded
+        # spec; the decoder drops exactly those retired keys.
         from repro.api.cli import main
 
         result = private_session().run(tiny_spec())
-        payload = result.to_dict()
-        payload["spec"]["store"]["columnar"] = True
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        restored = RunResult.load(path)
-        assert restored.digest() == result.digest()
-        assert restored.spec == result.spec
-        assert main(["report", str(path)]) == 0
-        assert main(["inspect", str(path)]) == 0
-        capsys.readouterr()
-        # Any other unknown field is still an error.
-        payload["spec"]["store"]["colour"] = "blue"
-        with pytest.raises(TypeError, match="colour"):
-            RunResult.from_dict(payload)
+        for owner_of, field, value in (
+            (lambda spec: spec["store"], "columnar", True),
+            (lambda spec: spec, "workers", 3),
+        ):
+            payload = result.to_dict()
+            owner_of(payload["spec"])[field] = value
+            path = tmp_path / f"old-{field}.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            restored = RunResult.load(path)
+            assert restored.digest() == result.digest()
+            assert restored.spec == result.spec
+            assert main(["report", str(path)]) == 0
+            assert main(["inspect", str(path)]) == 0
+            capsys.readouterr()
+            # Any other unknown field is still an error.
+            owner_of(payload["spec"])["colour"] = "blue"
+            with pytest.raises(TypeError, match="colour"):
+                RunResult.from_dict(payload)
 
     def test_default_session_shares_the_process_engine(self):
         from repro.harness.sweep import shared_engine

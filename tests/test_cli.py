@@ -1,11 +1,10 @@
 """Smoke tests for the console entry points.
 
-PR 5 made ``repro`` (repro.api.cli) the single front door; the PR 3
-``repro-sweep`` / ``repro-perf`` scripts survive as deprecated aliases.
-These tests invoke the ``main([...])`` functions exactly as the
-installed scripts do — with ``--smoke``-class arguments kept small
-enough for CI — and pin the ``setup.py`` declarations to real import
-targets so a rename can never ship a broken script.  (The ``repro``
+``repro`` (repro.api.cli) is the single front door.  These tests invoke
+the ``main([...])`` functions exactly as the installed script and the
+module CLIs do — with ``--smoke``-class arguments kept small enough for
+CI — and pin the ``setup.py`` declaration to a real import target so a
+rename can never ship a broken script.  (The ``repro``
 subcommands themselves are covered in ``tests/test_api.py``.)
 """
 
@@ -30,23 +29,11 @@ class TestConsoleScriptDeclarations:
 
     def test_declared_targets_resolve(self):
         declared = self._declared_entry_points()
-        assert set(declared) == {"repro", "repro-sweep", "repro-perf"}
+        assert set(declared) == {"repro"}
         for name, (module_name, func_name) in declared.items():
             module = importlib.import_module(module_name)
             target = getattr(module, func_name)
             assert callable(target), name
-
-    def test_deprecated_aliases_note_and_delegate(self, capsys):
-        from repro.api.cli import perf_alias_main, sweep_alias_main
-
-        assert sweep_alias_main([]) == 2  # harness.sweep help path
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--smoke" in captured.out
-
-        with pytest.raises(SystemExit):
-            perf_alias_main(["--mechanism", "nope"])
-        assert "deprecated" in capsys.readouterr().err
 
 
 class TestPerfCli:

@@ -66,10 +66,7 @@ def tiny_spec(**overrides) -> ExperimentSpec:
 
 
 def fast_supervisor(**overrides) -> ShardSupervisor:
-    settings = dict(
-        backoff_base=0.01, backoff_cap=0.05, deadline=60.0,
-        poll_interval=0.005, faults="",
-    )
+    settings = dict(backoff_base=0.01, backoff_cap=0.05, faults="")
     settings.update(overrides)
     return ShardSupervisor(**settings)
 

@@ -21,7 +21,6 @@ import pytest
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
 from repro.core.validation import ValidationMode
-from repro.harness.runner import ExperimentRunner
 from repro.pipeline.config import MECHANISM_PRESETS, MechanismConfig
 from repro.pipeline.simulator import Simulator
 from repro.predictors.distance import DistancePredictor, DistancePredictorConfig
@@ -237,35 +236,6 @@ class TestTracePrefixReuse:
         a = fresh.run_benchmark("mcf", MechanismConfig.baseline(), **kwargs)
         b = reused.run_benchmark("mcf", MechanismConfig.baseline(), **kwargs)
         assert stats_dict(a.stats) == stats_dict(b.stats)
-
-
-class TestParallelSweep:
-    def test_parallel_matches_sequential(self):
-        from repro.harness.sweep import SweepEngine
-
-        mechanisms = [
-            MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
-        ]
-        kwargs = dict(
-            benchmarks=["mcf", "dealII"], seeds=[1, 2],
-            warmup=256, measure=1000,
-        )
-        # Private engines: the shared engine's memo would otherwise serve
-        # the second runner without ever exercising the worker pool.
-        sequential = ExperimentRunner(engine=SweepEngine(), **kwargs)
-        sequential.run(mechanisms)
-        parallel = ExperimentRunner(engine=SweepEngine(), **kwargs)
-        parallel.run(mechanisms, workers=2)
-        for benchmark in kwargs["benchmarks"]:
-            for mechanism in mechanisms:
-                left = sequential.outcome(benchmark, mechanism.name)
-                right = parallel.outcome(benchmark, mechanism.name)
-                assert left.ipc == right.ipc
-                for a, b in zip(left.results, right.results):
-                    assert (a.benchmark, a.mechanism, a.seed) == (
-                        b.benchmark, b.mechanism, b.seed
-                    )
-                    assert stats_dict(a.stats) == stats_dict(b.stats)
 
 
 class _LegacyValidationQueue:

@@ -351,6 +351,22 @@ class TestActivation:
         # The installed runtime is scoped to the run.
         assert current() is None
 
+    def test_memo_recalls_reach_the_event_stream(self, monkeypatch,
+                                                 tmp_path):
+        directory = obs_env(monkeypatch, tmp_path)
+        spec = tiny_spec()
+        session = Session.for_spec(spec)
+        session.run(spec)
+        session.run(spec)  # every cell a memo recall
+        memo_events = [
+            record
+            for path in glob.glob(os.path.join(directory, "events-*.jsonl"))
+            for record in read_events(path)[0]
+            if record["name"] == "sweep.cell.memo"
+        ]
+        assert session.engine.cell_hits == spec.cells
+        assert len(memo_events) == session.engine.cell_hits
+
     def test_env_runtime_swaps_on_value_change(self, monkeypatch, tmp_path):
         obs_env(monkeypatch, tmp_path, every=10)
         first = current()
@@ -442,8 +458,8 @@ class TestFaultedShardedSweep:
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         spec = tiny_spec(benchmarks=("mcf", "dealII"))
         supervisor = ShardSupervisor(
-            backoff_base=0.01, backoff_cap=0.05, deadline=60.0,
-            poll_interval=0.005, faults=FaultPlan.parse("crash:0,corrupt:1"),
+            backoff_base=0.01, backoff_cap=0.05,
+            faults=FaultPlan.parse("crash:0,corrupt:1"),
         )
         outcome = supervisor.run(spec, shards=2)
         assert outcome.complete
@@ -482,8 +498,7 @@ class TestFaultedShardedSweep:
         directory = obs_env(monkeypatch, tmp_path)
         spec = tiny_spec(benchmarks=("mcf", "dealII"))
         supervisor = ShardSupervisor(
-            backoff_base=0.01, backoff_cap=0.02, deadline=60.0,
-            poll_interval=0.005, max_attempts=2,
+            backoff_base=0.01, backoff_cap=0.02, max_attempts=2,
             faults=FaultPlan.parse("crash:0:*"),
         )
         outcome = supervisor.run(spec, shards=2)

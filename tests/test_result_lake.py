@@ -235,24 +235,6 @@ class TestLakeRobustness:
 
 
 class TestParallelAndSharded:
-    def test_parallel_sweep_populates_and_serves_the_lake(self, tmp_path):
-        mechanisms = [
-            MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
-        ]
-        kwargs = dict(seeds=[1], warmup=256, measure=1000)
-        cold = _engine(tmp_path)
-        first = cold.sweep(["mcf", "dealII"], mechanisms, workers=2, **kwargs)
-        assert cold.cell_misses == 4 and cold.lake_hits == 0
-        assert len(_cell_files(tmp_path)) == 4
-
-        warm = _engine(tmp_path)
-        second = warm.sweep(["mcf", "dealII"], mechanisms, workers=2, **kwargs)
-        assert warm.cell_misses == 0  # zero simulations on the warm lake
-        assert warm.lake_hits == 4
-        for key in first:
-            for a, b in zip(first[key], second[key]):
-                assert stats_dict(a.stats) == stats_dict(b.stats)
-
     def test_sharded_service_populates_the_shared_lake(self, tmp_path):
         spec = ExperimentSpec(
             benchmarks=("mcf", "dealII"),

@@ -96,9 +96,6 @@ class TestSamplingConfig:
         assert config.detail_warmup == 64
         monkeypatch.setenv("REPRO_SAMPLING", "off")
         assert not sampling_from_env().enabled
-        # The legacy classmethod survives as a deprecation shim.
-        with pytest.deprecated_call():
-            assert SamplingConfig.from_environment() == sampling_from_env()
 
 
 class TestDegenerateBitIdentity:

@@ -34,7 +34,11 @@ from repro.service.shards import (
     plan_shards,
 )
 from repro.service.supervisor import ShardedSweepResult, ShardSupervisor
-from repro.service.worker import execute_shard, shard_process_main
+from repro.service.worker import (
+    ForkDispatcher,
+    execute_shard,
+    shard_process_main,
+)
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -49,10 +53,10 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**settings)
 
 
-def fast_supervisor(**overrides) -> ShardSupervisor:
+def fast_supervisor(deadline: float = 60.0, **overrides) -> ShardSupervisor:
     settings = dict(
-        backoff_base=0.01, backoff_cap=0.05, deadline=60.0,
-        poll_interval=0.005, faults=FaultPlan(),
+        backoff_base=0.01, backoff_cap=0.05, faults=FaultPlan(),
+        dispatcher=ForkDispatcher(deadline=deadline),
     )
     settings.update(overrides)
     return ShardSupervisor(**settings)
@@ -244,12 +248,14 @@ class TestMerge:
 
 
 class TestSupervisor:
-    def test_unfaulted_sharded_matches_in_process(self, reference):
-        outcome = fast_supervisor().run(tiny_spec(), shards=2)
-        assert outcome.mode == "sharded"
-        assert outcome.complete
-        assert outcome.attempts == {0: 1, 1: 1}
-        assert outcome.digest() == reference.digest()
+    def test_unfaulted_sharded_matches_in_process(self):
+        for spec in (tiny_spec(), tiny_spec(seeds=(1, 2))):
+            outcome = fast_supervisor().run(spec, shards=2)
+            assert outcome.mode == "sharded"
+            assert outcome.complete
+            assert outcome.attempts == {0: 1, 1: 1}
+            in_process = Session.for_spec(spec).run(spec)
+            assert outcome.digest() == in_process.digest()
 
     def test_worker_crash_is_retried(self, reference):
         supervisor = fast_supervisor(faults="crash:0")
@@ -334,10 +340,19 @@ class TestSupervisor:
             assert outcome.complete
             assert outcome.digest() == reference.digest()
 
-    def test_degrades_when_no_workers_available(self, reference):
-        supervisor = fast_supervisor(max_workers=0)
-        outcome = supervisor.run(tiny_spec(), shards=2)
-        assert outcome.mode == "in-process"
+    def test_spawn_failure_degrades_to_inline_execution(
+        self, reference, monkeypatch
+    ):
+        import multiprocessing
+
+        def refuse(process):
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        outcome = fast_supervisor().run(tiny_spec(), shards=2)
+        assert outcome.mode == "sharded"
+        assert outcome.complete
+        assert outcome.attempts == {0: 1, 1: 1}
         assert outcome.digest() == reference.digest()
 
     def test_session_run_sharded_front_door(self, reference):
@@ -557,11 +572,13 @@ class TestServiceEnvironment:
         monkeypatch.setenv("REPRO_FAULTS", "crash:1")
         monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "9.0")
         supervisor = ShardSupervisor()
-        assert supervisor.deadline == 9.0
+        assert supervisor.dispatcher.deadline == 9.0
         assert supervisor.faults.fault_for(1, 0) == "crash"
         # Explicit constructor arguments beat the environment.
-        explicit = ShardSupervisor(deadline=3.0, faults="hang:0")
-        assert explicit.deadline == 3.0
+        explicit = ShardSupervisor(
+            dispatcher=ForkDispatcher(deadline=3.0), faults="hang:0"
+        )
+        assert explicit.dispatcher.deadline == 3.0
         assert explicit.faults.fault_for(0, 0) == "hang"
 
     def test_spec_rejects_negative_shards(self):
@@ -621,70 +638,6 @@ class TestServiceCli:
         thread.join(timeout=30.0)
         assert outcome_box["outcome"].digest() == reference.digest()
         assert not socket_path.exists()  # socket cleaned up on exit
-
-
-# ---------------------------------------------------------------------------
-# Hardened parallel prefill (satellite: no stall on hung/dead workers)
-# ---------------------------------------------------------------------------
-
-
-def _hang_mcf_task(payload):
-    """Module-level (fork-picklable) wrapper: hang on mcf's task."""
-    if payload[2] == "mcf":
-        time.sleep(600)
-    return _real_run_cells_task(payload)
-
-
-def _crash_mcf_task(payload):
-    import os
-
-    if payload[2] == "mcf":
-        os._exit(17)
-    return _real_run_cells_task(payload)
-
-
-from repro.harness.sweep import _run_cells_task as _real_run_cells_task
-
-
-class TestPrefillHardening:
-    def _sequential(self):
-        from repro.harness.sweep import SweepEngine
-
-        engine = SweepEngine()
-        return engine.sweep(
-            ["mcf", "dealII"], list(default_mechanisms()),
-            seeds=[1], warmup=128, measure=512, workers=1,
-        )
-
-    def _parallel_with(self, monkeypatch, task):
-        from repro.harness import sweep as sweep_module
-
-        monkeypatch.setattr(sweep_module, "_run_cells_task", task)
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "2.0")
-        engine = sweep_module.SweepEngine()
-        return engine.sweep(
-            ["mcf", "dealII"], list(default_mechanisms()),
-            seeds=[1], warmup=128, measure=512, workers=2,
-        )
-
-    def test_hung_pool_worker_no_longer_stalls_the_sweep(self, monkeypatch):
-        from helpers import stats_dict
-
-        sequential = self._sequential()
-        parallel = self._parallel_with(monkeypatch, _hang_mcf_task)
-        assert set(parallel) == set(sequential)
-        for key in sequential:
-            for a, b in zip(sequential[key], parallel[key]):
-                assert stats_dict(a.stats) == stats_dict(b.stats)
-
-    def test_dead_pool_worker_is_redispatched(self, monkeypatch):
-        from helpers import stats_dict
-
-        sequential = self._sequential()
-        parallel = self._parallel_with(monkeypatch, _crash_mcf_task)
-        for key in sequential:
-            for a, b in zip(sequential[key], parallel[key]):
-                assert stats_dict(a.stats) == stats_dict(b.stats)
 
 
 # ---------------------------------------------------------------------------
