@@ -34,6 +34,7 @@ _EXPORTS = {
     "CellResult": "repro.api.result",
     "RunResult": "repro.api.result",
     "run_figure": "repro.api.figures",
+    "run_figures": "repro.api.figures",
 }
 
 __all__ = sorted(_EXPORTS)

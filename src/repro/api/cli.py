@@ -25,7 +25,12 @@ import sys
 from pathlib import Path
 
 from repro.api import env as api_env
-from repro.api.figures import FIGURE_NAMES, render_figure, run_figure
+from repro.api.figures import (
+    FIGURE_NAMES,
+    render_figure,
+    run_figure,
+    run_figures,
+)
 from repro.api.result import RunResult
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec, StoreSpec, WindowSpec
@@ -130,6 +135,17 @@ def _print_sharded_outcome(outcome) -> None:
         print(f"  fault survived: {line}", file=sys.stderr)
 
 
+def _print_holes(holes) -> None:
+    """A partial result's lost cells, on stderr (nothing when complete)."""
+    if not holes:
+        return
+    print(f"\nPARTIAL RESULT: {len(holes)} cell(s) lost to "
+          "quarantined shards:", file=sys.stderr)
+    for benchmark, mechanism, seed in holes:
+        print(f"  hole: {benchmark} × {mechanism} × seed {seed}",
+              file=sys.stderr)
+
+
 def _cmd_sweep(args) -> int:
     if args.smoke:
         ignored = [
@@ -209,12 +225,7 @@ def _cmd_sweep(args) -> int:
         result = session.run(spec)
     print()
     print(_render_result(result))
-    if holes:
-        print(f"\nPARTIAL RESULT: {len(holes)} cell(s) lost to "
-              "quarantined shards:", file=sys.stderr)
-        for benchmark, mechanism, seed in holes:
-            print(f"  hole: {benchmark} × {mechanism} × seed {seed}",
-                  file=sys.stderr)
+    _print_holes(holes)
     if args.json:
         result.save(args.json)
         print(f"\nwrote {args.json} (digest {result.digest()})")
@@ -256,7 +267,21 @@ def _cmd_figures(args) -> int:
             warmup=base.warmup if args.warmup is None else args.warmup,
             measure=base.measure if args.measure is None else args.measure,
         )
-    session = Session()
+    # The sweep figures run first, as one batch, so forked workers start
+    # from a parent that has not yet run fig1's functional analysis.
+    results, holes = {}, ()
+    sweep_names = [name for name in names if name != "fig1"]
+    if sweep_names:
+        try:
+            results, outcome = run_figures(
+                sweep_names, benchmarks=args.benchmarks, window=window,
+            )
+        except (TypeError, ValueError) as error:
+            print(f"repro figures: {error}", file=sys.stderr)
+            return 2
+        holes = outcome.holes
+        if outcome.failures:
+            _print_sharded_outcome(outcome)
     for name in names:
         if name == "fig1":
             _, text = run_figure(
@@ -267,22 +292,18 @@ def _cmd_figures(args) -> int:
                 print("[fig1 is a functional analysis without a RunResult "
                       "artifact; nothing saved for it]")
             continue
-        try:
-            result, text = run_figure(
-                name, session=session, benchmarks=args.benchmarks,
-                window=window,
-            )
-        except (TypeError, ValueError) as error:
-            print(f"repro figures: {error}", file=sys.stderr)
-            return 2
-        print(text)
+        result = results.get(name)
+        if result is None:  # incomplete: its holes are listed below
+            continue
+        print(render_figure(name, result))
         if args.out:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"{name}.json"
             result.save(path)
             print(f"[wrote {path} (digest {result.digest()})]")
-    return 0
+    _print_holes(holes)
+    return 1 if holes else 0
 
 
 def _lake_store_from_arg(path_arg: str):

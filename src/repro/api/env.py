@@ -59,7 +59,8 @@ KNOWN_VARS: dict[str, tuple[str, str]] = {
     ),
     "REPRO_SHARDS": (
         "ExperimentSpec.shards",
-        "sharded sweep shard count (0 = in-process, default 0)",
+        "shard count (0/1 = in-process; default 0 for sweeps, one per "
+        "benchmark for repro figures)",
     ),
     "REPRO_FAULTS": (
         "service.ShardSupervisor fault plan",
@@ -67,7 +68,8 @@ KNOWN_VARS: dict[str, tuple[str, str]] = {
     ),
     "REPRO_SHARD_TIMEOUT": (
         "ForkDispatcher / RemoteDispatcher deadline",
-        "per-shard wall-clock deadline in seconds (default 120)",
+        "seconds a forked worker may go without finishing a cell, or a "
+        "host request may take (default 120)",
     ),
     "REPRO_HOSTS": (
         "cluster.HostPool hosts",
@@ -177,26 +179,30 @@ def seeds_from_env() -> list[int]:
     return list(range(1, int(os.environ.get("REPRO_SEEDS", "1")) + 1))
 
 
-def shards_from_env() -> int:
-    """Sharded-sweep shard count: ``REPRO_SHARDS`` or 0 (in-process).
+def shards_from_env(default: int = 0) -> int:
+    """Shard count: ``REPRO_SHARDS``, else *default*.
 
-    Sharding stays opt-in — implicit fan-out would surprise profiling
-    and CI timing — so 0 (or 1) means the classic in-process
-    :class:`~repro.harness.sweep.SweepEngine` path.
+    0 or 1 means the in-process :class:`~repro.harness.sweep.SweepEngine`
+    path.  A sweep defaults to 0: fanning out a spec its caller did not
+    ask to shard would surprise profiling and CI timing.  ``repro
+    figures`` passes one shard per benchmark instead
+    (:func:`~repro.api.figures.run_figures`), so its cells spread over
+    the cores unless the variable says otherwise.
     """
     configured = os.environ.get("REPRO_SHARDS")
     if configured:
         return max(0, int(configured))
-    return 0
+    return default
 
 
 def shard_timeout_from_env() -> float:
-    """Per-shard wall-clock deadline in seconds (``REPRO_SHARD_TIMEOUT``).
+    """Shard deadline in seconds (``REPRO_SHARD_TIMEOUT``).
 
-    A shard attempt that exceeds the deadline is treated as hung: its
-    worker is killed (or its host request abandoned) and the shard is
-    re-dispatched (with backoff) up to the supervisor's attempt budget.
-    Both dispatchers read it.
+    Both dispatchers read it.  A forked worker that goes this long
+    without finishing a cell, or a host request that takes this long,
+    is treated as hung: the worker is killed (or the request abandoned)
+    and the shard is re-dispatched with backoff, up to the supervisor's
+    attempt budget.
     """
     configured = os.environ.get("REPRO_SHARD_TIMEOUT")
     if configured:

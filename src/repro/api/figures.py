@@ -7,6 +7,10 @@ to the rendered table.  ``repro figures fig4`` and
 ``benchmarks/bench_fig4_speedup.py`` are both thin shells over this
 module, so the figure definitions exist exactly once.
 
+:func:`run_figures` runs several figures as one batch: the union of
+their cells, each simulated once and fanned out over the cores, sliced
+back into one artifact per figure.
+
 Figure 1 is the odd one out — a functional redundancy analysis with no
 timing sweep — so it runs through its own analysis path and has no
 :class:`~repro.api.spec.ExperimentSpec`.
@@ -14,10 +18,11 @@ timing sweep — so it runs through its own analysis path and has no
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.api.result import RunResult
+from repro.api import env as api_env
+from repro.api.result import CellResult, RunResult
 from repro.api.spec import ExperimentSpec, WindowSpec
 from repro.core.validation import ValidationMode
 from repro.harness.reporting import Table, harmonic_mean
@@ -272,6 +277,78 @@ def run_fig1(instructions: int = 20000, benchmarks=None):
     return profiles, text
 
 
+def run_figures(
+    names,
+    benchmarks=None,
+    window: WindowSpec | None = None,
+    seeds=None,
+    session=None,
+):
+    """Run the sweep figures *names* as one batch: ``(results, outcome)``.
+
+    The figures' specs differ only in their mechanisms, so the batch is
+    one spec over the union of those mechanisms by fingerprint, each
+    named as the first figure naming it: a cell two figures share (the
+    baseline, ideal RSEP) simulates once.  Without a *session* the batch
+    goes through :meth:`Session.run_sharded` over forked workers, one
+    shard per benchmark (``REPRO_SHARDS`` overrides; ``1`` keeps it in
+    process); a given *session* runs it in process on its own engine.
+
+    *results* maps every figure whose cells all arrived to its own
+    :class:`RunResult`: the figure's :func:`figure_spec`, mechanism
+    names and canonical cell order, so it is digest-identical to
+    ``Session.run(figure_spec(...))``.  *outcome* is the batch's
+    :class:`~repro.service.supervisor.ShardedSweepResult`; its
+    ``holes`` name the cells quarantined shards lost, and a figure
+    missing any of them is left out of *results*.
+    """
+    from repro.api.session import Session
+
+    specs = {
+        name: figure_spec(name, benchmarks=benchmarks, window=window,
+                          seeds=seeds)
+        for name in names
+    }
+    if not specs:
+        raise ValueError("run_figures needs at least one sweep figure")
+    unique: dict[str, MechanismConfig] = {}
+    for spec in specs.values():
+        for mechanism in spec.mechanisms:
+            unique.setdefault(mechanism.fingerprint(), mechanism)
+    batch = replace(next(iter(specs.values())),
+                    mechanisms=tuple(unique.values()))
+    if session is None:
+        session = Session.for_spec(batch)
+        shards = api_env.shards_from_env(default=len(batch.benchmarks))
+    else:
+        shards = 1
+    outcome = session.run_sharded(batch, shards=shards)
+    stats = {
+        (cell.benchmark, cell.mechanism, cell.seed): cell.stats
+        for cell in outcome.result.cells
+    }
+    batch_name = {fp: mechanism.name for fp, mechanism in unique.items()}
+    results = {}
+    for name, spec in specs.items():
+        try:
+            cells = [
+                CellResult(
+                    benchmark, mechanism.name, seed,
+                    stats[benchmark, batch_name[mechanism.fingerprint()],
+                          seed],
+                )
+                for benchmark in spec.benchmarks
+                for mechanism in spec.mechanisms
+                for seed in spec.seeds
+            ]
+        except KeyError:  # a hole: the figure is incomplete
+            continue
+        results[name] = RunResult(
+            spec=spec, cells=cells, telemetry=outcome.result.telemetry
+        )
+    return results, outcome
+
+
 def run_figure(
     name: str,
     session=None,
@@ -281,18 +358,23 @@ def run_figure(
 ):
     """Run one figure end to end; returns ``(result, rendered text)``.
 
-    For sweep figures *result* is the :class:`RunResult` artifact; for
-    ``fig1`` it is the list of redundancy profiles.
+    For sweep figures *result* is the :class:`RunResult` artifact (see
+    :func:`run_figures`); for ``fig1`` it is the list of redundancy
+    profiles.  A sweep figure that lost cells to quarantined shards
+    raises :class:`RuntimeError`.
     """
     if name == "fig1":
         return run_fig1(
             instructions=window.measure if window is not None else 20000,
             benchmarks=benchmarks,
         )
-    from repro.api.session import Session
-
-    spec = figure_spec(name, benchmarks=benchmarks, window=window,
-                       seeds=seeds)
-    session = session or Session.for_spec(spec)
-    result = session.run(spec)
-    return result, render_figure(name, result)
+    results, outcome = run_figures(
+        [name], benchmarks=benchmarks, window=window, seeds=seeds,
+        session=session,
+    )
+    if name not in results:
+        raise RuntimeError(
+            f"{name} is incomplete: {len(outcome.holes)} cell(s) lost to "
+            "quarantined shards"
+        )
+    return results[name], render_figure(name, results[name])

@@ -130,14 +130,14 @@ class Session:
         :class:`~repro.service.supervisor.ShardedSweepResult` is
         digest-identical to :meth:`run` when complete and carries
         explicit holes otherwise.  ``shards <= 1`` (and a grid too small
-        to split) degrades gracefully to the in-process engine path.
+        to split) degrades gracefully to :meth:`run` on this session.
         """
         from repro.service.supervisor import ShardSupervisor
 
         if supervisor is None:
             supervisor = ShardSupervisor()
         count = spec.shards if shards is None else shards
-        return supervisor.run(spec, shards=count)
+        return supervisor.run(spec, shards=count, session=self)
 
     def run_clustered(
         self,

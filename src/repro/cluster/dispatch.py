@@ -332,7 +332,7 @@ def run_clustered(
     if shards is None:
         shards = spec.shards if spec.shards > 1 else max(2, len(specs))
     with obs_runtime.activated(spec.obs):
-        outcome = supervisor.run(spec, shards=shards)
+        outcome = supervisor.run(spec, shards=shards, session=session)
         obs_tracer().event(
             "host.merge", mode=outcome.mode, complete=outcome.complete,
             hosts=len(specs),

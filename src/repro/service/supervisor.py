@@ -17,8 +17,8 @@ failure; the supervisor owns what happens next:
   become explicit holes in the merged result instead of aborting the
   sweep;
 * **nothing to split** (``shards <= 1`` or a one-cell grid) — the
-  in-process :class:`~repro.harness.sweep.SweepEngine` path, same
-  artifact.
+  in-process :class:`~repro.harness.sweep.SweepEngine` path on the
+  calling session, same artifact.
 
 Because every cell is deterministic and every artifact digest-verified,
 a merged sharded run — even one that crashed, hung and corrupted its way
@@ -176,30 +176,40 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def run(
-        self, spec: ExperimentSpec, shards: int | None = None
+        self, spec: ExperimentSpec, shards: int | None = None, session=None
     ) -> ShardedSweepResult:
         """Execute *spec* sharded; blocking front of :meth:`run_async`."""
-        return asyncio.run(self.run_async(spec, shards=shards))
+        return asyncio.run(
+            self.run_async(spec, shards=shards, session=session)
+        )
 
     async def run_async(
-        self, spec: ExperimentSpec, shards: int | None = None
+        self, spec: ExperimentSpec, shards: int | None = None, session=None
     ) -> ShardedSweepResult:
-        """Async core, callable from a running loop (``repro serve``)."""
+        """Async core, callable from a running loop (``repro serve``).
+
+        With nothing to split, *spec* runs in process on *session* (its
+        engine, memo and store), or on ``Session.for_spec(spec)`` when
+        no session is given.
+        """
         count = spec.shards if shards is None else shards
         if count <= 1 or spec.cells < 2:
             return await asyncio.get_running_loop().run_in_executor(
-                None, self._run_in_process, spec
+                None, self._run_in_process, spec, session
             )
         return await self._run_sharded(spec, count)
 
     # ------------------------------------------------------------------
 
-    def _run_in_process(self, spec: ExperimentSpec) -> ShardedSweepResult:
+    def _run_in_process(
+        self, spec: ExperimentSpec, session
+    ) -> ShardedSweepResult:
         """Nothing to split: the classic engine path."""
-        from repro.api.session import Session
+        if session is None:
+            from repro.api.session import Session
 
-        result = Session.for_spec(spec).run(spec)
-        return ShardedSweepResult(result=result, mode="in-process")
+            session = Session.for_spec(spec)
+        return ShardedSweepResult(result=session.run(spec), mode="in-process")
 
     async def _run_sharded(
         self, spec: ExperimentSpec, count: int

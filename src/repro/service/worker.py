@@ -4,7 +4,9 @@ A worker receives one serialised :class:`~repro.service.shards.ShardSpec`
 and must produce exactly one artifact file: the shard's
 :class:`~repro.service.shards.ShardResult` JSON, written crash-safely
 (temp file + ``os.replace``), so the dispatcher either finds a complete
-artifact or none at all — never a torn one.  Everything the worker needs
+artifact or none at all — never a torn one.  Beside it the worker
+appends one byte per finished cell to a progress file, the liveness
+signal the dispatcher's deadline restarts on.  Everything the worker needs
 travels in the payload (spec, cells, fault injection); it reads no
 ``REPRO_*`` state of its own, so a shard computes identically no matter
 which process — or attempt — runs it.
@@ -37,40 +39,47 @@ from repro.service.shards import ShardResult, ShardSpec, validate_shard_result
 #: deadline, so the dispatcher's kill path is what ends it.
 HANG_SLEEP_SECONDS = 3600.0
 
-#: How often a forked attempt is checked against its deadline.
+#: How often a forked attempt's progress is checked against its deadline.
 POLL_SECONDS = 0.01
 
 
-def execute_shard(shard: ShardSpec, engine=None) -> ShardResult:
+def execute_shard(
+    shard: ShardSpec, engine=None, on_cell=None
+) -> ShardResult:
     """Simulate every cell of *shard* and return its result.
 
     With no *engine*, a private session honouring the shard spec's store
     configuration is built (workers share the on-disk trace store when
     the spec enables one, so even a cold sharded sweep interprets each
     trace once per machine).  Passing an engine lets the degradation
-    path reuse the caller's memo.
+    path reuse the caller's memo.  *on_cell*, when given, is called with
+    each :class:`CellResult` as it finishes; a forked worker uses it to
+    report progress to its dispatcher.
     """
     if engine is None:
         from repro.api.session import Session
 
         engine = Session(store=shard.spec.store).engine
     spec = shard.spec
-    cells = [
-        CellResult(
+    cells = []
+    for benchmark, mech_index, seed in shard.cells:
+        mechanism = spec.mechanisms[mech_index]
+        cell = CellResult(
             benchmark,
-            spec.mechanisms[mech_index].name,
+            mechanism.name,
             seed,
             engine.run_cell(
                 benchmark,
-                spec.mechanisms[mech_index],
+                mechanism,
                 seed=seed,
                 warmup=spec.window.warmup,
                 measure=spec.window.measure,
                 sampling=spec.sampling,
             ).stats,
         )
-        for benchmark, mech_index, seed in shard.cells
-    ]
+        cells.append(cell)
+        if on_cell is not None:
+            on_cell(cell)
     return ShardResult(
         index=shard.index, fingerprint=shard.fingerprint, cells=cells
     )
@@ -126,9 +135,14 @@ def _tampered(text: str) -> str:
 
 
 def shard_process_main(
-    payload_text: str, out_path: str, fault: str | None
+    payload_text: str, out_path: str, fault: str | None,
+    progress_path: str | None = None,
 ) -> None:
     """Process target: run the shard, honouring an injected *fault*.
+
+    With a *progress_path*, one byte is appended to that file per
+    finished cell: the liveness signal :class:`ForkDispatcher` restarts
+    its deadline on.
 
     * ``crash``  — die immediately (``os._exit``), as an OOM-killed or
       segfaulted worker would: no artifact, non-zero exit code.
@@ -144,13 +158,20 @@ def shard_process_main(
         time.sleep(HANG_SLEEP_SECONDS)
         os._exit(14)  # pragma: no cover - the dispatcher kills us first
     shard = ShardSpec.from_json(payload_text)
+
+    def report(cell: CellResult) -> None:
+        with open(progress_path, "ab") as progress:
+            progress.write(b".")
+
     # The worker inherits REPRO_OBS through the environment and, thanks
     # to the tracer's ``{pid}`` path template, appends to its *own*
     # event file — no cross-process interleaving.
     with obs_tracer().span(
         "worker.shard", shard=shard.index, cells=len(shard.cells)
     ):
-        text = execute_shard(shard).to_json()
+        text = execute_shard(
+            shard, on_cell=report if progress_path else None
+        ).to_json()
     if fault == "corrupt":
         text = text[: len(text) // 2]
     elif fault == "tamper":
@@ -162,23 +183,26 @@ class ForkDispatcher:
     """Executes shard attempts in forked worker processes for a supervisor.
 
     One process per attempt, so one shard's death can never take another
-    shard's state with it.  The worker's only output is its artifact in
-    a temporary spool private to the attempt, verified here exactly as
+    shard's state with it.  The worker's only outputs are its artifact
+    and a progress file (one byte per finished cell) in a temporary spool
+    private to the attempt; the artifact is verified here exactly as
     :class:`~repro.cluster.dispatch.RemoteDispatcher` verifies a host's
-    reply.  Failures classify onto the supervisor's retry ladder: a
-    worker past the deadline is killed (**hang**), a non-zero exit is a
-    **death**, a clean exit without an artifact is **no-artifact**, and
-    an artifact failing the digest, fingerprint or cell-set checks is
-    **corrupt** / **foreign**.  When no process can be spawned at all,
-    the shard executes inline, fault-free, and still merges
-    digest-verified.
+    reply.  The deadline is a liveness deadline: it restarts whenever the
+    worker reports a finished cell, so a long shard of healthy cells
+    never times out.  Failures classify onto the supervisor's retry
+    ladder: a worker that goes a whole deadline without finishing a cell
+    is killed (**hang**), a non-zero exit is a **death**, a clean exit
+    without an artifact is **no-artifact**, and an artifact failing the
+    digest, fingerprint or cell-set checks is **corrupt** / **foreign**.
+    When no process can be spawned at all, the shard executes inline,
+    fault-free, and still merges digest-verified.
     """
 
     #: What the supervisor labels results produced through us.
     mode = "sharded"
 
     def __init__(self, *, deadline: float | None = None) -> None:
-        #: Per-attempt wall-clock deadline in seconds
+        #: Seconds a worker may go without finishing a cell
         #: (``REPRO_SHARD_TIMEOUT`` when not given).
         self.deadline = (
             api_env.shard_timeout_from_env() if deadline is None
@@ -201,9 +225,10 @@ class ForkDispatcher:
         """
         with tempfile.TemporaryDirectory(prefix="repro-shard-") as spool:
             out_path = Path(spool) / "shard.json"
+            progress = Path(spool) / "progress"
             process = multiprocessing.Process(
                 target=shard_process_main,
-                args=(shard.to_json(), str(out_path), fault),
+                args=(shard.to_json(), str(out_path), fault, str(progress)),
                 daemon=True,
             )
             try:
@@ -219,11 +244,7 @@ class ForkDispatcher:
                         f"no worker process ({error}) and inline "
                         f"execution failed: {inline_error}",
                     )
-            loop = asyncio.get_running_loop()
-            deadline_at = loop.time() + self.deadline
-            while process.is_alive() and loop.time() < deadline_at:
-                await asyncio.sleep(POLL_SECONDS)
-            if process.is_alive():
+            if not await self._live_until_exit(process, progress):
                 process.terminate()
                 process.join(timeout=5.0)
                 if process.is_alive():  # pragma: no cover - SIGTERM sufficed
@@ -231,7 +252,8 @@ class ForkDispatcher:
                     process.join(timeout=5.0)
                 return (
                     "hang",
-                    f"deadline exceeded ({self.deadline:g}s); worker killed",
+                    f"deadline exceeded (no cell finished in "
+                    f"{self.deadline:g}s); worker killed",
                 )
             process.join()
             if process.exitcode != 0:
@@ -250,3 +272,22 @@ class ForkDispatcher:
         except (ValueError, KeyError, TypeError) as error:
             return ("corrupt", f"shard artifact rejected: {error}")
         return validate_shard_result(shard, result) or result
+
+    async def _live_until_exit(self, process, progress: Path) -> bool:
+        """Wait for *process* to exit, restarting the deadline on every
+        cell it reports; ``False`` once a whole deadline passes without
+        one (the process is still running then)."""
+        loop = asyncio.get_running_loop()
+        reported = 0
+        deadline_at = loop.time() + self.deadline
+        while process.is_alive():
+            try:
+                cells = progress.stat().st_size
+            except FileNotFoundError:
+                cells = 0
+            if cells > reported:
+                reported, deadline_at = cells, loop.time() + self.deadline
+            elif loop.time() >= deadline_at:
+                return False
+            await asyncio.sleep(POLL_SECONDS)
+        return True

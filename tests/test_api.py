@@ -24,6 +24,7 @@ from repro.api.figures import (
     figure_spec,
     render_figure,
     run_figure,
+    run_figures,
 )
 from repro.api.result import CellResult, RunResult
 from repro.api.session import Session
@@ -506,24 +507,80 @@ class TestGoldenFig4:
         legacy_result = RunResult(spec=spec, cells=legacy_cells)
         assert legacy_result.digest() == result.digest()
 
-    def test_figures_cli_matches_the_api_path(self, tmp_path, capsys):
+    #: One batch over figures that share the baseline and ideal-RSEP
+    #: cells under different mechanism names.
+    FIGURES = ("fig4", "fig6", "fig7")
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        """Each figure run on its own through ``Session.run``."""
+        return {
+            name: private_session().run(figure_spec(
+                name, benchmarks=self.BENCHMARKS, window=self.WINDOW
+            ))
+            for name in self.FIGURES
+        }
+
+    def _run_figures_cli(self, out_dir) -> int:
         from repro.api.cli import main
 
-        spec = figure_spec(
-            "fig4", benchmarks=self.BENCHMARKS, window=self.WINDOW
-        )
-        reference = private_session().run(spec)
-        code = main([
-            "figures", "fig4",
+        return main([
+            "figures", *self.FIGURES,
             "--benchmark", "mcf", "--benchmark", "dealII",
             "--warmup", "512", "--measure", "2000",
-            "--out", str(tmp_path),
+            "--out", str(out_dir),
         ])
-        assert code == 0
-        assert "Figure 4" in capsys.readouterr().out
-        artifact = RunResult.load(tmp_path / "fig4.json")
-        assert artifact.fingerprint == reference.fingerprint
-        assert artifact.digest() == reference.digest()
+
+    def _assert_artifacts_match(self, out_dir, references):
+        for name, reference in references.items():
+            artifact = RunResult.load(out_dir / f"{name}.json")
+            assert artifact.fingerprint == reference.fingerprint
+            assert artifact.digest() == reference.digest()
+            assert [c.to_dict() for c in artifact.cells] == \
+                [c.to_dict() for c in reference.cells]
+
+    def test_figures_cli_matches_the_api_path(
+        self, tmp_path, capsys, references
+    ):
+        assert self._run_figures_cli(tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "Figure 4" in out and "Figure 6" in out and "Figure 7" in out
+        self._assert_artifacts_match(tmp_path, references)
+
+    def test_figures_cli_with_one_shard_starts_no_worker(
+        self, tmp_path, monkeypatch, references
+    ):
+        import multiprocessing
+
+        started = []
+        start = multiprocessing.Process.start
+
+        def record(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", record)
+        monkeypatch.setenv("REPRO_SHARDS", "1")
+        assert self._run_figures_cli(tmp_path) == 0
+        assert started == []
+        self._assert_artifacts_match(tmp_path, references)
+
+    def test_batch_simulates_each_shared_cell_once(self, references):
+        session = private_session()
+        results, outcome = run_figures(
+            self.FIGURES, benchmarks=self.BENCHMARKS, window=self.WINDOW,
+            session=session,
+        )
+        assert outcome.mode == "in-process" and outcome.complete
+        # fig4's six, fig6's four reissue/sampling variants and fig7's
+        # realistic RSEP: baseline and ideal RSEP are shared.
+        assert len(outcome.result.spec.mechanisms) == 11
+        assert session.engine.cell_misses == 11 * len(self.BENCHMARKS)
+        assert set(results) == set(self.FIGURES)
+        for name, result in results.items():
+            assert result.digest() == references[name].digest()
+            assert result.mechanism_names() == \
+                references[name].mechanism_names()
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,40 @@ class TestSupervisor:
             assert outcome.complete
             assert outcome.digest() == reference.digest()
 
+    def test_slow_healthy_worker_outlives_the_deadline(self, monkeypatch):
+        """The fork deadline is a liveness deadline: every finished cell
+        restarts it, so a shard of four 0.3 s cells completes under a
+        0.5 s deadline on its first attempt."""
+        from repro.harness.sweep import SweepEngine
+        from repro.pipeline.simulator import Simulator
+
+        spec = tiny_spec(seeds=(1, 2))
+        # Every cell is served by one engine warmed before the fork, so
+        # each cell costs the injected sleep and nothing else.
+        warm = SweepEngine(simulator=Simulator(trace_store=None))
+        reference = Session(engine=warm).run(spec)
+        run_cell = SweepEngine.run_cell
+
+        def slow(self, *args, **kwargs):
+            time.sleep(0.3)
+            return run_cell(warm, *args, **kwargs)
+
+        monkeypatch.setattr(SweepEngine, "run_cell", slow)
+        assert all(len(s.cells) >= 4 for s in plan_shards(spec, 2))
+        outcome = fast_supervisor(deadline=0.5).run(spec, shards=2)
+        assert outcome.complete
+        assert outcome.attempts == {0: 1, 1: 1}
+        assert outcome.failures == ()
+        assert outcome.digest() == reference.digest()
+
+    def test_nothing_to_split_runs_on_the_calling_session(self, tmp_path):
+        spec = tiny_spec()
+        session = Session(store=StoreSpec(path=str(tmp_path)))
+        outcome = session.run_sharded(spec, shards=1)
+        assert outcome.mode == "in-process"
+        assert session.engine.cell_misses == spec.cells
+        assert any(tmp_path.iterdir())  # the session's store was used
+
     def test_spawn_failure_degrades_to_inline_execution(
         self, reference, monkeypatch
     ):
@@ -615,6 +649,58 @@ class TestServiceCli:
         assert main(["sweep", "--smoke", "--shards", "2"]) == 0
         out = capsys.readouterr().out
         assert "sharded smoke" in out and "== in-process" in out
+
+    FIGURES_ARGV = [
+        "figures", "fig4", "fig6", "fig7",
+        "--benchmark", "mcf", "--benchmark", "hmmer",
+        "--warmup", "256", "--measure", "1024",
+    ]
+
+    def _figure_digests(self, out_dir) -> dict[str, str]:
+        return {
+            path.name: RunResult.load(path).digest()
+            for path in sorted(out_dir.glob("*.json"))
+        }
+
+    def test_figures_survive_crash_and_corrupt(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.api.cli import main
+
+        monkeypatch.setenv("REPRO_FAULTS", "crash:0,corrupt:1")
+        faulted = tmp_path / "faulted"
+        assert main(self.FIGURES_ARGV + ["--out", str(faulted)]) == 0
+        err = capsys.readouterr().err
+        assert "fault survived" in err and "PARTIAL" not in err
+        monkeypatch.delenv("REPRO_FAULTS")
+        monkeypatch.setenv("REPRO_SHARDS", "1")
+        in_process = tmp_path / "in-process"
+        assert main(self.FIGURES_ARGV + ["--out", str(in_process)]) == 0
+        digests = self._figure_digests(faulted)
+        assert sorted(digests) == ["fig4.json", "fig6.json", "fig7.json"]
+        assert digests == self._figure_digests(in_process)
+
+    def test_figures_with_a_poison_shard_fail_loudly(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.api.cli import main
+
+        monkeypatch.setenv("REPRO_FAULTS", "crash:0:*")
+        code = main(self.FIGURES_ARGV + ["--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        # Shard 0 is mcf's block: every figure lost cells.
+        assert "PARTIAL RESULT: 11 cell(s) lost" in captured.err
+        assert "hole: mcf × baseline × seed 1" in captured.err
+        assert "Figure 4" not in captured.out
+        assert list(tmp_path.glob("*.json")) == []
+        # The API front door refuses to hand out the incomplete figure.
+        from repro.api.figures import run_figure
+
+        with pytest.raises(RuntimeError, match="fig7 is incomplete"):
+            run_figure("fig7", benchmarks=["mcf", "hmmer"],
+                       window=WindowSpec(warmup=256, measure=1024))
 
     def test_serve_once_round_trip(self, tmp_path, reference):
         from repro.api.cli import main
