@@ -10,7 +10,7 @@
 
 import dataclasses
 
-from conftest import bench_windows, make_runner
+from conftest import bench_windows, run_ablation
 
 from repro.common.rng import XorShift64
 from repro.core.hashing import hash_collision_rate
@@ -33,97 +33,94 @@ def _rsep_variant(name, **overrides):
 
 
 def run_history_depth():
-    runner = make_runner(benchmarks=DEPTH_BENCHMARKS)
     variants = [
         MechanismConfig.baseline(),
         _rsep_variant("hist32", history_entries=32),
         _rsep_variant("hist128", history_entries=128),
         _rsep_variant("hist4096", history_entries=4096),
     ]
-    runner.run(variants)
+    result = run_ablation(DEPTH_BENCHMARKS, variants)
     table = Table(["benchmark", "32-deep%", "128-deep%", "4096-deep%"])
-    for name in runner.benchmarks:
+    for name in result.benchmarks:
         table.add_row(
             name,
             *(
-                f"{100 * runner.speedup(name, v.name):+.1f}"
+                f"{100 * result.speedup(name, v.name):+.1f}"
                 for v in variants[1:]
             ),
         )
     print("\n§VI.A.2 — FIFO history depth")
     print(table.render())
-    return runner
+    return result
 
 
 def test_history_depth(benchmark):
-    runner = benchmark.pedantic(run_history_depth, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_history_depth, rounds=1, iterations=1)
     # hmmer's pair distance exceeds 32: the deep history must recover
     # clearly more speedup than the 32-entry one (§VI.A.2).
-    assert runner.speedup("hmmer", "hist128") > runner.speedup(
+    assert result.speedup("hmmer", "hist128") > result.speedup(
         "hmmer", "hist32"
     ) + 0.02
     # 128 entries suffice: going (effectively) unbounded adds little.
-    assert runner.speedup("hmmer", "hist4096") < runner.speedup(
+    assert result.speedup("hmmer", "hist4096") < result.speedup(
         "hmmer", "hist128"
     ) + 0.04
 
 
 def run_ddt_vs_fifo():
-    runner = make_runner(benchmarks=["mcf", "hmmer", "dealII", "libquantum"])
     variants = [
         MechanismConfig.baseline(),
         _rsep_variant("fifo", pairing="fifo", history_entries=128),
         _rsep_variant("ddt", pairing="ddt"),
     ]
-    runner.run(variants)
+    result = run_ablation(["mcf", "hmmer", "dealII", "libquantum"], variants)
     table = Table(["benchmark", "fifo%", "ddt%"])
-    for name in runner.benchmarks:
+    for name in result.benchmarks:
         table.add_row(
             name,
-            f"{100 * runner.speedup(name, 'fifo'):+.1f}",
-            f"{100 * runner.speedup(name, 'ddt'):+.1f}",
+            f"{100 * result.speedup(name, 'fifo'):+.1f}",
+            f"{100 * result.speedup(name, 'ddt'):+.1f}",
         )
     print("\n§VI.A.2 — FIFO history vs DDT pairing")
     print(table.render())
-    return runner
+    return result
 
 
 def test_ddt_vs_fifo(benchmark):
-    runner = benchmark.pedantic(run_ddt_vs_fifo, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_ddt_vs_fifo, rounds=1, iterations=1)
     # The FIFO (preferred-distance matching) is never clearly worse than
     # the noise-prone DDT on the RSEP-friendly benchmarks (§VI.A.2).
     for name in ("hmmer", "dealII"):
-        assert runner.speedup(name, "fifo") >= runner.speedup(
+        assert result.speedup(name, "fifo") >= result.speedup(
             name, "ddt"
         ) - 0.02
 
 
 def run_isrb_sweep():
-    runner = make_runner(benchmarks=["mcf", "dealII", "hmmer"])
     variants = [MechanismConfig.baseline()] + [
         _rsep_variant(f"isrb{entries}", isrb_entries=entries)
         for entries in (4, 12, 24, 64)
     ]
-    runner.run(variants)
+    result = run_ablation(["mcf", "dealII", "hmmer"], variants)
     table = Table(["benchmark", "isrb4%", "isrb12%", "isrb24%", "isrb64%"])
-    for name in runner.benchmarks:
+    for name in result.benchmarks:
         table.add_row(
             name,
             *(
-                f"{100 * runner.speedup(name, v.name):+.1f}"
+                f"{100 * result.speedup(name, v.name):+.1f}"
                 for v in variants[1:]
             ),
         )
     print("\n§VI.A.3 — ISRB size")
     print(table.render())
-    return runner
+    return result
 
 
 def test_isrb_sweep(benchmark):
-    runner = benchmark.pedantic(run_isrb_sweep, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_isrb_sweep, rounds=1, iterations=1)
     # 24 entries are enough: 64 adds (almost) nothing (§VI.A.3).
     for name in ("dealII", "hmmer"):
-        assert runner.speedup(name, "isrb64") < runner.speedup(
+        assert result.speedup(name, "isrb64") < result.speedup(
             name, "isrb24"
         ) + 0.03
 
@@ -148,34 +145,33 @@ def test_hash_width(benchmark):
 
 
 def run_predictor_kind():
-    runner = make_runner(benchmarks=["mcf", "hmmer", "dealII", "omnetpp"])
     variants = [
         MechanismConfig.baseline(),
         _rsep_variant("tage-dist", predictor_kind="tage"),
         _rsep_variant("gshare-dist", predictor_kind="gshare"),
     ]
-    runner.run(variants)
+    result = run_ablation(["mcf", "hmmer", "dealII", "omnetpp"], variants)
     table = Table(["benchmark", "tage%", "gshare%"])
-    for name in runner.benchmarks:
+    for name in result.benchmarks:
         table.add_row(
             name,
-            f"{100 * runner.speedup(name, 'tage-dist'):+.1f}",
-            f"{100 * runner.speedup(name, 'gshare-dist'):+.1f}",
+            f"{100 * result.speedup(name, 'tage-dist'):+.1f}",
+            f"{100 * result.speedup(name, 'gshare-dist'):+.1f}",
         )
     print("\n§IV.C — TAGE-like vs gshare-like distance predictor")
     print(table.render())
-    return runner
+    return result
 
 
 def test_predictor_kind(benchmark):
-    runner = benchmark.pedantic(run_predictor_kind, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_predictor_kind, rounds=1, iterations=1)
     # [11]: the TAGE-like predictor outperforms (or at least matches) the
     # gshare-like one.
     total_tage = sum(
-        runner.speedup(n, "tage-dist") for n in runner.benchmarks
+        result.speedup(n, "tage-dist") for n in result.benchmarks
     )
     total_gshare = sum(
-        runner.speedup(n, "gshare-dist") for n in runner.benchmarks
+        result.speedup(n, "gshare-dist") for n in result.benchmarks
     )
     assert total_tage >= total_gshare - 0.02
 

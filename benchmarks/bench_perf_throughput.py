@@ -4,17 +4,13 @@
 Full mode (default) measures baseline and rsep-realistic over the default
 window on the representative benchmark mix and writes ``BENCH_perf.json``
 (next to this script's repo root) recording per-cell KIPS, the aggregate
-per mechanism, the pinned seed-implementation reference, and a smoke
-reference for CI.
-
-``--smoke`` runs a single quick cell and exits non-zero if throughput
-regressed more than 30% against the smoke reference recorded in the
-committed ``BENCH_perf.json`` — the CI guard for the perf trajectory.
+per mechanism, the pinned seed-implementation reference, and the smoke
+reference that ``repro perf --smoke`` — the CI guard for the perf
+trajectory — re-measures.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf_throughput.py
-    PYTHONPATH=src python benchmarks/bench_perf_throughput.py --smoke
 """
 
 from __future__ import annotations
@@ -218,24 +214,12 @@ def run_full(repeats: int, json_path: Path) -> int:
     return 0
 
 
-def run_smoke(repeats: int, json_path: Path) -> int:
-    """The CI regression gate; shared with ``repro perf --smoke``."""
-    from repro.harness.perf import throughput_smoke
-
-    return throughput_smoke(json_path, repeats=repeats)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="quick run; fail on >30%% KIPS regression "
-                        "against BENCH_perf.json")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--json", type=Path, default=BENCH_JSON,
                         help=f"report path (default {BENCH_JSON.name})")
     args = parser.parse_args(argv)
-    if args.smoke:
-        return run_smoke(args.repeats, args.json)
     return run_full(args.repeats, args.json)
 
 

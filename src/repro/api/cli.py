@@ -9,7 +9,7 @@ Subcommands::
     repro inspect  artifact provenance / telemetry / event logs / env overlay
     repro profile  per-stage wall attribution (+ the obs overhead gate)
     repro tail     follow a live service's event stream (DESIGN.md §13)
-    repro serve    sweep service on a local socket: spec JSON in, artifact out
+    repro serve    cluster host (Unix socket and/or TCP): shards in, verified out
 
 Every run subcommand builds an :class:`~repro.api.spec.ExperimentSpec`
 through the one environment overlay (explicit flag beats ``REPRO_*``
@@ -160,30 +160,10 @@ def _cmd_sweep(args) -> int:
             print("repro sweep --smoke runs a fixed gate; it cannot take "
                   f"{', '.join(ignored)}", file=sys.stderr)
             return 2
-        if args.hosts is not None or args.shards is not None:
-            # The fault gate on forked workers (--shards N) or on two
-            # real `repro serve --tcp` children (--hosts loopback): an
-            # injected crash and a corrupt artifact (REPRO_FAULTS), and
-            # the merge must still be digest-identical to in-process.
-            if args.hosts not in (None, "loopback"):
-                print("repro sweep --smoke --hosts runs the loopback "
-                      "cluster gate; the only accepted value is "
-                      "'loopback'", file=sys.stderr)
-                return 2
-            from repro.service.smoke import fault_smoke
+        from repro.service.smoke import smoke
 
-            return fault_smoke(
-                hosts=args.hosts,
-                shards=2 if args.shards is None else args.shards,
-            )
-        from repro.harness import sweep as sweep_module
-
-        smoke_args = (
-            ["--smoke"]
-            + (["--sampled"] if args.sampled else [])
-            + (["--lake"] if args.lake else [])
-        )
-        return sweep_module.main(smoke_args)
+        return smoke(sampled=args.sampled, lake=args.lake,
+                     shards=args.shards, hosts=args.hosts)
     sampling = None
     store = None
     from dataclasses import replace
@@ -232,17 +212,59 @@ def _cmd_sweep(args) -> int:
     return 1 if holes else 0
 
 
-def _cmd_perf(args, passthrough: list[str]) -> int:
-    from repro.harness.perf import main as perf_main, throughput_smoke
+def _cmd_perf(args) -> int:
+    import json
+
+    from repro.harness.perf import (
+        DEFAULT_BENCHMARKS,
+        measure_throughput,
+        render_report,
+        throughput_smoke,
+    )
 
     if args.smoke:
-        if passthrough:
+        ignored = [
+            flag for flag, value in (
+                ("--benchmark", args.benchmarks),
+                ("--mechanism", args.mechanisms),
+                ("--warmup", args.warmup), ("--measure", args.measure),
+                ("--seed", args.seed), ("--interval", args.interval),
+                ("--detail-ratio", args.detail_ratio),
+            ) if value is not None
+        ] + (["--sampled"] if args.sampled else [])
+        if ignored:
             print("repro perf --smoke runs the fixed regression gate; it "
-                  f"cannot take {' '.join(passthrough)}", file=sys.stderr)
+                  f"cannot take {', '.join(ignored)}", file=sys.stderr)
             return 2
         return throughput_smoke(args.json or "BENCH_perf.json",
                                 repeats=args.repeats)
-    return perf_main(passthrough)
+    sampling = None
+    if args.sampled:
+        from dataclasses import replace
+
+        sampling = replace(api_env.sampling_from_env(), enabled=True)
+        if args.interval is not None:
+            sampling = replace(sampling, interval=args.interval)
+        if args.detail_ratio is not None:
+            sampling = replace(sampling, detail_ratio=args.detail_ratio)
+    report = measure_throughput(
+        benchmarks=tuple(args.benchmarks or DEFAULT_BENCHMARKS),
+        mechanisms=_mechanisms_from_args(args.mechanisms),
+        warmup=args.warmup,
+        measure=args.measure,
+        seed=1 if args.seed is None else args.seed,
+        repeats=args.repeats,
+        sampling=sampling,
+    )
+    print(render_report(report))
+    if args.json == "-":
+        json.dump(report.to_dict(), sys.stdout, indent=1)
+        print()
+    elif args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(report.to_dict(), handle, indent=1)
+        print(f"\nwrote {args.json}")
+    return 0
 
 
 def _cmd_figures(args) -> int:
@@ -696,8 +718,6 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from repro.service.server import SweepServer
-    from repro.service.supervisor import ShardSupervisor
-    from repro.service.worker import ForkDispatcher
 
     tcp = None
     if args.tcp is not None:
@@ -708,12 +728,9 @@ def _cmd_serve(args) -> int:
         except ValueError as error:
             print(f"repro serve: {error}", file=sys.stderr)
             return 2
-    supervisor = ShardSupervisor(
-        dispatcher=ForkDispatcher(deadline=args.timeout)
-    )
     server = SweepServer(
         None if args.tcp is not None and args.no_socket else args.socket,
-        supervisor=supervisor, shards=args.shards, tcp=tcp,
+        tcp=tcp,
     )
 
     async def _serve() -> None:
@@ -730,9 +747,7 @@ def _cmd_serve(args) -> int:
                   flush=True)
         await task
 
-    shards_note = args.shards if args.shards is not None else "per spec"
-    print(f"repro serve: starting (shards default: {shards_note})",
-          flush=True)
+    print("repro serve: starting", flush=True)
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
@@ -758,7 +773,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run (or smoke-gate) a benchmark × mechanism sweep"
     )
     sweep.add_argument("--smoke", action="store_true",
-                       help="CI gate: cold == memoised == warm-store")
+                       help="CI gates (repro.service.smoke): cold == "
+                       "memoised == warm-store, then the gate of each of "
+                       "--sampled, --lake and --shards/--hosts, in that "
+                       "order; stops at the first failure")
     sweep.add_argument("--sampled", action="store_true",
                        help="run interval-sampled (REPRO_INTERVAL and "
                        "friends); with --smoke: also gate sampled "
@@ -796,15 +814,39 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the RunResult artifact to PATH")
 
     perf = sub.add_parser(
-        "perf", help="simulated-KIPS throughput harness (+ CI smoke gate)",
-        add_help=False,
+        "perf", help="simulated-KIPS throughput harness (+ CI smoke gate)"
     )
     perf.add_argument("--smoke", action="store_true",
                       help="CI gate: fail on >30%% KIPS regression against "
                       "the recorded BENCH_perf.json")
-    perf.add_argument("--repeats", type=int, default=3)
+    perf.add_argument("--benchmark", action="append", dest="benchmarks",
+                      metavar="NAME",
+                      help="benchmark to measure (repeatable; default: a "
+                      "representative mix)")
+    perf.add_argument("--mechanism", action="append", dest="mechanisms",
+                      metavar="NAME", choices=sorted(MECHANISM_PRESETS),
+                      help="mechanism preset (repeatable; default: "
+                      "baseline and rsep-realistic)")
+    perf.add_argument("--warmup", type=int, default=None,
+                      help="warm-up instructions (default: REPRO_WARMUP)")
+    perf.add_argument("--measure", type=int, default=None,
+                      help="measured instructions (default: REPRO_MEASURE)")
+    perf.add_argument("--seed", type=int, default=None,
+                      help="checkpoint seed (default: 1)")
+    perf.add_argument("--repeats", type=int, default=3,
+                      help="timing repeats per cell; best is kept")
+    perf.add_argument("--sampled", action="store_true",
+                      help="time interval-sampled runs (KIPS then counts "
+                      "the covered window: detailed + warmed)")
+    perf.add_argument("--interval", type=int, default=None,
+                      help="with --sampled: instructions per interval "
+                      "(default: REPRO_INTERVAL)")
+    perf.add_argument("--detail-ratio", type=float, default=None,
+                      help="with --sampled: measured fraction per "
+                      "interval (default: REPRO_DETAIL_RATIO)")
     perf.add_argument("--json", metavar="PATH", default=None,
-                      help="with --smoke: the recorded BENCH_perf.json "
+                      help="also write the report as JSON to PATH ('-' "
+                      "for stdout); with --smoke: the recorded reference "
                       "(default ./BENCH_perf.json)")
 
     figures = sub.add_parser(
@@ -898,8 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "(default: 0.5)")
 
     serve = sub.add_parser(
-        "serve", help="sweep service on a local Unix socket and/or TCP "
-        "(spec or shard JSON in, digest-verified payload out)"
+        "serve", help="cluster host on a local Unix socket and/or TCP "
+        "(shard JSON in, digest-verified payload out)"
     )
     serve.add_argument("--socket", metavar="PATH", default="repro.sock",
                        help="Unix socket path to listen on "
@@ -910,36 +952,21 @@ def build_parser() -> argparse.ArgumentParser:
                        "this is what `repro sweep --hosts` dials")
     serve.add_argument("--no-socket", action="store_true",
                        help="with --tcp: TCP only, no Unix socket file")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="server-side default shard count (a request's "
-                       "explicit value wins; default: each spec's own)")
-    serve.add_argument("--timeout", type=float, default=None,
-                       help="per-shard deadline in seconds "
-                       "(default: REPRO_SHARD_TIMEOUT)")
     serve.add_argument("--once", action="store_true",
                        help="serve a single request, then exit")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # `repro perf` forwards unknown flags to the measurement harness
-    # (repro.harness.perf) so the full flag surface stays in one place.
-    if argv and argv[0] == "perf" and "--smoke" not in argv:
-        from repro.harness.perf import main as perf_main
-
-        return perf_main(argv[1:])
     parser = build_parser()
-    args, passthrough = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2
-    if passthrough and args.command != "perf":
-        parser.error(f"unrecognized arguments: {' '.join(passthrough)}")
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "perf":
-        return _cmd_perf(args, passthrough)
+        return _cmd_perf(args)
     if args.command == "figures":
         return _cmd_figures(args)
     if args.command == "report":

@@ -2,12 +2,13 @@
 
 A session owns the infrastructure — the shared trace store and the
 memoising sweep engine — and exposes one operation, ``run(spec) ->
-RunResult``, plus its sharded and clustered fan-outs.  It routes into
-the existing :class:`~repro.harness.sweep.SweepEngine`, so every
-guarantee that engine gives (interpret once per machine, simulate each
-unique cell once per process) holds unchanged and the stats are
-bit-identical to the legacy :class:`~repro.harness.runner.ExperimentRunner`
-path.
+RunResult``, plus its sharded and clustered fan-outs.  It is the one
+way experiments reach the simulator: the CLI, the figure pipeline, the
+benches, the examples and the CI gates all run specs here.  It routes
+into the :class:`~repro.harness.sweep.SweepEngine`, so every guarantee
+that engine gives (interpret once per machine, simulate each unique
+cell once per process) holds, and each cell's stats are bit-identical
+to a direct :meth:`~repro.pipeline.simulator.Simulator.run_benchmark`.
 """
 
 from __future__ import annotations

@@ -116,8 +116,8 @@ class ExperimentSpec:
     The grid is ``benchmarks × mechanisms × seeds``; ``window``,
     ``sampling`` and ``store`` parameterise how each cell runs;
     ``shards`` how cells fan out.  ``Session.run(spec)``
-    routes the grid into the shared sweep engine, so results are
-    bit-identical to the legacy ``ExperimentRunner`` path; ``shards >
+    routes the grid into the shared sweep engine, so each cell is
+    bit-identical to a direct ``Simulator.run_benchmark``; ``shards >
     1`` selects the fault-tolerant sharded service
     (:meth:`Session.run_sharded`, DESIGN.md §11) whose merged artifact
     is digest-identical to the in-process run.

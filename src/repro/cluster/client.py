@@ -1,7 +1,6 @@
 """Blocking protocol client: dial, one request, one response, retry.
 
 :func:`call` is the transport every synchronous client shares — the
-``repro serve`` sweep client (:func:`repro.service.server.request`), the
 host pool's handshake ping and the remote dispatcher's shard submission.
 It owns the failure policy:
 

@@ -1,4 +1,6 @@
-"""Experiment harness: runners, redundancy analysis, reporting."""
+"""Experiment harness: the sweep engine (:mod:`repro.harness.sweep`),
+throughput measurement (:mod:`repro.harness.perf`), redundancy analysis
+and reporting.  Experiments enter through :class:`repro.api.Session`."""
 
 from repro.harness.redundancy import (
     LivePrfModel,
@@ -12,11 +14,8 @@ from repro.harness.reporting import (
     geometric_mean,
     harmonic_mean,
 )
-from repro.harness.runner import BenchmarkOutcome, ExperimentRunner
 
 __all__ = [
-    "BenchmarkOutcome",
-    "ExperimentRunner",
     "LivePrfModel",
     "RedundancyProfile",
     "Table",

@@ -18,15 +18,14 @@ Protocol:
   (best) wall time across benchmarks, which weights slow benchmarks
   honestly.
 
-Run as a CLI::
+Run it through the front door::
 
-    python -m repro.harness.perf --benchmark mcf --mechanism rsep-realistic
-    python -m repro.harness.perf --json perf.json --repeats 3
+    repro perf --benchmark mcf --mechanism rsep-realistic
+    repro perf --json perf.json --repeats 3
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -34,11 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.api import env as api_env
 from repro.api.spec import default_mechanisms
-from repro.pipeline.config import (
-    MECHANISM_PRESETS,
-    CoreConfig,
-    MechanismConfig,
-)
+from repro.pipeline.config import CoreConfig, MechanismConfig
 from repro.pipeline.core import Pipeline
 from repro.pipeline.simulator import (
     _TRACE_SLACK,  # match Simulator.run_benchmark's trace sizing exactly
@@ -52,11 +47,6 @@ DEFAULT_BENCHMARKS: tuple[str, ...] = (
     "mcf", "astar", "omnetpp", "bzip2",
     "xalancbmk", "gamess", "lbm", "hmmer",
 )
-
-
-def mechanism_by_name(name: str) -> MechanismConfig:
-    """Resolve a CLI mechanism name to its preset config."""
-    return MechanismConfig.preset(name)
 
 
 @dataclass
@@ -267,79 +257,3 @@ def throughput_smoke(json_path, repeats: int = 3) -> int:
               f"{(1 - tolerance) * 100:.0f}% — failing", file=sys.stderr)
         return 1
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.perf",
-        description="Measure simulated KIPS for benchmark/mechanism cells.",
-    )
-    parser.add_argument(
-        "--benchmark", action="append", dest="benchmarks", metavar="NAME",
-        help="benchmark to measure (repeatable; default: a representative "
-        f"mix of {len(DEFAULT_BENCHMARKS)})",
-    )
-    parser.add_argument(
-        "--mechanism", action="append", dest="mechanisms", metavar="NAME",
-        choices=sorted(MECHANISM_PRESETS),
-        help="mechanism preset (repeatable; default: baseline and "
-        "rsep-realistic)",
-    )
-    parser.add_argument("--warmup", type=int, default=None,
-                        help="warm-up instructions (default: REPRO_WARMUP)")
-    parser.add_argument("--measure", type=int, default=None,
-                        help="measured instructions (default: REPRO_MEASURE)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per cell; best is kept")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the report as JSON to PATH "
-                        "('-' for stdout)")
-    parser.add_argument("--sampled", action="store_true",
-                        help="time interval-sampled runs (KIPS then counts "
-                        "the covered window: detailed + warmed)")
-    parser.add_argument("--interval", type=int, default=None,
-                        help="with --sampled: instructions per interval "
-                        "(default: REPRO_INTERVAL)")
-    parser.add_argument("--detail-ratio", type=float, default=None,
-                        help="with --sampled: measured fraction per "
-                        "interval (default: REPRO_DETAIL_RATIO)")
-    args = parser.parse_args(argv)
-
-    sampling = None
-    if args.sampled:
-        from dataclasses import replace
-
-        sampling = replace(
-            api_env.sampling_from_env(), enabled=True,
-        )
-        if args.interval is not None:
-            sampling = replace(sampling, interval=args.interval)
-        if args.detail_ratio is not None:
-            sampling = replace(sampling, detail_ratio=args.detail_ratio)
-    mechanisms = None
-    if args.mechanisms:
-        mechanisms = [mechanism_by_name(name) for name in args.mechanisms]
-    report = measure_throughput(
-        benchmarks=tuple(args.benchmarks) if args.benchmarks
-        else DEFAULT_BENCHMARKS,
-        mechanisms=mechanisms,
-        warmup=args.warmup,
-        measure=args.measure,
-        seed=args.seed,
-        repeats=args.repeats,
-        sampling=sampling,
-    )
-    print(render_report(report))
-    if args.json == "-":
-        json.dump(report.to_dict(), sys.stdout, indent=1)
-        print()
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"\nwrote {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,11 +2,11 @@
 
 Every figure bench, ablation, example and CI gate ultimately runs the
 same kind of sweep — benchmark × mechanism × seed cells over a common
-window.  Before this module each script owned a private
-:class:`~repro.harness.runner.ExperimentRunner`, so the same functional
-trace was re-interpreted per script and the same cell (fig. 4's baseline
-is also fig. 6's, fig. 7's and Table I's) was re-simulated per script.
-The sweep engine removes both redundancies:
+window — through :class:`repro.api.Session`, which routes every spec
+into this engine.  Without it the same functional trace would be
+re-interpreted per script and the same cell (fig. 4's baseline is also
+fig. 6's, fig. 7's and Table I's) re-simulated per script.  The engine
+removes both redundancies:
 
 * **Traces** come from the engine's :class:`Simulator`, which memoises in
   memory and persists through the on-disk
@@ -26,9 +26,9 @@ Fan-out across processes or hosts is the sharded service's job
 same :meth:`SweepEngine.run_cell` and share the on-disk trace store, so
 even a cold sharded sweep interprets each trace once per machine.
 
-``python -m repro.harness.sweep --smoke`` is the CI gate: it runs a tiny
-sweep cold, re-runs it through the memo and through a fresh engine on
-the warmed store, and fails if any path disagrees.
+``repro sweep --smoke`` (:mod:`repro.service.smoke`) is the CI gate: it
+runs a tiny sweep cold, re-runs it through the memo and through a fresh
+engine on the warmed store, and fails if any path disagrees.
 """
 
 from __future__ import annotations
@@ -380,283 +380,3 @@ def reset_shared_engine() -> None:
     """Drop the process-wide engine (tests use this for isolation)."""
     global _shared
     _shared = None
-
-
-# ---------------------------------------------------------------------------
-# CI smoke gate
-# ---------------------------------------------------------------------------
-
-
-def _smoke_sampled(benchmarks, mechanisms, kwargs) -> int:
-    """Sampled-mode gates, run against a private temporary store.
-
-    Checks, in order: the degenerate 100%-duty configuration shares the
-    plain cell (bit-identical by construction, fingerprint-folded); an
-    active sampled sweep is deterministic cold == memoised == restored
-    from its own µarch checkpoints; its fields are populated; and its
-    IPC lands within a loose sanity band of the full-detail result.
-    """
-    import tempfile
-
-    from repro.workloads.store import TraceStore
-
-    degenerate = SamplingConfig(enabled=True, detail_ratio=1.0)
-    active = SamplingConfig(
-        enabled=True, interval=1000, detail_ratio=0.25, detail_warmup=128
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-smoke-sampled-") as root:
-        engine = SweepEngine(simulator=Simulator(trace_store=TraceStore(root)))
-        full = engine.sweep(benchmarks, mechanisms, **kwargs)
-        degen = engine.sweep(
-            benchmarks, mechanisms, sampling=degenerate, **kwargs
-        )
-        for key in full:
-            for a, b in zip(full[key], degen[key]):
-                if dataclasses.asdict(a.stats) != dataclasses.asdict(b.stats):
-                    print(f"sampled smoke: degenerate diverged for {key}")
-                    return 1
-        cold = engine.sweep(benchmarks, mechanisms, sampling=active, **kwargs)
-        memo = engine.sweep(benchmarks, mechanisms, sampling=active, **kwargs)
-        # A fresh engine on the same store restores the µarch checkpoints
-        # the cold sweep captured; results must not change.
-        warm_engine = SweepEngine(
-            simulator=Simulator(trace_store=TraceStore(root))
-        )
-        warm = warm_engine.sweep(
-            benchmarks, mechanisms, sampling=active, **kwargs
-        )
-        if warm_engine.simulator.trace_store.checkpoint_hits == 0:
-            print("sampled smoke: no checkpoint was restored")
-            return 1
-        for key in cold:
-            for a, b, c in zip(cold[key], memo[key], warm[key]):
-                if not (
-                    dataclasses.asdict(a.stats)
-                    == dataclasses.asdict(b.stats)
-                    == dataclasses.asdict(c.stats)
-                ):
-                    print(f"sampled smoke: stats diverged for {key}")
-                    return 1
-                stats = a.stats
-                if not (stats.warmed > 0 and stats.intervals > 0
-                        and stats.sampled_window > 0):
-                    print(f"sampled smoke: sampling fields unset for {key}")
-                    return 1
-                reference = full[key][0].ipc
-                if reference > 0 and abs(
-                    stats.ipc - reference
-                ) / reference > 0.35:
-                    print(
-                        f"sampled smoke: IPC off by more than 35% for {key} "
-                        f"(sampled {stats.ipc:.3f} vs full {reference:.3f})"
-                    )
-                    return 1
-    print("sampled smoke: degenerate bit-identical, sampled cold == "
-          f"memoised == checkpoint-restored ({len(cold)} cells)")
-    return 0
-
-
-def _smoke(sampled: bool = False) -> int:
-    """Fail (non-zero) unless memoised and store-warmed sweeps agree."""
-    import tempfile
-
-    from repro.workloads.store import TraceStore
-
-    benchmarks = ["mcf", "dealII"]
-    mechanisms = [
-        MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
-    ]
-    kwargs = dict(seeds=[1], warmup=512, measure=2000)
-
-    with tempfile.TemporaryDirectory(prefix="repro-smoke-store-") as root:
-        store = TraceStore(root)
-        cold_engine = SweepEngine(simulator=Simulator(trace_store=store))
-        cold = cold_engine.sweep(benchmarks, mechanisms, **kwargs)
-        memo = cold_engine.sweep(benchmarks, mechanisms, **kwargs)
-        if cold_engine.cell_misses != len(benchmarks) * len(mechanisms):
-            print("smoke: unexpected cell miss count "
-                  f"({cold_engine.cell_misses})")
-            return 1
-        stored = list(store.root.glob("*.trace"))
-        if len(stored) != len(benchmarks):
-            print(f"smoke: store did not persist ({len(stored)} artifacts "
-                  f"for {len(benchmarks)} benchmarks)")
-            return 1
-
-        warm_store = TraceStore(root)
-        warm_engine = SweepEngine(simulator=Simulator(trace_store=warm_store))
-        warm = warm_engine.sweep(benchmarks, mechanisms, **kwargs)
-        if warm_store.hits != len(benchmarks):
-            print(f"smoke: warm store missed (hits={warm_store.hits}, "
-                  f"expected {len(benchmarks)})")
-            return 1
-
-        for key in cold:
-            for a, b, c in zip(cold[key], memo[key], warm[key]):
-                if not (
-                    dataclasses.asdict(a.stats)
-                    == dataclasses.asdict(b.stats)
-                    == dataclasses.asdict(c.stats)
-                ):
-                    print(f"smoke: stats diverged for {key}")
-                    return 1
-    print("sweep smoke: cold == memoised == warm-store "
-          f"({len(cold)} cells over {benchmarks})")
-    if sampled:
-        return _smoke_sampled(benchmarks, mechanisms, kwargs)
-    return 0
-
-
-def _lake_child(root: str, lake_flag: str) -> int:
-    """Hidden entry point for the ``--lake`` gate.
-
-    Runs the smoke grid in *this* process against the store at *root*
-    with the result lake pinned on or off, then prints one
-    machine-readable line (``digest=... simulated=... lake_hits=...
-    lake_writes=...``) the parent gate compares across processes.
-    """
-    import json
-
-    from repro.workloads.store import TraceStore
-
-    benchmarks = ["mcf", "dealII"]
-    mechanisms = [
-        MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
-    ]
-    engine = SweepEngine(
-        simulator=Simulator(trace_store=TraceStore(root)),
-        result_lake=(lake_flag == "on"),
-    )
-    results = engine.sweep(
-        benchmarks, mechanisms, seeds=[1], warmup=512, measure=2000,
-    )
-    payload = {
-        "|".join(key): [dataclasses.asdict(r.stats) for r in cell]
-        for key, cell in sorted(results.items())
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    print(
-        f"digest={digest} simulated={engine.cell_misses} "
-        f"lake_hits={engine.lake_hits} lake_writes={engine.lake_writes}"
-    )
-    return 0
-
-
-def _smoke_lake() -> int:
-    """Incremental-sweep gate (ISSUE 9 / DESIGN.md §14).
-
-    A cold child process populates the lake; a *fresh* child on the warm
-    lake must simulate zero cells and produce a digest-identical
-    artifact; a lake-off child on the same store must never touch the
-    lake yet stay digest-identical — the `REPRO_RESULT_LAKE` off =
-    today's behaviour guarantee.
-    """
-    import os
-    import subprocess
-    import sys
-    import tempfile
-    from pathlib import Path
-
-    import repro
-
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-
-    def child(root: str, flag: str) -> dict | None:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.harness.sweep",
-             "--lake-child", root, flag],
-            capture_output=True, text=True, env=env,
-        )
-        if proc.returncode != 0 or not proc.stdout.strip():
-            print(f"lake smoke: child ({flag}) failed:\n"
-                  f"{proc.stdout}{proc.stderr}")
-            return None
-        line = proc.stdout.strip().splitlines()[-1]
-        return dict(part.split("=", 1) for part in line.split())
-
-    with tempfile.TemporaryDirectory(prefix="repro-smoke-lake-") as root:
-        cold = child(root, "on")
-        if cold is None:
-            return 1
-        if int(cold["simulated"]) == 0:
-            print("lake smoke: cold run simulated nothing")
-            return 1
-        if int(cold["lake_writes"]) != int(cold["simulated"]):
-            print("lake smoke: cold run did not lake every simulation "
-                  f"(simulated={cold['simulated']}, "
-                  f"writes={cold['lake_writes']})")
-            return 1
-        warm = child(root, "on")
-        if warm is None:
-            return 1
-        if int(warm["simulated"]) != 0:
-            print("lake smoke: warm fresh-process run re-simulated "
-                  f"{warm['simulated']} cells")
-            return 1
-        if warm["digest"] != cold["digest"]:
-            print("lake smoke: warm digest diverged "
-                  f"({warm['digest']} != {cold['digest']})")
-            return 1
-        off = child(root, "off")
-        if off is None:
-            return 1
-        if int(off["lake_hits"]) != 0 or int(off["lake_writes"]) != 0:
-            print("lake smoke: lake-off run touched the lake "
-                  f"(hits={off['lake_hits']}, writes={off['lake_writes']})")
-            return 1
-        if off["digest"] != cold["digest"]:
-            print("lake smoke: lake-off digest diverged "
-                  f"({off['digest']} != {cold['digest']})")
-            return 1
-    print("lake smoke: warm fresh-process re-run simulated 0 cells "
-          f"(lake_hits={warm['lake_hits']}), digest-identical cold == "
-          f"warm == lake-off ({cold['digest']})")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.sweep",
-        description="Shared sweep engine utilities.",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI gate: verify memoised and warm-store sweeps are "
-        "bit-identical to a cold sweep",
-    )
-    parser.add_argument(
-        "--sampled", action="store_true",
-        help="with --smoke: additionally gate the sampled-simulation "
-        "subsystem (degenerate bit-identity, sampled determinism, "
-        "checkpoint restore)",
-    )
-    parser.add_argument(
-        "--lake", action="store_true",
-        help="with --smoke: incremental-sweep gate — a fresh process on "
-        "a warm result lake must simulate zero cells and emit a "
-        "digest-identical artifact",
-    )
-    parser.add_argument(
-        "--lake-child", nargs=2, metavar=("ROOT", "ON|OFF"),
-        help=argparse.SUPPRESS,
-    )
-    args = parser.parse_args(argv)
-    if args.lake_child:
-        return _lake_child(args.lake_child[0], args.lake_child[1])
-    if args.smoke:
-        status = _smoke(sampled=args.sampled)
-        if status == 0 and args.lake:
-            status = _smoke_lake()
-        return status
-    parser.print_help()
-    return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,9 +9,9 @@ merges the digest-verified shard artifacts back into one
 :class:`~repro.api.result.RunResult` that is bit-identical to an
 in-process run.  A deterministic fault-injection plane
 (:mod:`~repro.service.faults`, ``REPRO_FAULTS``) lets tests and the CI
-smoke gate exercise every failure path, and
-:mod:`~repro.service.server` exposes the whole thing over a local
-socket (``repro serve``).
+smoke gates (:mod:`~repro.service.smoke`) exercise every failure path,
+and :mod:`~repro.service.server` runs shards for a cluster coordinator
+(``repro serve``).
 """
 
 from repro.service.faults import FaultPlan, FaultPlanError

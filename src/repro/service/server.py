@@ -1,6 +1,6 @@
-"""``repro serve`` — spec or shard JSON in, digest-verified payload out.
+"""``repro serve`` — a cluster host: shard JSON in, digest-verified payload out.
 
-A deliberately small batch service speaking the newline-JSON protocol of
+A deliberately small service speaking the newline-JSON protocol of
 :mod:`repro.cluster.framing` — one request per connection, one response
 back — on a local Unix socket, a TCP endpoint (``--tcp HOST:PORT``), or
 both at once.  Both listeners share one handler, so the framing
@@ -10,9 +10,6 @@ single code path.
 
 Operations::
 
-    {"spec": <ExperimentSpec.to_dict()>, "shards": <int, optional>}
-        -> {"ok": true, "sharded": <ShardedSweepResult.to_dict()>}
-
     {"op": "hello"}
         -> {"ok": true, "hello": {protocol, workload_version, cell_format}}
 
@@ -21,18 +18,16 @@ Operations::
         -> {"ok": true, "result": <ShardResult.to_dict()>,
             "lake_cells": [<lake entry>, ...]}   # when lake requested
 
-    anything else -> {"ok": false, "error": "<reason>", ...}
+    anything else (no op included) -> {"ok": false, "error": "<reason>", ...}
 
-The sweep op routes through the same :class:`ShardSupervisor` the CLI
-uses, so every robustness property — deadlines, retries, reassignment,
-quarantine, in-process degradation — and the digest-verified merge hold
-for served requests too.  The shard op is what a cluster coordinator's
-:class:`~repro.cluster.dispatch.RemoteDispatcher` sends: the shard runs
-on *this host's own* engine and store (the work order's embedded store
-path is coordinator-local and deliberately ignored), and honours the
-coordinator's injected fault exactly like a forked worker would —
-``crash`` really kills the whole server process, which is what makes the
-loopback CI gate's host-failover scenario honest.
+The shard op is what a cluster coordinator's
+:class:`~repro.cluster.dispatch.RemoteDispatcher` sends (``repro sweep
+--hosts``): the shard runs on *this host's own* engine and store (the
+work order's embedded store path is coordinator-local and deliberately
+ignored), and honours the coordinator's injected fault exactly like a
+forked worker would — ``crash`` really kills the whole server process,
+which is what makes the loopback CI gate's host-failover scenario
+honest.
 """
 
 from __future__ import annotations
@@ -41,31 +36,20 @@ import asyncio
 import os
 from pathlib import Path
 
-from repro.api.spec import ExperimentSpec
 from repro.cluster import framing
-from repro.cluster.framing import (  # noqa: F401  (re-export: legacy name)
-    STREAM_LIMIT,
-    FrameError,
-)
+from repro.cluster.framing import STREAM_LIMIT, FrameError
 from repro.cluster.hosts import local_capabilities
 from repro.obs.runtime import obs_tracer
 from repro.service.shards import ShardSpec
-from repro.service.supervisor import ShardedSweepResult, ShardSupervisor
 from repro.service.worker import HANG_SLEEP_SECONDS, execute_shard_with_lake
 
 
-class ServiceError(RuntimeError):
-    """The server answered ``ok: false`` (carries its reason)."""
-
-
 class SweepServer:
-    """Serve sweep/shard requests on Unix and/or TCP listeners."""
+    """Serve hello/shard requests on Unix and/or TCP listeners."""
 
     def __init__(
         self,
         socket_path: str | os.PathLike | None = None,
-        supervisor: ShardSupervisor | None = None,
-        shards: int | None = None,
         *,
         tcp: tuple[str, int] | None = None,
         stream_limit: int = STREAM_LIMIT,
@@ -79,11 +63,6 @@ class SweepServer:
         #: ``(host, port)`` to listen on; port 0 binds an ephemeral port
         #: (the real one lands in :attr:`bound_address` once serving).
         self.tcp = tcp
-        self.supervisor = supervisor or ShardSupervisor()
-        #: Server-side default shard count; a request's explicit
-        #: ``shards`` beats it, the spec's own ``shards`` field is the
-        #: final fallback.
-        self.shards = shards
         #: Injectable for tests: a tiny limit makes the oversized path
         #: reachable without shipping 64 MiB.
         self.stream_limit = stream_limit
@@ -126,33 +105,10 @@ class SweepServer:
             return {"ok": True, "hello": local_capabilities()}
         if op == "shard":
             return await self._respond_shard(request, serial)
-        if op is not None:
-            return {
-                "ok": False,
-                "error": f"unknown op {op!r} (this build speaks: hello, "
-                "shard, and the spec sweep request)",
-            }
-        # Legacy sweep request: {"spec": ..., "shards": N}.
-        try:
-            if "spec" not in request:
-                raise ValueError('expected {"spec": {...}, "shards": N}')
-            spec = ExperimentSpec.from_dict(request["spec"])
-            shards = request.get("shards")
-            if shards is None:
-                shards = self.shards if self.shards is not None \
-                    else spec.shards
-            outcome = await self.supervisor.run_async(spec, shards=shards)
-        except Exception as error:  # noqa: BLE001 - protocol boundary
-            tracer.event(
-                "serve.response", serial=serial, ok=False,
-                error=type(error).__name__,
-            )
-            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        tracer.event(
-            "serve.response", serial=serial, ok=True,
-            mode=outcome.mode, complete=outcome.complete,
-        )
-        return {"ok": True, "sharded": outcome.to_dict()}
+        return {
+            "ok": False,
+            "error": f"unknown op {op!r} (this build speaks: hello, shard)",
+        }
 
     async def _respond_shard(self, request: dict, serial: int) -> dict:
         """One remote shard attempt, with the worker fault plane.
@@ -315,38 +271,3 @@ class SweepServer:
                     self.socket_path.unlink()
                 except FileNotFoundError:
                     pass
-
-
-def request(
-    spec: ExperimentSpec,
-    socket_path,
-    shards: int | None = None,
-    timeout: float = 600.0,
-    *,
-    retries: int = 2,
-    connect_timeout: float | None = None,
-) -> ShardedSweepResult:
-    """Client helper: run *spec* on the server at *socket_path*.
-
-    *socket_path* is a Unix-socket path, a ``(host, port)`` tuple, or a
-    :class:`~repro.cluster.hosts.HostSpec` — the transport is
-    :func:`repro.cluster.client.call`, so a connection refused, a
-    missing socket file or an EOF before any response byte (a racing
-    server restart) is redialed with bounded backoff up to *retries*
-    times.  Raises :class:`ServiceError` when the server reports a
-    failure and ``OSError``/``TimeoutError`` when it stays unreachable;
-    a healthy round trip returns the same :class:`ShardedSweepResult` a
-    local supervisor would have, digest checks re-run on load.
-    """
-    from repro.cluster import client
-
-    message: dict = {"spec": spec.to_dict()}
-    if shards is not None:
-        message["shards"] = shards
-    response = client.call(
-        socket_path, message,
-        timeout=timeout, connect_timeout=connect_timeout, retries=retries,
-    )
-    if not response.get("ok"):
-        raise ServiceError(response.get("error", "unknown server error"))
-    return ShardedSweepResult.from_dict(response["sharded"])

@@ -62,21 +62,13 @@ class ShardReport:
     quarantined: bool = False
 
     def to_dict(self) -> dict:
+        """The artifact telemetry section's per-shard entry."""
         return {
             "attempts": self.attempts,
             "failure_kinds": list(self.failure_kinds),
             "backoff_seconds": round(self.backoff_seconds, 4),
             "quarantined": self.quarantined,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardReport":
-        return cls(
-            attempts=int(payload["attempts"]),
-            failure_kinds=tuple(payload["failure_kinds"]),
-            backoff_seconds=float(payload["backoff_seconds"]),
-            quarantined=bool(payload["quarantined"]),
-        )
 
 
 @dataclass
@@ -108,41 +100,6 @@ class ShardedSweepResult:
 
     def digest(self) -> str:
         return self.result.digest()
-
-    def to_dict(self) -> dict:
-        return {
-            "result": self.result.to_dict(),
-            "holes": [list(hole) for hole in self.holes],
-            "quarantined": list(self.quarantined),
-            "attempts": {str(k): v for k, v in self.attempts.items()},
-            "failures": list(self.failures),
-            "mode": self.mode,
-            "shard_reports": {
-                str(index): report.to_dict()
-                for index, report in sorted(self.shard_reports.items())
-            },
-            "host_reports": dict(sorted(self.host_reports.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardedSweepResult":
-        return cls(
-            result=RunResult.from_dict(payload["result"]),
-            holes=tuple(
-                (hole[0], hole[1], hole[2]) for hole in payload["holes"]
-            ),
-            quarantined=tuple(payload["quarantined"]),
-            attempts={int(k): v for k, v in payload["attempts"].items()},
-            failures=tuple(payload["failures"]),
-            mode=payload["mode"],
-            # Absent in pre-telemetry payloads: reports stay empty.
-            shard_reports={
-                int(index): ShardReport.from_dict(report)
-                for index, report in payload.get("shard_reports", {}).items()
-            },
-            # Absent in pre-cluster (and non-clustered) payloads.
-            host_reports=dict(payload.get("host_reports", {})),
-        )
 
 
 class ShardSupervisor:
@@ -178,15 +135,7 @@ class ShardSupervisor:
     def run(
         self, spec: ExperimentSpec, shards: int | None = None, session=None
     ) -> ShardedSweepResult:
-        """Execute *spec* sharded; blocking front of :meth:`run_async`."""
-        return asyncio.run(
-            self.run_async(spec, shards=shards, session=session)
-        )
-
-    async def run_async(
-        self, spec: ExperimentSpec, shards: int | None = None, session=None
-    ) -> ShardedSweepResult:
-        """Async core, callable from a running loop (``repro serve``).
+        """Execute *spec* sharded.
 
         With nothing to split, *spec* runs in process on *session* (its
         engine, memo and store), or on ``Session.for_spec(spec)`` when
@@ -194,22 +143,16 @@ class ShardSupervisor:
         """
         count = spec.shards if shards is None else shards
         if count <= 1 or spec.cells < 2:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, self._run_in_process, spec, session
+            if session is None:
+                from repro.api.session import Session
+
+                session = Session.for_spec(spec)
+            return ShardedSweepResult(
+                result=session.run(spec), mode="in-process"
             )
-        return await self._run_sharded(spec, count)
+        return asyncio.run(self._run_sharded(spec, count))
 
     # ------------------------------------------------------------------
-
-    def _run_in_process(
-        self, spec: ExperimentSpec, session
-    ) -> ShardedSweepResult:
-        """Nothing to split: the classic engine path."""
-        if session is None:
-            from repro.api.session import Session
-
-            session = Session.for_spec(spec)
-        return ShardedSweepResult(result=session.run(spec), mode="in-process")
 
     async def _run_sharded(
         self, spec: ExperimentSpec, count: int

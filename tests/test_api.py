@@ -2,10 +2,10 @@
 
 Covers the spec JSON round trip and fingerprint stability, the
 environment overlay precedence (explicit field beats env beats default),
-the ``REPRO_*`` typo guard, the deprecation shims, the versioned
-``RunResult`` artifact (round trip, tamper detection), CLI smoke tests
-for every subcommand, and the golden check that ``Session.run`` of the
-fig4 spec is digest-identical to the legacy runner path.
+the ``REPRO_*`` typo guard, the versioned ``RunResult`` artifact (round
+trip, tamper detection), CLI smoke tests for every subcommand, and the
+golden check that ``Session.run`` of the fig4 spec is bit-identical to
+direct per-cell simulation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.api.spec import (
     StoreSpec,
     WindowSpec,
 )
-from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepEngine
 from repro.pipeline.config import MechanismConfig
 from repro.pipeline.simulator import Simulator
@@ -288,6 +287,19 @@ class TestEnvOverlay:
         monkeypatch.setenv("REPRO_FULL", "1")
         assert list(ExperimentSpec.from_env().benchmarks) == benchmark_names()
 
+    def test_spec_resolves_environment_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WARMUP", "512")
+        monkeypatch.setenv("REPRO_MEASURE", "2048")
+        spec = ExperimentSpec.from_env(benchmarks=["mcf"])
+        # Changing the environment afterwards cannot split one
+        # experiment across two windows: the spec is self-contained and
+        # Session.run never consults the environment.
+        monkeypatch.setenv("REPRO_MEASURE", "9999")
+        assert spec.window == WindowSpec(warmup=512, measure=2048)
+        result = private_session().run(spec)
+        assert result.cells[0].stats.committed >= 2048
+        assert result.spec.window.measure == 2048
+
 
 class TestTypoGuard:
     def test_unknown_repro_variable_warns_once(self, monkeypatch):
@@ -319,22 +331,6 @@ class TestTypoGuard:
             "REPRO_WORKERS",
         ):
             assert retired not in api_env.KNOWN_VARS
-
-
-class TestDeprecationShims:
-    def test_runner_resolves_environment_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARMUP", "512")
-        monkeypatch.setenv("REPRO_MEASURE", "2048")
-        runner = ExperimentRunner(
-            benchmarks=["mcf"],
-            engine=SweepEngine(simulator=Simulator(trace_store=None)),
-        )
-        # The footgun this kills: changing the environment mid-process
-        # used to re-resolve at every run() call.
-        monkeypatch.setenv("REPRO_MEASURE", "9999")
-        assert runner.warmup == 512
-        assert runner.measure == 2048
-        assert runner.sampling is not None  # pinned, not None-follow-env
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +464,7 @@ class TestSessionAndResult:
 
 
 # ---------------------------------------------------------------------------
-# Golden: the spec path is digest-identical to the legacy runner path
+# Golden: the spec path is bit-identical to direct per-cell simulation
 # ---------------------------------------------------------------------------
 
 
@@ -476,36 +472,36 @@ class TestGoldenFig4:
     BENCHMARKS = ["mcf", "dealII"]
     WINDOW = WindowSpec(512, 2000)
 
-    def test_session_matches_legacy_runner_bit_for_bit(self):
+    def test_session_matches_direct_simulation_bit_for_bit(self):
         spec = figure_spec(
             "fig4", benchmarks=self.BENCHMARKS, window=self.WINDOW
         )
         result = private_session().run(spec)
 
-        runner = ExperimentRunner(
-            benchmarks=self.BENCHMARKS,
-            warmup=self.WINDOW.warmup,
-            measure=self.WINDOW.measure,
-            engine=SweepEngine(simulator=Simulator(trace_store=None)),
-        )
-        runner.run(list(FIG4_MECHANISMS))
-
-        legacy_cells = []
+        # An independent path: one fresh Simulator call per cell, no
+        # sweep engine, memo or store in between.
+        simulator = Simulator(trace_store=None)
+        direct_cells = []
         for benchmark in self.BENCHMARKS:
             for mechanism in FIG4_MECHANISMS:
-                outcome = runner.outcome(benchmark, mechanism.name)
-                for sim in outcome.results:
-                    legacy_cells.append(CellResult(
-                        benchmark, mechanism.name, sim.seed, sim.stats
+                for seed in spec.seeds:
+                    direct = simulator.run_benchmark(
+                        benchmark, mechanism, warmup=self.WINDOW.warmup,
+                        measure=self.WINDOW.measure, seed=seed,
+                        sampling=spec.sampling,
+                    )
+                    direct_cells.append(CellResult(
+                        benchmark, mechanism.name, seed, direct.stats
                     ))
-                # Field-for-field identity, not just digest identity.
-                assert dataclasses.asdict(
-                    outcome.merged_stats[0]
-                ) == dataclasses.asdict(
-                    result.outcome(benchmark, mechanism.name).merged_stats[0]
-                )
-        legacy_result = RunResult(spec=spec, cells=legacy_cells)
-        assert legacy_result.digest() == result.digest()
+                    # Field-for-field identity, not just digest identity.
+                    assert dataclasses.asdict(direct.stats) == \
+                        dataclasses.asdict(next(
+                            cell.stats for cell in result.cells
+                            if (cell.benchmark, cell.mechanism, cell.seed)
+                            == (benchmark, mechanism.name, seed)
+                        ))
+        direct_result = RunResult(spec=spec, cells=direct_cells)
+        assert direct_result.digest() == result.digest()
 
     #: One batch over figures that share the baseline and ideal-RSEP
     #: cells under different mechanism names.
@@ -612,6 +608,52 @@ class TestCliSweep:
         assert "sweep smoke: cold == memoised == warm-store" in (
             capsys.readouterr().out
         )
+
+    @staticmethod
+    def _record_gates(monkeypatch, failing: str | None = None) -> list:
+        """Replace each smoke gate by a recorder; *failing* returns 1."""
+        from repro.service import smoke
+
+        ran = []
+
+        def gate(name):
+            def run(**kwargs):
+                ran.append((name, kwargs))
+                return 1 if name == failing else 0
+            return run
+
+        for name in ("sweep", "sampled", "lake", "fault"):
+            monkeypatch.setattr(smoke, f"{name}_smoke", gate(name))
+        return ran
+
+    def test_smoke_runs_every_requested_gate_in_order(self, monkeypatch):
+        from repro.api.cli import main
+
+        ran = self._record_gates(monkeypatch)
+        assert main(["sweep", "--smoke", "--hosts", "loopback", "--lake",
+                     "--shards", "3", "--sampled"]) == 0
+        assert ran == [
+            ("sweep", {}), ("sampled", {}), ("lake", {}),
+            ("fault", {"loopback": True, "shards": 3}),
+        ]
+
+    def test_smoke_stops_at_the_first_failing_gate(self, monkeypatch):
+        from repro.api.cli import main
+
+        ran = self._record_gates(monkeypatch, failing="lake")
+        assert main(["sweep", "--smoke", "--lake", "--shards", "2"]) == 1
+        assert [name for name, _ in ran] == ["sweep", "lake"]
+
+    def test_smoke_runs_the_lake_and_sharded_gates_together(
+        self, capsys, monkeypatch
+    ):
+        from repro.api.cli import main
+
+        monkeypatch.setenv("REPRO_FAULTS", "crash:0,corrupt:1")
+        assert main(["sweep", "--smoke", "--lake", "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        for gate in ("sweep smoke:", "lake smoke:", "sharded smoke:"):
+            assert gate in out
 
     def test_sampled_flag_enables_interval_sampling(
         self, tmp_path, monkeypatch

@@ -1,11 +1,12 @@
-"""Smoke tests for the console entry points.
+"""Smoke tests for the console entry point.
 
 ``repro`` (repro.api.cli) is the single front door.  These tests invoke
-the ``main([...])`` functions exactly as the installed script and the
-module CLIs do — with ``--smoke``-class arguments kept small enough for
-CI — and pin the ``setup.py`` declaration to a real import target so a
-rename can never ship a broken script.  (The ``repro``
-subcommands themselves are covered in ``tests/test_api.py``.)
+its ``main([...])`` exactly as the installed script does — with
+``--smoke``-class arguments kept small enough for CI — pin the
+``setup.py`` declaration to a real import target so a rename can never
+ship a broken script, and check that every ``python -m repro…`` command
+the documentation teaches names the ``repro`` module and parses.  (The
+remaining subcommands are covered in ``tests/test_api.py``.)
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from __future__ import annotations
 import importlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from repro.api.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,11 +42,9 @@ class TestConsoleScriptDeclarations:
 
 class TestPerfCli:
     def test_tiny_cell_writes_json(self, capsys, tmp_path):
-        from repro.harness.perf import main
-
         out = tmp_path / "perf.json"
         code = main([
-            "--benchmark", "mcf", "--mechanism", "baseline",
+            "perf", "--benchmark", "mcf", "--mechanism", "baseline",
             "--warmup", "256", "--measure", "1024",
             "--repeats", "1", "--json", str(out),
         ])
@@ -57,10 +59,8 @@ class TestPerfCli:
         assert "mcf" in rendered and "baseline" in rendered
 
     def test_sampled_flag_times_sampled_runs(self, capsys):
-        from repro.harness.perf import main
-
         code = main([
-            "--benchmark", "mcf", "--mechanism", "rsep-realistic",
+            "perf", "--benchmark", "mcf", "--mechanism", "rsep-realistic",
             "--warmup", "512", "--measure", "2000", "--repeats", "1",
             "--sampled", "--interval", "1000", "--detail-ratio", "0.25",
             "--json", "-",
@@ -71,25 +71,80 @@ class TestPerfCli:
         assert payload["aggregate_kips"]["rsep-realistic"] > 0
 
     def test_unknown_mechanism_is_rejected(self):
-        from repro.harness.perf import main
-
         with pytest.raises(SystemExit):
-            main(["--mechanism", "definitely-not-a-preset"])
+            main(["perf", "--mechanism", "definitely-not-a-preset"])
 
 
 class TestSweepCli:
     def test_no_arguments_prints_help(self, capsys):
-        from repro.harness.sweep import main
-
         assert main([]) == 2
-        assert "--smoke" in capsys.readouterr().out
+        listed = capsys.readouterr().out
+        for command in ("sweep", "perf", "figures", "report", "inspect",
+                        "profile", "tail", "serve"):
+            assert command in listed
 
     def test_smoke_gate_passes(self, capsys):
         # The actual CI gate: cold == memoised == warm-store over a
         # private temporary store.  (The sampled extension has its own
         # CI invocation; it is too slow for the tier-1 suite.)
-        from repro.harness.sweep import main
-
-        assert main(["--smoke"]) == 0
+        assert main(["sweep", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "sweep smoke: cold == memoised == warm-store" in out
+
+
+#: Where the project documents commands to run.
+DOCUMENTED = ("README.md", ".claude/skills/verify/SKILL.md",
+              ".github/workflows/ci.yml")
+
+_COMMAND = re.compile(r"python3? -m (repro[\w.]*)([^`\n]*)")
+
+
+def documented_commands(text: str) -> list[tuple[str, list[str]]]:
+    """Every ``python -m repro…`` command in *text*: (module, argv).
+
+    Backslash continuations are joined; an argument list ends at a shell
+    operator or comment, and shell variables such as ``$args`` are
+    skipped.
+    """
+    commands = []
+    for match in _COMMAND.finditer(text.replace("\\\n", " ")):
+        lexer = shlex.shlex(match.group(2), posix=True,
+                            punctuation_chars=True)
+        lexer.whitespace_split = True
+        argv = []
+        for token in lexer:
+            if token[0] in "&|;<>()":
+                break
+            if not token.startswith("$"):
+                argv.append(token)
+        commands.append((match.group(1), argv))
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_extractor_handles_shell_syntax(self):
+        text = ("$ python -m repro serve --tcp 0.0.0.0:9091 &  # note\n"
+                "  python -m repro.harness.perf \\\n    --repeats 1\n"
+                "run: python -m repro figures $args --out out\n")
+        assert documented_commands(text) == [
+            ("repro", ["serve", "--tcp", "0.0.0.0:9091"]),
+            ("repro.harness.perf", ["--repeats", "1"]),
+            ("repro", ["figures", "--out", "out"]),
+        ]
+
+    @pytest.mark.parametrize("document", DOCUMENTED)
+    def test_documented_commands_parse(self, document, capsys):
+        commands = documented_commands(
+            (REPO_ROOT / document).read_text(encoding="utf-8")
+        )
+        assert commands, f"{document} documents no repro command"
+        for module, argv in commands:
+            assert module == "repro", (
+                f"{document} teaches `python -m {module}`; every command "
+                "goes through the `repro` front door"
+            )
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{document}: `repro {shlex.join(argv)}` does "
+                            f"not parse: {capsys.readouterr().err}")

@@ -43,7 +43,7 @@ from repro.cluster.hosts import (
     parse_hosts,
 )
 from repro.cluster.pool import HostPool
-from repro.service.server import SweepServer, request
+from repro.service.server import SweepServer
 from repro.service.shards import (
     merge_shards,
     plan_shards,
@@ -82,10 +82,9 @@ class ServerThread:
     """A SweepServer on a background thread, TCP and/or Unix."""
 
     def __init__(self, socket_path=None, tcp=("127.0.0.1", 0),
-                 stream_limit=framing.STREAM_LIMIT, **supervisor_overrides):
+                 stream_limit=framing.STREAM_LIMIT):
         self.server = SweepServer(
-            socket_path, supervisor=fast_supervisor(**supervisor_overrides),
-            tcp=tcp, stream_limit=stream_limit,
+            socket_path, tcp=tcp, stream_limit=stream_limit,
         )
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self._run, daemon=True)
@@ -343,7 +342,7 @@ class TestServerHardening:
             assert reply["kind"] == "truncated"
 
     def test_oversized_rejected_structured(self, served):
-        filler = b'{"spec": "' + b"x" * 8192 + b'"}\n'
+        filler = b'{"op": "' + b"x" * 8192 + b'"}\n'
         for address in self.addresses(served):
             reply = _raw_exchange(address, filler)
             assert reply["ok"] is False
@@ -434,14 +433,6 @@ class TestClientRetry:
         assert err.value.kind == "closed"
         thread.join(timeout=5.0)
         listener.close()
-
-    def test_request_helper_over_tcp(self, reference):
-        # The sweep client rides the same transport: spec in, verified
-        # ShardedSweepResult out, over TCP.
-        with ServerThread() as served:
-            outcome = request(tiny_spec(), served.address, shards=2)
-            assert outcome.mode == "sharded"
-            assert outcome.digest() == reference.digest()
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,7 @@ from repro.obs import (
 from repro.pipeline.config import MechanismConfig
 from repro.pipeline.stats import Stats
 from repro.service.faults import FaultPlan
-from repro.service.supervisor import (
-    ShardReport,
-    ShardedSweepResult,
-    ShardSupervisor,
-)
+from repro.service.supervisor import ShardReport, ShardSupervisor
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -507,28 +503,45 @@ class TestFaultedShardedSweep:
         assert outcome.shard_reports[0].failure_kinds == ("death", "death")
         assert "shard.quarantine" in all_event_names(directory)
 
-    def test_shard_report_round_trip(self):
+    def test_shard_report_round_trip(self, tmp_path):
+        # A report's dict form is the artifact telemetry's per-shard
+        # entry: it must survive save and load unchanged.
         report = ShardReport(attempts=3, failure_kinds=("death", "hang"),
                              backoff_seconds=0.15, quarantined=True)
-        assert ShardReport.from_dict(report.to_dict()) == report
-
-    def test_sharded_result_round_trip_keeps_reports(self):
         stats = Stats()
         stats.committed, stats.cycles = 512, 700
-        inner = RunResult(spec=tiny_spec(),
-                          cells=[CellResult("mcf", "baseline", 1, stats)])
-        outcome = ShardedSweepResult(
-            result=inner, attempts={0: 2},
-            shard_reports={0: ShardReport(attempts=2,
-                                          failure_kinds=("corrupt",),
-                                          backoff_seconds=0.01)},
+        result = RunResult(
+            spec=tiny_spec(),
+            cells=[CellResult("mcf", "baseline", 1, stats)],
+            telemetry={"shards": {"0": report.to_dict()}},
         )
-        loaded = ShardedSweepResult.from_dict(outcome.to_dict())
-        assert loaded.shard_reports[0].failure_kinds == ("corrupt",)
-        # Pre-telemetry payloads load with empty reports.
-        legacy = outcome.to_dict()
-        del legacy["shard_reports"]
-        assert ShardedSweepResult.from_dict(legacy).shard_reports == {}
+        path = tmp_path / "result.json"
+        result.save(path)
+        assert RunResult.load(path).telemetry["shards"]["0"] == {
+            "attempts": 3, "failure_kinds": ["death", "hang"],
+            "backoff_seconds": 0.15, "quarantined": True,
+        }
+
+    def test_sharded_result_round_trip_keeps_reports(self, monkeypatch,
+                                                     tmp_path):
+        # Every shard report of a faulted run reaches the saved
+        # artifact, so a reloaded result still explains its retries.
+        obs_env(monkeypatch, tmp_path, every=0)
+        supervisor = ShardSupervisor(
+            backoff_base=0.01, backoff_cap=0.02,
+            faults=FaultPlan.parse("crash:1"),
+        )
+        outcome = supervisor.run(
+            tiny_spec(benchmarks=("mcf", "dealII")), shards=2
+        )
+        assert outcome.complete
+        path = tmp_path / "merged.json"
+        outcome.result.save(path)
+        assert RunResult.load(path).telemetry["shards"] == {
+            str(index): report.to_dict()
+            for index, report in outcome.shard_reports.items()
+        }
+        assert outcome.shard_reports[1].failure_kinds == ("death",)
 
 
 # ---------------------------------------------------------------------------

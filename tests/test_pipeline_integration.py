@@ -3,12 +3,14 @@ branch unit, workloads and harness."""
 
 import pytest
 
+from repro.api.session import Session
+from repro.api.spec import ExperimentSpec, WindowSpec
 from repro.frontend.branch_unit import BranchUnit
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
 from repro.harness.redundancy import analyze_benchmark, analyze_trace
 from repro.harness.reporting import Table, geometric_mean, harmonic_mean
-from repro.harness.runner import ExperimentRunner
+from repro.harness.sweep import SweepEngine
 from repro.pipeline.config import CoreConfig, MechanismConfig
 from repro.pipeline.core import Pipeline
 from repro.pipeline.simulator import Simulator
@@ -340,20 +342,29 @@ class TestSimulatorAndRunner:
         assert len(simulator._trace_cache) == 1
 
     def test_runner_speedup_query(self):
-        runner = ExperimentRunner(
-            benchmarks=["hmmer"], seeds=[1], warmup=8000, measure=20000
-        )
-        runner.run([MechanismConfig.baseline(), MechanismConfig.rsep_ideal()])
-        speedup = runner.speedup("hmmer", "rsep")
+        result = Session().run(ExperimentSpec(
+            benchmarks=["hmmer"],
+            mechanisms=[
+                MechanismConfig.baseline(), MechanismConfig.rsep_ideal()
+            ],
+            window=WindowSpec(warmup=8000, measure=20000),
+        ))
+        speedup = result.speedup("hmmer", "rsep")
         assert speedup > 0.02
 
     def test_runner_memoizes(self):
-        runner = ExperimentRunner(
-            benchmarks=["gcc"], seeds=[1], warmup=500, measure=1000
+        session = Session(engine=SweepEngine(
+            simulator=Simulator(trace_store=None)
+        ))
+        spec = ExperimentSpec(
+            benchmarks=["gcc"], mechanisms=[MechanismConfig.baseline()],
+            window=WindowSpec(warmup=500, measure=1000),
         )
-        first = runner.run_cell("gcc", MechanismConfig.baseline())
-        second = runner.run_cell("gcc", MechanismConfig.baseline())
-        assert first is second
+        first = session.run(spec)
+        second = session.run(spec)
+        assert session.engine.cell_misses == 1
+        assert session.engine.cell_hits == 1
+        assert second.digest() == first.digest()
 
     def test_core_config_redirect_derivation(self):
         config = CoreConfig()

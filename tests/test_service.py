@@ -24,8 +24,10 @@ from repro.api.spec import (
     WindowSpec,
     default_mechanisms,
 )
+from repro.cluster import client
+from repro.cluster.hosts import local_capabilities
 from repro.service.faults import Fault, FaultPlan, FaultPlanError
-from repro.service.server import ServiceError, SweepServer, request
+from repro.service.server import SweepServer
 from repro.service.shards import (
     ShardResult,
     ShardSpec,
@@ -33,7 +35,7 @@ from repro.service.shards import (
     merge_shards,
     plan_shards,
 )
-from repro.service.supervisor import ShardedSweepResult, ShardSupervisor
+from repro.service.supervisor import ShardSupervisor
 from repro.service.worker import (
     ForkDispatcher,
     execute_shard,
@@ -319,18 +321,19 @@ class TestSupervisor:
 
     def test_partial_result_round_trips_with_holes(self, tmp_path):
         supervisor = fast_supervisor(faults="crash:0:*", max_attempts=2)
-        outcome = supervisor.run(tiny_spec(), shards=2)
-        clone = ShardedSweepResult.from_dict(
-            json.loads(json.dumps(outcome.to_dict()))
-        )
-        assert clone.holes == outcome.holes
-        assert clone.quarantined == outcome.quarantined
-        assert clone.attempts == outcome.attempts
-        assert clone.digest() == outcome.digest()
-        # The partial RunResult is itself a valid, reloadable artifact.
+        spec = tiny_spec()
+        outcome = supervisor.run(spec, shards=2)
+        assert outcome.holes
+        # The partial RunResult is itself a valid, reloadable artifact:
+        # its cells are exactly the grid minus the holes.
         path = tmp_path / "partial.json"
         outcome.result.save(path)
-        assert RunResult.load(path).digest() == outcome.digest()
+        clone = RunResult.load(path)
+        assert clone.digest() == outcome.digest()
+        grid = {cell for shard in plan_shards(spec, 2)
+                for cell in shard.cell_ids()}
+        present = {(c.benchmark, c.mechanism, c.seed) for c in clone.cells}
+        assert present == grid - set(outcome.holes)
 
     def test_degrades_to_in_process_for_small_requests(self, reference):
         supervisor = fast_supervisor()
@@ -442,11 +445,9 @@ class TestWorkerEntry:
 class ServerThread:
     """A SweepServer on a background thread, for client round trips."""
 
-    def __init__(self, socket_path, **supervisor_overrides):
+    def __init__(self, socket_path):
         self.socket_path = socket_path
-        self.server = SweepServer(
-            socket_path, supervisor=fast_supervisor(**supervisor_overrides)
-        )
+        self.server = SweepServer(socket_path)
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self._run, daemon=True)
 
@@ -475,81 +476,59 @@ class ServerThread:
         self.loop.call_soon_threadsafe(cancel_all)
         self.thread.join(timeout=10.0)
 
+    def shard(self, shard: ShardSpec, fault: str | None = None) -> dict:
+        """One ``shard`` op round trip; returns the raw reply."""
+        message = {"op": "shard", "shard": shard.to_dict()}
+        if fault is not None:
+            message["fault"] = fault
+        return client.call(self.socket_path, message, timeout=60.0)
+
 
 class TestServer:
     def test_served_sweep_matches_in_process(self, tmp_path, reference):
+        spec = tiny_spec()
         with ServerThread(tmp_path / "repro.sock") as served:
-            outcome = request(tiny_spec(), served.socket_path, shards=2)
-            assert outcome.mode == "sharded"
-            assert outcome.digest() == reference.digest()
-            # No explicit shard count: the spec's own (0) rules —
-            # graceful in-process degradation, same digest.
-            plain = request(tiny_spec(), served.socket_path)
-            assert plain.mode == "in-process"
-            assert plain.digest() == reference.digest()
+            results = []
+            for shard in plan_shards(spec, 2):
+                reply = served.shard(shard)
+                assert reply["ok"] is True
+                results.append(ShardResult.from_dict(reply["result"]))
             assert served.server.requests_served == 2
+        merged, holes = merge_shards(spec, results)
+        assert holes == ()
+        assert merged.digest() == reference.digest()
 
-    def test_served_faults_survive(self, tmp_path, reference):
-        with ServerThread(
-            tmp_path / "repro.sock", faults="crash:0,corrupt:1"
-        ) as served:
-            outcome = request(tiny_spec(), served.socket_path, shards=2)
-            assert outcome.complete
-            assert outcome.attempts == {0: 2, 1: 2}
-            assert outcome.digest() == reference.digest()
+    def test_served_faults_survive(self, tmp_path):
+        shard = plan_shards(tiny_spec(), 2)[0]
+        with ServerThread(tmp_path / "repro.sock") as served:
+            # A faulted payload comes back under a stale digest: the
+            # coordinator-side load check rejects it ...
+            for fault in ("corrupt", "tamper"):
+                reply = served.shard(shard, fault=fault)
+                assert reply["ok"] is True
+                with pytest.raises(ValueError):
+                    ShardResult.from_dict(reply["result"])
+            # ... and the server keeps serving clean shards.
+            clean = ShardResult.from_dict(served.shard(shard)["result"])
+            assert clean.index == shard.index
 
     def test_malformed_request_gets_error_not_crash(self, tmp_path):
-        import socket as socketlib
-
         with ServerThread(tmp_path / "repro.sock") as served:
-            with socketlib.socket(socketlib.AF_UNIX) as sock:
-                sock.settimeout(10.0)
-                sock.connect(str(served.socket_path))
-                sock.sendall(b'{"not a spec": true}\n')
-                reply = json.loads(sock.recv(1 << 20).decode())
+            reply = client.call(served.socket_path, {"not an op": True})
             assert reply["ok"] is False
-            assert "spec" in reply["error"]
+            assert "op" in reply["error"]
             # The server survived: a good request still works.
-            outcome = request(tiny_spec(), served.socket_path)
-            assert outcome.complete
+            hello = client.call(served.socket_path, {"op": "hello"})
+            assert hello["ok"] is True
 
-    def test_client_raises_service_error(self, tmp_path):
+    def test_undecodable_shard_gets_error(self, tmp_path):
         with ServerThread(tmp_path / "repro.sock") as served:
-            bad = tiny_spec().to_dict()
-            bad["$dc"] = "repro.api.spec:WindowSpec"  # decodes wrong type
-            import socket as socketlib
-
-            with socketlib.socket(socketlib.AF_UNIX) as sock:
-                sock.settimeout(10.0)
-                sock.connect(str(served.socket_path))
-                sock.sendall(
-                    (json.dumps({"spec": bad}) + "\n").encode()
-                )
-                reply = json.loads(sock.recv(1 << 20).decode())
+            reply = client.call(
+                served.socket_path,
+                {"op": "shard", "shard": {"not": "a shard"}},
+            )
             assert reply["ok"] is False
-
-    def test_request_helper_raises_on_error(self, tmp_path):
-        import socket as socketlib
-
-        path = tmp_path / "fake.sock"
-        server_sock = socketlib.socket(socketlib.AF_UNIX)
-        server_sock.bind(str(path))
-        server_sock.listen(1)
-
-        def fake_server():
-            conn, _ = server_sock.accept()
-            with conn:
-                conn.recv(1 << 20)
-                conn.sendall(b'{"ok": false, "error": "boom"}\n')
-
-        thread = threading.Thread(target=fake_server, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(ServiceError, match="boom"):
-                request(tiny_spec(), path)
-            thread.join(timeout=10.0)
-        finally:
-            server_sock.close()
+            assert "undecodable shard" in reply["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -702,27 +681,26 @@ class TestServiceCli:
             run_figure("fig7", benchmarks=["mcf", "hmmer"],
                        window=WindowSpec(warmup=256, measure=1024))
 
-    def test_serve_once_round_trip(self, tmp_path, reference):
+    def test_serve_once_round_trip(self, tmp_path):
         from repro.api.cli import main
 
         socket_path = tmp_path / "serve.sock"
-        outcome_box = {}
+        reply_box = {}
 
-        def client():
+        def hello():
             deadline = time.monotonic() + 30.0
             while not socket_path.exists():
                 if time.monotonic() > deadline:
                     return
                 time.sleep(0.01)
-            outcome_box["outcome"] = request(
-                tiny_spec(), socket_path, shards=2
-            )
+            reply_box["reply"] = client.call(socket_path, {"op": "hello"})
 
-        thread = threading.Thread(target=client, daemon=True)
+        thread = threading.Thread(target=hello, daemon=True)
         thread.start()
         assert main(["serve", "--socket", str(socket_path), "--once"]) == 0
         thread.join(timeout=30.0)
-        assert outcome_box["outcome"].digest() == reference.digest()
+        assert reply_box["reply"]["ok"] is True
+        assert reply_box["reply"]["hello"] == local_capabilities()
         assert not socket_path.exists()  # socket cleaned up on exit
 
 

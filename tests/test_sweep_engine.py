@@ -1,10 +1,12 @@
-"""Sweep engine: cell memoisation, fingerprinting, runner integration."""
+"""Sweep engine: cell memoisation, fingerprinting, and the sessions that
+run specs on it."""
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.harness.runner import ExperimentRunner
+from repro.api.session import Session
+from repro.api.spec import ExperimentSpec, WindowSpec
 from repro.harness.sweep import (
     SweepEngine,
     mechanism_fingerprint,
@@ -19,6 +21,13 @@ from helpers import stats_dict  # noqa: E402  (shared test helper)
 
 def _engine() -> SweepEngine:
     return SweepEngine(simulator=Simulator(trace_store=None))
+
+
+def _spec(mechanisms, benchmarks=("mcf",)) -> ExperimentSpec:
+    return ExperimentSpec(
+        benchmarks=benchmarks, mechanisms=mechanisms,
+        window=WindowSpec(warmup=256, measure=1000),
+    )
 
 
 class TestFingerprint:
@@ -121,31 +130,30 @@ class TestSweep:
 
 
 class TestRunnerIntegration:
+    """The spec runners on the engine: sessions and core variants."""
+
     def test_runner_on_engine_matches_direct_simulation(self):
-        engine = _engine()
-        runner = ExperimentRunner(
-            benchmarks=["mcf"], seeds=[1], warmup=256, measure=1000,
-            engine=engine,
-        )
-        runner.run([MechanismConfig.baseline(), MechanismConfig.rsep_ideal()])
+        result = Session(engine=_engine()).run(_spec(
+            [MechanismConfig.baseline(), MechanismConfig.rsep_ideal()]
+        ))
         fresh = Simulator(trace_store=None).run_benchmark(
             "mcf", MechanismConfig.baseline(),
             warmup=256, measure=1000, seed=1,
         )
-        outcome = runner.outcome("mcf", "baseline")
+        outcome = result.outcome("mcf", "baseline")
         assert stats_dict(outcome.results[0].stats) == stats_dict(fresh.stats)
-        assert runner.speedup("mcf", "rsep") == (
-            runner.outcome("mcf", "rsep").ipc / outcome.ipc - 1.0
+        assert result.speedup("mcf", "rsep") == (
+            result.outcome("mcf", "rsep").ipc / outcome.ipc - 1.0
         )
 
     def test_two_runners_share_one_engine(self):
         engine = _engine()
-        kwargs = dict(benchmarks=["mcf"], seeds=[1], warmup=256,
-                      measure=1000, engine=engine)
-        ExperimentRunner(**kwargs).run([MechanismConfig.baseline()])
+        spec = _spec([MechanismConfig.baseline()])
+        first = Session(engine=engine).run(spec)
         assert engine.cell_misses == 1
-        ExperimentRunner(**kwargs).run([MechanismConfig.baseline()])
-        assert engine.cell_misses == 1  # second runner recalled the cell
+        second = Session(engine=engine).run(spec)
+        assert engine.cell_misses == 1  # second session recalled the cell
+        assert second.digest() == first.digest()
 
     def test_shared_engine_serves_custom_config_via_variant(self):
         default_engine = shared_engine()
@@ -201,18 +209,20 @@ class TestRunnerIntegration:
         assert stats_dict(via_variant.stats) == stats_dict(private.stats)
 
     def test_runner_reuses_engine_variant_for_custom_config(self):
-        engine = _engine()
         custom = CoreConfig(rob_entries=64)
-        runner = ExperimentRunner(
-            core_config=custom, benchmarks=["mcf"], seeds=[1],
-            warmup=256, measure=1000, engine=engine,
-        )
-        assert runner.engine is engine.variant(custom)
-        assert runner.engine.core_config == custom
+        session = Session(core_config=custom)
+        assert session.engine is shared_engine().variant(custom)
+        assert session.engine.core_config == custom
+        # A second session on the custom core recalls the first's cells.
+        spec = _spec([MechanismConfig.baseline()])
+        session.run(spec)
+        misses = session.engine.cell_misses
+        Session(core_config=custom).run(spec)
+        assert session.engine.cell_misses == misses
 
 
 class TestSmokeGate:
     def test_smoke_passes(self):
-        from repro.harness.sweep import _smoke
+        from repro.service.smoke import sweep_smoke
 
-        assert _smoke() == 0
+        assert sweep_smoke() == 0
