@@ -124,14 +124,16 @@ class Session:
     ):
         """Execute *spec* through the fault-tolerant sharded service.
 
-        Shards fan out to worker processes under a
+        The cells this session's memo and lake miss fan out to worker
+        processes under a
         :class:`~repro.service.supervisor.ShardSupervisor` (deadlines,
-        retry with backoff, reassignment, quarantine — DESIGN.md §11)
-        and merge digest-verified; the returned
+        retry with backoff, reassignment, quarantine — DESIGN.md §11),
+        merge digest-verified and are filed into this session's memo
+        and lake; the returned
         :class:`~repro.service.supervisor.ShardedSweepResult` is
         digest-identical to :meth:`run` when complete and carries
-        explicit holes otherwise.  ``shards <= 1`` (and a grid too small
-        to split) degrades gracefully to :meth:`run` on this session.
+        explicit holes otherwise.  ``shards <= 1``, or fewer than two
+        misses, runs in process on this session.
         """
         from repro.service.supervisor import ShardSupervisor
 
@@ -150,12 +152,10 @@ class Session:
 
         *hosts* is ``"a:9091,b:9091"`` (or a sequence of
         :class:`~repro.cluster.hosts.HostSpec`); ``None`` reads
-        ``REPRO_HOSTS``.  The shards fan out to the host pool through a
-        :class:`~repro.cluster.dispatch.RemoteDispatcher` under the same
-        :class:`~repro.service.supervisor.ShardSupervisor` retry ladder
-        as :meth:`run_sharded`, and hosts opportunistically publish lake
-        entries back so this session's result lake goes warm.  The
-        merged result is digest-identical to :meth:`run` when complete,
+        ``REPRO_HOSTS``.  As :meth:`run_sharded`, but the misses fan out
+        to the host pool through a
+        :class:`~repro.cluster.dispatch.RemoteDispatcher`.  The merged
+        result is digest-identical to :meth:`run` when complete,
         whatever crashed along the way (DESIGN.md §15).
         """
         from repro.cluster.dispatch import run_clustered

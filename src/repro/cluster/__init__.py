@@ -13,7 +13,7 @@ One ``repro sweep`` driving many ``repro serve --tcp`` hosts:
   periodic re-ping, dead-host bookkeeping);
 * :mod:`repro.cluster.dispatch` — the ``RemoteDispatcher`` the
   :class:`~repro.service.supervisor.ShardSupervisor` uses in place of
-  forked workers, plus digest-verified lake write-back.
+  forked workers; hosts only simulate, the coordinator owns the lake.
 
 The loopback-cluster CI gate is one backend of
 :func:`repro.service.smoke.fault_smoke`.

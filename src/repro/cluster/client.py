@@ -99,7 +99,6 @@ def submit_shard(
     shard_payload: dict,
     *,
     fault: str | None = None,
-    lake: bool = False,
     timeout: float = 600.0,
     connect_timeout: float | None = None,
 ) -> dict:
@@ -113,8 +112,6 @@ def submit_shard(
     message: dict = {"op": "shard", "shard": shard_payload}
     if fault is not None:
         message["fault"] = fault
-    if lake:
-        message["lake"] = True
     return call(
         address, message, timeout=timeout, connect_timeout=connect_timeout,
     )

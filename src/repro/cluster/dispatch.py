@@ -19,41 +19,29 @@ cluster without new code.  Failures classify onto the same ladder:
   (reassignment) and the pool re-pings it later (rejoin);
 * **corrupt / foreign** — the response parsed but failed the digest,
   fingerprint or cell-set checks; retried like a corrupt spool artifact;
-* **no healthy hosts** — graceful degradation: the shard executes
-  inline on the coordinator's own engine, serialised, so a sweep never
-  fails just because the cluster did.
+* **no healthy hosts** — the attempt answers ``None`` and the
+  supervisor runs the shard inline on the coordinator's own engine, so
+  a sweep never fails just because the cluster did.
 
-The lake write-back is deliberately paranoid: a host publishes candidate
-``.cell`` entries beside its artifact, but the coordinator files an
-entry only after recomputing the cell token *locally* and checking the
-stats against the digest-verified shard result — a compromised or buggy
-host can waste write-back bandwidth, never poison the lake.
+Hosts only simulate; the coordinator serves and files its own memo and
+lake (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import json
 
 from repro.api import env as api_env
 from repro.cluster import client
 from repro.cluster.framing import FrameError
 from repro.cluster.hosts import parse_hosts
 from repro.cluster.pool import HostPool
-from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import obs_tracer
 from repro.service.shards import (
     ShardResult,
     ShardSpec,
     validate_shard_result,
 )
-from repro.service.worker import execute_shard
-
-
-def _normalized(stats: dict) -> str:
-    """Stats as canonical JSON text (tuples/lists fold together)."""
-    return json.dumps(stats, sort_keys=True, default=list)
 
 
 class RemoteDispatcher:
@@ -63,25 +51,13 @@ class RemoteDispatcher:
     mode = "clustered"
 
     def __init__(
-        self,
-        pool: HostPool,
-        engine,
-        *,
-        deadline: float | None = None,
+        self, pool: HostPool, *, deadline: float | None = None
     ) -> None:
         self.pool = pool
-        #: The coordinator's engine: token verification for lake
-        #: write-back, lake storage, and the inline degradation path.
-        self.engine = engine
         self.deadline = (
             api_env.shard_timeout_from_env() if deadline is None
             else deadline
         )
-        self.lake = engine.lake_enabled()
-        self.lake_writebacks = 0
-        self.lake_dropped = 0
-        self.inline_shards = 0
-        self._inline_lock = asyncio.Lock()
 
     @property
     def width(self) -> int:
@@ -93,20 +69,21 @@ class RemoteDispatcher:
 
     async def attempt(
         self, shard: ShardSpec, attempt: int, fault: str | None
-    ) -> ShardResult | tuple[str, str]:
+    ) -> ShardResult | tuple[str, str] | None:
         """One attempt at one shard on the cluster.
 
         Same contract as :meth:`ForkDispatcher.attempt
         <repro.service.worker.ForkDispatcher.attempt>`: a
         :class:`ShardResult` on success, a ``(kind, reason)`` tuple on a
-        retriable failure.  *fault* travels to the remote worker, so the
-        deterministic fault plane drives real remote crashes.
+        retriable failure, ``None`` when no host is healthy.  *fault*
+        travels to the remote worker, so the deterministic fault plane
+        drives real remote crashes.
         """
         await self.pool.ensure_ready()
         await self.pool.maybe_refresh()
         host = self.pool.acquire()
         if host is None:
-            return await self._inline(shard)
+            return None
         tracer = obs_tracer()
         tracer.event(
             "host.dispatch", host=host.label, shard=shard.index,
@@ -118,7 +95,6 @@ class RemoteDispatcher:
                 host.spec,
                 shard.to_dict(),
                 fault=fault,
-                lake=self.lake,
                 timeout=self.deadline,
                 connect_timeout=self.pool.connect_timeout,
             )
@@ -183,107 +159,7 @@ class RemoteDispatcher:
         if problem is not None:
             kind, reason = problem
             return (kind, f"host {label}: {reason}")
-        if self.lake:
-            self._write_back(shard, result, reply.get("lake_cells"))
         return result
-
-    # ------------------------------------------------------------------
-
-    def _write_back(
-        self, shard: ShardSpec, result: ShardResult, entries
-    ) -> None:
-        """File the host's lake entries, trusting none of them.
-
-        For each candidate entry the coordinator recomputes the cell
-        token from its *own* spec and engine (a host cannot choose the
-        key) and requires the stats to match the digest-verified shard
-        artifact byte-for-byte (a host cannot launder tampered stats
-        past the digest check).  Anything that fails is dropped and
-        counted, never written.
-        """
-        store = self.engine.simulator.trace_store
-        if store is None or not isinstance(entries, list):
-            return
-        spec = shard.spec
-        verified: dict[tuple[str, str, int], object] = {
-            (cell.benchmark, cell.mechanism, cell.seed): cell
-            for cell in result.cells
-        }
-        # (benchmark, seed, locally-computed token) -> verified cell.
-        expected: dict[tuple[str, int, str], object] = {}
-        for benchmark, mech_index, seed in shard.cells:
-            mechanism = spec.mechanisms[mech_index]
-            cell = verified.get((benchmark, mechanism.name, seed))
-            if cell is None:
-                continue
-            token = self.engine.cell_token(
-                mechanism, spec.window.warmup, spec.window.measure,
-                spec.sampling,
-            )
-            expected[(benchmark, seed, token)] = cell
-        written = 0
-        dropped = 0
-        for entry in entries:
-            if not isinstance(entry, dict):
-                dropped += 1
-                continue
-            key = (
-                entry.get("benchmark"), entry.get("seed"),
-                entry.get("token"),
-            )
-            cell = expected.get(key)
-            stats = entry.get("stats")
-            if cell is None or not isinstance(stats, dict):
-                dropped += 1
-                continue
-            if _normalized(stats) != _normalized(
-                dataclasses.asdict(cell.stats)
-            ):
-                dropped += 1
-                continue
-            meta = entry.get("meta")
-            store.save_cell(
-                stats, entry["benchmark"], entry["seed"], entry["token"],
-                meta=meta if isinstance(meta, dict) else None,
-            )
-            written += 1
-        self.lake_writebacks += written
-        self.lake_dropped += dropped
-        if written or dropped:
-            obs_tracer().event(
-                "host.lake", shard=shard.index, written=written,
-                dropped=dropped,
-            )
-
-    # ------------------------------------------------------------------
-
-    async def _inline(
-        self, shard: ShardSpec
-    ) -> ShardResult | tuple[str, str]:
-        """No healthy host: execute on the coordinator's own engine.
-
-        Serialised (the engine is not safe for concurrent threads) and
-        fault-free, mirroring the spawn-failure degradation of
-        :class:`~repro.service.worker.ForkDispatcher` — injected faults
-        describe worker/host failures, and here there is no worker left
-        to fail.
-        """
-        async with self._inline_lock:
-            obs_tracer().event(
-                "host.failover", host="(inline)", shard=shard.index,
-                kind="no-hosts",
-            )
-            self.inline_shards += 1
-            try:
-                return await asyncio.to_thread(
-                    execute_shard, shard, self.engine
-                )
-            except Exception as error:  # noqa: BLE001 - retry ladder
-                return (
-                    "spawn",
-                    "no healthy cluster host and inline execution "
-                    f"failed: {error}",
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +180,13 @@ def run_clustered(
 
     *hosts* is a host-list string (``"a:9091,b:9091"``), a sequence of
     :class:`~repro.cluster.hosts.HostSpec`, or ``None`` to read
-    ``REPRO_HOSTS``.  Shard planning, retry, reassignment, quarantine
-    and the digest-verified merge are all the supervisor's; this wires a
+    ``REPRO_HOSTS``.  Cache lookups, shard planning, retry,
+    reassignment, quarantine, the digest-verified merge and filing the
+    results are all the supervisor's; this wires a
     :class:`RemoteDispatcher` into it and attaches the pool's per-host
     report to the returned
     :class:`~repro.service.supervisor.ShardedSweepResult`.
     """
-    from repro.api.session import Session
     from repro.service.supervisor import ShardSupervisor
 
     if hosts is None:
@@ -321,22 +197,14 @@ def run_clustered(
         raise ValueError(
             "run_clustered needs hosts (pass hosts=... or set REPRO_HOSTS)"
         )
-    if session is None:
-        session = Session.for_spec(spec)
     pool = HostPool(specs, connect_timeout=connect_timeout)
-    dispatcher = RemoteDispatcher(pool, session.engine)
+    dispatcher = RemoteDispatcher(pool)
     if supervisor is None:
         supervisor = ShardSupervisor(dispatcher=dispatcher)
     else:
         supervisor.dispatcher = dispatcher
     if shards is None:
         shards = spec.shards if spec.shards > 1 else max(2, len(specs))
-    with obs_runtime.activated(spec.obs):
-        outcome = supervisor.run(spec, shards=shards, session=session)
-        obs_tracer().event(
-            "host.merge", mode=outcome.mode, complete=outcome.complete,
-            hosts=len(specs),
-            lake_writebacks=dispatcher.lake_writebacks,
-        )
+    outcome = supervisor.run(spec, shards=shards, session=session)
     outcome.host_reports = pool.report()
     return outcome

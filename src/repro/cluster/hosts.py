@@ -6,11 +6,10 @@ of ``host:port`` entries — :func:`parse_hosts` is its one parser.
 
 :func:`local_capabilities` is what a host answers to the ``hello``
 handshake and what a coordinator demands of every host before
-dispatching work: protocol version, workload-code version and the lake
-cell format must all match, because a host running different workload
-code would compute *different traces* for the same cell (the digest
-check at merge would catch it, but only after wasting the whole shard)
-and a different cell format could never warm the coordinator's lake.
+dispatching work: protocol version and workload-code version must both
+match, because a host running different workload code would compute
+*different traces* for the same cell (the digest check at merge would
+catch it, but only after wasting the whole shard).
 """
 
 from __future__ import annotations
@@ -85,12 +84,11 @@ def parse_hosts(text: str | None) -> tuple[HostSpec, ...]:
 
 def local_capabilities() -> dict:
     """What this build answers to (and demands from) the handshake."""
-    from repro.workloads.store import CELL_FORMAT, workload_code_version
+    from repro.workloads.store import workload_code_version
 
     return {
         "protocol": PROTOCOL_VERSION,
         "workload_version": workload_code_version(),
-        "cell_format": CELL_FORMAT,
     }
 
 

@@ -4,8 +4,8 @@ The pool owns *who may receive work*.  Before any shard is dispatched,
 every configured host is pinged with the ``hello`` handshake and sorted
 into one of three buckets:
 
-* **alive** — reachable and capability-compatible (protocol version,
-  workload-code version, lake cell format all match the coordinator's);
+* **alive** — reachable and capability-compatible (protocol and
+  workload-code versions both match the coordinator's);
 * **rejected** — reachable but *incompatible*: a host running different
   workload code would compute different traces for the same cells, so it
   is excluded for the whole run and its shards route elsewhere;

@@ -22,9 +22,11 @@ removes both redundancies:
   tests pin down).
 
 Fan-out across processes or hosts is the sharded service's job
-(:mod:`repro.service`, ``shards=N``): its workers run cells through this
-same :meth:`SweepEngine.run_cell` and share the on-disk trace store, so
-even a cold sharded sweep interprets each trace once per machine.
+(:mod:`repro.service`, ``shards=N``): its coordinator serves and files
+cells through :meth:`SweepEngine.lookup` and :meth:`SweepEngine.record`,
+and its workers run the misses through :meth:`SweepEngine.run_cell`,
+lake off, on the shared on-disk trace store, so even a cold sharded
+sweep interprets each trace once per machine.
 
 ``repro sweep --smoke`` (:mod:`repro.service.smoke`) is the CI gate: it
 runs a tiny sweep cold, re-runs it through the memo and through a fresh
@@ -170,22 +172,16 @@ class SweepEngine:
             self._core_fp,
         )
 
-    def cell_token(
+    def _cell_token(
         self, mechanism: MechanismConfig, warmup: int, measure: int,
         sampling: SamplingConfig,
     ) -> str:
         """Everything beyond (benchmark, seed) a lake cell depends on.
 
-        The complete fingerprint the ISSUE of unsound sharing demands:
-        resolved window, sampling fingerprint, mechanism fingerprint
+        Resolved window, sampling fingerprint, mechanism fingerprint
         (name-free), core-config fingerprint, workload-code version and
-        the cell format — a cell written under any other configuration
+        the cell format: a cell written under any other configuration
         hashes to a different file name and can never be served.
-
-        Public because the cluster coordinator recomputes tokens locally
-        to verify lake entries a remote host published (a host cannot
-        make the coordinator file a cell under a key of the host's
-        choosing).
         """
         return "\x00".join((
             str(warmup), str(measure), sampling.fingerprint(),
@@ -210,26 +206,6 @@ class SweepEngine:
             "workload_version": workload_code_version(),
         }
 
-    def lake_entry(
-        self, result: SimulationResult, mechanism: MechanismConfig,
-        warmup: int, measure: int, sampling: SamplingConfig,
-    ) -> dict:
-        """One cell as a portable lake-entry payload.
-
-        What a cluster host ships back beside its shard artifact so the
-        coordinator's lake goes warm: the exact (benchmark, seed, token,
-        stats, meta) tuple :meth:`_lake_store` would write locally.  The
-        coordinator re-verifies token and stats against the
-        digest-verified shard result before filing it.
-        """
-        return {
-            "benchmark": result.benchmark,
-            "seed": result.seed,
-            "token": self.cell_token(mechanism, warmup, measure, sampling),
-            "stats": dataclasses.asdict(result.stats),
-            "meta": self._cell_meta(mechanism, warmup, measure, sampling),
-        }
-
     def _lake_load(
         self, benchmark: str, mechanism: MechanismConfig, seed: int,
         token: str,
@@ -250,6 +226,70 @@ class SweepEngine:
         stats.extra = dict(stats.extra)
         return SimulationResult(benchmark, mechanism.name, seed, stats)
 
+    def lookup(
+        self, benchmark: str, mechanism: MechanismConfig, seed: int,
+        warmup: int, measure: int, sampling: SamplingConfig,
+    ) -> SimulationResult | None:
+        """Recall one cell without simulating it; ``None`` on a miss.
+
+        The memo first, then (when enabled) the result lake, whose hit
+        seeds the memo.  Returns a private result copy.
+        """
+        key = self._key(benchmark, mechanism, seed, warmup, measure, sampling)
+        cached = self._cells.get(key)
+        if cached is not None:
+            self.cell_hits += 1
+            obs_tracer().event(
+                "sweep.cell.memo", benchmark=benchmark,
+                mechanism=mechanism.name, seed=seed,
+            )
+            return _copy_result(cached, benchmark, mechanism.name, seed)
+        if not self.lake_enabled():
+            return None
+        cached = self._lake_load(
+            benchmark, mechanism, seed,
+            self._cell_token(mechanism, warmup, measure, sampling),
+        )
+        if cached is None:
+            self.lake_misses += 1
+            return None
+        self.lake_hits += 1
+        obs_tracer().event(
+            "sweep.cell.lake", benchmark=benchmark,
+            mechanism=mechanism.name, seed=seed,
+        )
+        self._cells[key] = cached
+        return _copy_result(cached, benchmark, mechanism.name, seed)
+
+    def record(
+        self, result: SimulationResult, mechanism: MechanismConfig,
+        warmup: int, measure: int, sampling: SamplingConfig,
+    ) -> None:
+        """File one simulated cell (a ``SimulationResult`` or
+        ``CellResult``) into the memo, as a private copy, and into the
+        lake when enabled.  A cell the memo holds is already filed and is
+        left alone, so each cell reaches the lake once."""
+        benchmark, seed = result.benchmark, result.seed
+        key = self._key(benchmark, mechanism, seed, warmup, measure, sampling)
+        if key in self._cells:
+            return
+        self._cells[key] = _copy_result(
+            result, benchmark, mechanism.name, seed
+        )
+        if not self.lake_enabled():
+            return
+        written = self.simulator.trace_store.save_cell(
+            dataclasses.asdict(result.stats), benchmark, seed,
+            self._cell_token(mechanism, warmup, measure, sampling),
+            meta=self._cell_meta(mechanism, warmup, measure, sampling),
+        )
+        if written is not None:
+            self.lake_writes += 1
+            obs_tracer().event(
+                "sweep.cell.lake_write", benchmark=benchmark,
+                mechanism=mechanism.name, seed=seed,
+            )
+
     def run_cell(
         self,
         benchmark: str,
@@ -261,39 +301,19 @@ class SweepEngine:
     ) -> SimulationResult:
         """Simulate (or recall) one cell; returns a private result copy.
 
-        Lookup order: in-memory memo, then (when the lake is enabled)
-        the on-disk result lake, then simulation — which also populates
-        the lake, so any process that has ever run this cell serves it
-        from disk from then on.
+        :meth:`lookup` first; a miss is simulated and :meth:`record`
+        files it, so with the lake on it is served from disk from then on.
         """
         sampling = self._resolve_sampling(sampling)
         if warmup is None or measure is None:
             default_warmup, default_measure = api_env.window_from_env()
             warmup = default_warmup if warmup is None else warmup
             measure = default_measure if measure is None else measure
-        key = self._key(benchmark, mechanism, seed, warmup, measure, sampling)
-        cached = self._cells.get(key)
+        cached = self.lookup(
+            benchmark, mechanism, seed, warmup, measure, sampling
+        )
         if cached is not None:
-            self.cell_hits += 1
-            obs_tracer().event(
-                "sweep.cell.memo", benchmark=benchmark,
-                mechanism=mechanism.name, seed=seed,
-            )
-            return _copy_result(cached, benchmark, mechanism.name, seed)
-        lake = self.lake_enabled()
-        token = ""
-        if lake:
-            token = self.cell_token(mechanism, warmup, measure, sampling)
-            result = self._lake_load(benchmark, mechanism, seed, token)
-            if result is not None:
-                self.lake_hits += 1
-                obs_tracer().event(
-                    "sweep.cell.lake", benchmark=benchmark,
-                    mechanism=mechanism.name, seed=seed,
-                )
-                self._cells[key] = result
-                return _copy_result(result, benchmark, mechanism.name, seed)
-            self.lake_misses += 1
+            return cached
         self.cell_misses += 1
         with obs_tracer().span(
             "sweep.cell", benchmark=benchmark, mechanism=mechanism.name,
@@ -303,30 +323,8 @@ class SweepEngine:
                 benchmark, mechanism, warmup=warmup, measure=measure,
                 seed=seed, sampling=sampling,
             )
-        self._cells[key] = result
-        if lake:
-            self._lake_store(
-                result, benchmark, mechanism, seed, warmup, measure,
-                sampling, token,
-            )
+        self.record(result, mechanism, warmup, measure, sampling)
         return _copy_result(result, benchmark, mechanism.name, seed)
-
-    def _lake_store(
-        self, result: SimulationResult, benchmark: str,
-        mechanism: MechanismConfig, seed: int, warmup: int, measure: int,
-        sampling: SamplingConfig, token: str,
-    ) -> None:
-        """Write one freshly simulated cell into the lake (best-effort)."""
-        written = self.simulator.trace_store.save_cell(
-            dataclasses.asdict(result.stats), benchmark, seed, token,
-            meta=self._cell_meta(mechanism, warmup, measure, sampling),
-        )
-        if written is not None:
-            self.lake_writes += 1
-            obs_tracer().event(
-                "sweep.cell.lake_write", benchmark=benchmark,
-                mechanism=mechanism.name, seed=seed,
-            )
 
     def sweep(
         self,

@@ -11,12 +11,10 @@ single code path.
 Operations::
 
     {"op": "hello"}
-        -> {"ok": true, "hello": {protocol, workload_version, cell_format}}
+        -> {"ok": true, "hello": {protocol, workload_version}}
 
-    {"op": "shard", "shard": <ShardSpec.to_dict()>,
-     "fault": <optional>, "lake": <optional bool>}
-        -> {"ok": true, "result": <ShardResult.to_dict()>,
-            "lake_cells": [<lake entry>, ...]}   # when lake requested
+    {"op": "shard", "shard": <ShardSpec.to_dict()>, "fault": <optional>}
+        -> {"ok": true, "result": <ShardResult.to_dict()>}
 
     anything else (no op included) -> {"ok": false, "error": "<reason>", ...}
 
@@ -24,10 +22,10 @@ The shard op is what a cluster coordinator's
 :class:`~repro.cluster.dispatch.RemoteDispatcher` sends (``repro sweep
 --hosts``): the shard runs on *this host's own* engine and store (the
 work order's embedded store path is coordinator-local and deliberately
-ignored), and honours the coordinator's injected fault exactly like a
-forked worker would — ``crash`` really kills the whole server process,
-which is what makes the loopback CI gate's host-failover scenario
-honest.
+ignored) with the result lake off, and honours the coordinator's
+injected fault exactly like a forked worker would — ``crash`` really
+kills the whole server process, which is what makes the loopback CI
+gate's host-failover scenario honest.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from repro.cluster.framing import STREAM_LIMIT, FrameError
 from repro.cluster.hosts import local_capabilities
 from repro.obs.runtime import obs_tracer
 from repro.service.shards import ShardSpec
-from repro.service.worker import HANG_SLEEP_SECONDS, execute_shard_with_lake
+from repro.service.worker import HANG_SLEEP_SECONDS, execute_shard
 
 
 class SweepServer:
@@ -76,6 +74,8 @@ class SweepServer:
         #: and one-shard-at-a-time mirrors one-core-per-host anyway.
         self._shard_lock: asyncio.Lock | None = None
         self._engine = None
+        #: In-flight connection handlers, cancelled and reaped at shutdown.
+        self._handlers: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # The host-local engine (shard op)
@@ -86,11 +86,11 @@ class SweepServer:
         coordinator's: the embedded work-order store path is only
         meaningful on the coordinator's filesystem, and shards are
         benchmark-aligned so each host interprets a trace at most once
-        either way."""
+        either way.  The coordinator owns the lake, so it is off here."""
         if self._engine is None:
-            from repro.api.session import Session
+            from repro.harness.sweep import SweepEngine
 
-            self._engine = Session().engine
+            self._engine = SweepEngine(result_lake=False)
         return self._engine
 
     # ------------------------------------------------------------------
@@ -135,7 +135,6 @@ class SweepServer:
                 "error": f"undecodable shard work order: "
                 f"{type(error).__name__}: {error}",
             }
-        want_lake = bool(request.get("lake"))
         if self._shard_lock is None:
             self._shard_lock = asyncio.Lock()
         # Handlers interleave, so the span uses the explicit begin/end
@@ -146,8 +145,8 @@ class SweepServer:
         )
         try:
             async with self._shard_lock:
-                result, entries = await asyncio.to_thread(
-                    execute_shard_with_lake, shard, self._host_engine()
+                result = await asyncio.to_thread(
+                    execute_shard, shard, self._host_engine()
                 )
         except Exception as error:  # noqa: BLE001 - protocol boundary
             tracer.end(span, "serve.shard", serial=serial, status="failed")
@@ -165,10 +164,16 @@ class SweepServer:
         elif fault == "tamper":
             stats = payload["cells"][0]["stats"]
             stats["committed"] = int(stats.get("committed", 0)) + 1
-        response: dict = {"ok": True, "result": payload}
-        if want_lake:
-            response["lake_cells"] = entries
-        return response
+        return {"ok": True, "result": payload}
+
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Handle the connection in a task this server owns and shutdown
+        reaps: Python 3.11 logs a cancelled stream-owned task as an error."""
+        task = asyncio.ensure_future(self._handle(reader, writer))
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -242,13 +247,13 @@ class SweepServer:
                 except FileNotFoundError:
                     pass
                 servers.append(await asyncio.start_unix_server(
-                    self._handle, path=str(self.socket_path),
+                    self._accept, path=str(self.socket_path),
                     limit=self.stream_limit,
                 ))
             if self.tcp is not None:
                 host, port = self.tcp
                 tcp_server = await asyncio.start_server(
-                    self._handle, host=host, port=port,
+                    self._accept, host=host, port=port,
                     limit=self.stream_limit,
                 )
                 self.bound_address = (
@@ -265,6 +270,10 @@ class SweepServer:
         finally:
             for server in servers:
                 server.close()
+            for task in self._handlers:
+                task.cancel()
+            await asyncio.gather(*self._handlers, return_exceptions=True)
+            for server in servers:
                 await server.wait_closed()
             if self.socket_path is not None:
                 try:

@@ -113,28 +113,33 @@ class ShardSpec:
         return cls.from_dict(json.loads(text))
 
 
-def plan_shards(spec: ExperimentSpec, shards: int) -> list[ShardSpec]:
-    """Split *spec*'s grid into at most *shards* shard specs.
+def plan_shards(
+    spec: ExperimentSpec, shards: int, cells=None
+) -> list[ShardSpec]:
+    """Split *cells* (canonically ordered; default *spec*'s whole grid)
+    into at most *shards* shard specs.
 
     Cells are grouped into blocks before distribution so each shard
     keeps trace locality (a worker interprets/loads each benchmark's
     trace once): per-benchmark blocks when there are enough shards to
     go around, per-(benchmark, mechanism) blocks when shards outnumber
-    benchmarks, individual cells when they outnumber both.  Blocks are
-    dealt round-robin, so the plan is deterministic — the same spec and
-    shard count always produce the same shards — and fewer shards than
-    requested come back when the grid is too small to fill them.
+    the benchmarks, individual cells when they outnumber both.  Blocks
+    are dealt round-robin, so the plan is deterministic — the same
+    spec, cells and shard count always produce the same shards — and
+    fewer shards than requested come back when the cells are too few
+    to fill them.
     """
     if shards < 2:
         raise ValueError("plan_shards needs shards >= 2; use the "
                          "in-process engine path for 0/1")
-    cells = canonical_cells(spec)
-    if shards <= len(spec.benchmarks):
+    if cells is None:
+        cells = canonical_cells(spec)
+    if shards <= len({ref[0] for ref in cells}):
         def block_key(ref: CellRef):
             return ref[0]
-    elif shards <= len(spec.benchmarks) * len(spec.mechanisms):
+    elif shards <= len({ref[:2] for ref in cells}):
         def block_key(ref: CellRef):
-            return (ref[0], ref[1])
+            return ref[:2]
     else:
         def block_key(ref: CellRef):
             return ref
@@ -237,7 +242,7 @@ def validate_shard_result(
 
 
 def merge_shards(
-    spec: ExperimentSpec, shard_results
+    spec: ExperimentSpec, shard_results, served=()
 ) -> tuple[RunResult, tuple[CellId, ...]]:
     """Reassemble shard artifacts into one verified ``RunResult``.
 
@@ -247,11 +252,14 @@ def merge_shards(
     must match *spec* — a shard computed for a different experiment is
     an error, not a silent wrong answer — and a cell two shards both
     claim must agree exactly (determinism says it will; disagreement
-    means corruption the digest missed, so it raises).  Cells no shard
-    delivered come back as the explicit hole list.
+    means corruption the digest missed, so it raises).  *served* cells,
+    the ones the coordinator held, join them; cells nobody delivered
+    come back as the explicit hole list.
     """
     expected = spec.fingerprint()
-    collected: dict[CellId, CellResult] = {}
+    collected: dict[CellId, CellResult] = {
+        (cell.benchmark, cell.mechanism, cell.seed): cell for cell in served
+    }
     for shard in shard_results:
         if shard.fingerprint != expected:
             raise ValueError(

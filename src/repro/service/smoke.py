@@ -13,9 +13,10 @@ the first failure:
    equals the plain run; an active sampled run is cold == memoised ==
    restored from its own µarch checkpoints, with its sampling fields set
    and its IPC within a loose band of full detail.
-3. **lake** (``--lake``): three fresh ``python -m repro sweep`` processes
+3. **lake** (``--lake``): four fresh ``python -m repro sweep`` processes
    on one store — a cold one fills the result lake, a warm one must
-   simulate nothing, a lake-off one must never touch the lake.
+   simulate nothing, a lake-off one must never touch the lake, and a
+   warm one with ``--shards 2`` must fork no worker.
 4. **fault** (``--shards N`` or ``--hosts loopback``): a faulted run on
    forked workers (:class:`~repro.service.worker.ForkDispatcher`) or on
    two real ``repro serve --tcp`` children on 127.0.0.1
@@ -29,14 +30,15 @@ the first failure:
 
 The loopback backend adds the checks only a cluster can fail: the crash
 fault must really kill a host (``os._exit`` in the server — the
-connection genuinely dies), the hosts' lake write-back must file one
-``.cell`` per grid cell, and a fresh ``python -m repro sweep --lake``
-process on that lake must simulate zero cells and reproduce the digest.
+connection genuinely dies), the coordinator must file one ``.cell`` per
+grid cell, and a fresh ``python -m repro sweep --lake`` process on that
+lake must simulate zero cells and reproduce the digest.
 
 Child processes are observed the way a user would observe them: under
-``REPRO_OBS=1``, their simulated, lake-hit and lake-write counts are the
-``sweep.cell``, ``sweep.cell.lake`` and ``sweep.cell.lake_write`` records
-of their event stream, and their digest is their ``--json`` artifact's.
+``REPRO_OBS=1``, their simulated, lake-hit, lake-write and worker counts
+are their ``sweep.cell``, ``sweep.cell.lake``, ``sweep.cell.lake_write``
+and ``worker.shard`` records, and their digest is their ``--json``
+artifact's.
 """
 
 from __future__ import annotations
@@ -226,13 +228,13 @@ def _child_env(**overrides: str) -> dict:
     return env
 
 
-def _cli_sweep(root: str, lake: bool, gate: str) -> dict | None:
-    """One fresh ``python -m repro sweep`` of the smoke grid on the
-    store at *root*, with the result lake on or off.
+def _cli_sweep(root: str, lake: bool, gate: str, shards=0) -> dict | None:
+    """One fresh ``python -m repro sweep [--shards N]`` of the smoke
+    grid on the store at *root*, with the result lake on or off.
 
-    Returns the child's artifact digest and the simulated, lake-hit and
-    lake-write counts of its event stream, or ``None`` (after printing
-    why) when the child failed.
+    Returns the child's artifact digest and its event counts (see the
+    module docstring), or ``None`` (after printing why) when the child
+    failed.
     """
     # The child resolves this same spec: the grid and window from its
     # flags, the store from REPRO_TRACE_STORE and --lake.
@@ -241,6 +243,7 @@ def _cli_sweep(root: str, lake: bool, gate: str) -> dict | None:
         "sweep.cell": "simulated",
         "sweep.cell.lake": "lake_hits",
         "sweep.cell.lake_write": "lake_writes",
+        "worker.shard": "workers",
     }
     with tempfile.TemporaryDirectory(prefix="repro-smoke-child-") as work:
         artifact = Path(work) / "result.json"
@@ -258,6 +261,8 @@ def _cli_sweep(root: str, lake: bool, gate: str) -> dict | None:
             argv += ["--mechanism", mechanism.name]
         if lake:
             argv.append("--lake")
+        if shards:
+            argv += ["--shards", str(shards)]
         child = subprocess.run(
             argv, capture_output=True, text=True,
             env=_child_env(
@@ -286,7 +291,8 @@ def lake_smoke() -> int:
     must simulate zero cells and produce a digest-identical artifact; a
     lake-off child on the same store must never touch the lake yet stay
     digest-identical — the ``REPRO_RESULT_LAKE`` off = today's behaviour
-    guarantee.
+    guarantee; and a fresh ``--shards 2`` child on the warm lake must
+    serve every cell in the coordinator, forking no worker.
     """
     with tempfile.TemporaryDirectory(prefix="repro-smoke-lake-") as root:
         cold = _cli_sweep(root, lake=True, gate="lake smoke")
@@ -322,9 +328,20 @@ def lake_smoke() -> int:
             print("lake smoke: lake-off digest diverged "
                   f"({off['digest']} != {cold['digest']})")
             return 1
+        sharded = _cli_sweep(root, lake=True, gate="lake smoke", shards=2)
+        if sharded is None:
+            return 1
+        if (sharded["workers"] or sharded["simulated"]
+                or sharded["digest"] != cold["digest"]):
+            print(f"lake smoke: warm --shards 2 run forked "
+                  f"{sharded['workers']} worker(s), simulated "
+                  f"{sharded['simulated']} cell(s), digest "
+                  f"{sharded['digest']} (cold {cold['digest']})")
+            return 1
     print("lake smoke: warm fresh-process re-run simulated 0 cells "
-          f"(lake_hits={warm['lake_hits']}), digest-identical cold == "
-          f"warm == lake-off ({cold['digest']})")
+          f"(lake_hits={warm['lake_hits']}), warm --shards 2 forked 0 "
+          "workers, digest-identical cold == warm == lake-off == warm "
+          f"sharded ({cold['digest']})")
     return 0
 
 
@@ -412,8 +429,8 @@ def _spawn_host(env: dict) -> tuple[subprocess.Popen, str] | None:
 
 def _loopback_smoke(plan, supervisor, reference, shards: int) -> int:
     """The shared checks on two real hosts, then the cluster-only ones:
-    a dead host, the lake write-back count and a fresh coordinator that
-    simulates nothing."""
+    a dead host, one coordinator-filed lake cell per grid cell and a
+    fresh coordinator that simulates nothing."""
     from repro.cluster.dispatch import run_clustered
 
     # Hosts are hermetic: no persistent store, no ambient cluster or
@@ -448,18 +465,17 @@ def _loopback_smoke(plan, supervisor, reference, shards: int) -> int:
                 return 1
             lake_cells = list(Path(lake_root).glob("*.cell"))
             if len(lake_cells) != spec.cells:
-                print("cluster smoke: lake write-back left "
-                      f"{len(lake_cells)} cell(s), expected {spec.cells}")
+                print("cluster smoke: the coordinator filed "
+                      f"{len(lake_cells)} lake cell(s), expected {spec.cells}")
                 return 1
-            # A fresh coordinator process on the written-back lake must
+            # A fresh coordinator process on the filed lake must
             # simulate nothing and reproduce the same stats.
             fresh = _cli_sweep(lake_root, lake=True, gate="cluster smoke")
             if fresh is None:
                 return 1
             if fresh["simulated"] != 0:
                 print("cluster smoke: fresh coordinator re-simulated "
-                      f"{fresh['simulated']} cell(s) on the written-back "
-                      "lake")
+                      f"{fresh['simulated']} cell(s) on the filed lake")
                 return 1
             if fresh["digest"] != reference.digest():
                 print("cluster smoke: fresh-coordinator digest "
@@ -471,8 +487,8 @@ def _loopback_smoke(plan, supervisor, reference, shards: int) -> int:
                 f"{plan.render()!r} across 2 real hosts "
                 f"({sum(outcome.attempts.values())} attempts, "
                 f"host(s) {', '.join(dead)} died) — merged digest "
-                f"{outcome.digest()} == in-process; written-back lake "
-                f"warmed a fresh coordinator to 0 simulations"
+                f"{outcome.digest()} == in-process; the coordinator's "
+                "filed lake warmed a fresh coordinator to 0 simulations"
             )
             return 0
     finally:

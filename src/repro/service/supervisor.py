@@ -1,13 +1,20 @@
 """The async shard supervisor: the service's robustness core.
 
-Shards go into an :class:`asyncio.Queue`; a bounded set of slot
+The supervisor is the coordinator and owns the cell caches: it looks
+every cell up in the calling session's engine — memo, then result lake
+— before planning, shards only the misses, and files every
+shard-simulated cell into that memo and lake after the merge.  Workers
+and hosts only simulate.
+
+Planned shards go into an :class:`asyncio.Queue`; a bounded set of slot
 coroutines drains it, each attempt running through the supervisor's
 dispatcher — :class:`~repro.service.worker.ForkDispatcher` (one forked
 worker process per attempt, the default) or
 :class:`~repro.cluster.dispatch.RemoteDispatcher` (pooled remote hosts).
 A dispatcher owns its deadline and answers every attempt with a verified
-:class:`~repro.service.shards.ShardResult` or a ``(kind, reason)``
-failure; the supervisor owns what happens next:
+:class:`~repro.service.shards.ShardResult`, a ``(kind, reason)``
+failure, or ``None`` when it has nothing to run the attempt on; the
+supervisor owns what happens next:
 
 * **retriable failure** (worker or host death, hang past the deadline,
   corrupt / tampered / foreign artifact) — the shard is re-enqueued
@@ -16,9 +23,10 @@ failure; the supervisor owns what happens next:
 * **poison shard** (attempt budget exhausted) — quarantined: its cells
   become explicit holes in the merged result instead of aborting the
   sweep;
-* **nothing to split** (``shards <= 1`` or a one-cell grid) — the
-  in-process :class:`~repro.harness.sweep.SweepEngine` path on the
-  calling session, same artifact.
+* **no executor** (no process can be forked, no host is healthy) — the
+  shard runs inline on the session's engine, one shard at a time;
+* **nothing to split** (``shards <= 1``, fewer than two misses) — the
+  in-process path on the calling session, same artifact.
 
 Because every cell is deterministic and every artifact digest-verified,
 a merged sharded run — even one that crashed, hung and corrupted its way
@@ -32,18 +40,24 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.api import env as api_env
-from repro.api.result import RunResult
+from repro.api.result import CellResult, RunResult
 from repro.api.spec import ExperimentSpec
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import obs_tracer
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.simulator import SimulationResult
 from repro.service.faults import FaultPlan
 from repro.service.shards import (
     CellId,
+    CellRef,
     ShardResult,
+    ShardSpec,
+    canonical_cells,
+    cell_id,
     merge_shards,
     plan_shards,
 )
-from repro.service.worker import ForkDispatcher
+from repro.service.worker import ForkDispatcher, execute_shard
 
 
 @dataclass
@@ -135,29 +149,76 @@ class ShardSupervisor:
     def run(
         self, spec: ExperimentSpec, shards: int | None = None, session=None
     ) -> ShardedSweepResult:
-        """Execute *spec* sharded.
-
-        With nothing to split, *spec* runs in process on *session* (its
-        engine, memo and store), or on ``Session.for_spec(spec)`` when
-        no session is given.
+        """Execute *spec* on *session* (``Session.for_spec(spec)`` when
+        not given), sharding only the cells its memo and lake miss; the
+        spec's ``ObsSpec`` is active throughout, so workers inherit it.
         """
-        count = spec.shards if shards is None else shards
-        if count <= 1 or spec.cells < 2:
-            if session is None:
-                from repro.api.session import Session
+        if session is None:
+            from repro.api.session import Session
 
-                session = Session.for_spec(spec)
+            session = Session.for_spec(spec)
+        count = spec.shards if shards is None else shards
+        # Workers and hosts simulate the default core; a session on any
+        # other core must not file their cells as its own.
+        if count <= 1 or session.engine.core_config != CoreConfig():
             return ShardedSweepResult(
                 result=session.run(spec), mode="in-process"
             )
-        return asyncio.run(self._run_sharded(spec, count))
+        with obs_runtime.activated(spec.obs):
+            return self._run_misses(spec, count, session.engine)
 
     # ------------------------------------------------------------------
 
-    async def _run_sharded(
-        self, spec: ExperimentSpec, count: int
+    def _run_misses(
+        self, spec: ExperimentSpec, count: int, engine
     ) -> ShardedSweepResult:
-        shard_specs = plan_shards(spec, count)
+        """Serve the cells *engine* holds, shard the misses, file them."""
+        refs = canonical_cells(spec)
+        served = {ref: engine.lookup(*_cell_args(spec, ref)) for ref in refs}
+        missing = [ref for ref in refs if served[ref] is None]
+        if len(missing) < 2:
+            for ref in missing:
+                served[ref] = engine.run_cell(*_cell_args(spec, ref))
+            result = RunResult(
+                spec=spec, cells=[_cell(served[ref]) for ref in refs]
+            )
+            runtime = obs_runtime.current()
+            if runtime is not None:
+                result.telemetry = runtime.telemetry_payload()
+            return ShardedSweepResult(result=result, mode="in-process")
+        outcome = asyncio.run(self._fan_out(
+            spec, plan_shards(spec, count, missing), engine,
+            [_cell(hit) for hit in served.values() if hit is not None],
+        ))
+        simulated = {cell_id(spec, ref): ref for ref in missing}
+        for cell in outcome.result.cells:
+            ref = simulated.get((cell.benchmark, cell.mechanism, cell.seed))
+            if ref is not None:
+                engine.record(
+                    cell, spec.mechanisms[ref[1]], spec.window.warmup,
+                    spec.window.measure, spec.sampling,
+                )
+        return outcome
+
+    async def _inline(
+        self, shard: ShardSpec, engine, lock: asyncio.Lock
+    ) -> ShardResult | tuple[str, str]:
+        """Run *shard* on the coordinator's *engine*, one shard at a
+        time and fault-free: the dispatcher had nothing to run it on."""
+        async with lock:
+            obs_tracer().event(
+                "shard.inline", shard=shard.index, mode=self.dispatcher.mode
+            )
+            try:
+                return await asyncio.to_thread(execute_shard, shard, engine)
+            except Exception as error:  # noqa: BLE001 - retry ladder
+                return ("spawn", f"inline execution failed: {error}")
+
+    async def _fan_out(
+        self, spec: ExperimentSpec, shard_specs: list[ShardSpec], engine,
+        served: list[CellResult],
+    ) -> ShardedSweepResult:
+        """Run *shard_specs* out and merge them with the *served* cells."""
         results: dict[int, ShardResult] = {}
         attempts: dict[int, int] = {s.index: 0 for s in shard_specs}
         reports: dict[int, ShardReport] = {
@@ -170,13 +231,15 @@ class ShardSupervisor:
             queue.put_nowait((shard, 0))
         slots = min(len(shard_specs), self.dispatcher.width)
         outstanding = len(shard_specs)
+        inline_lock = asyncio.Lock()
         loop = asyncio.get_running_loop()
         # Slot coroutines interleave, so spans use the explicit
         # begin/end API (a thread-nested stack would mis-parent them).
         tracer = obs_tracer()
         tracer.event(
-            "shard.plan", shards=len(shard_specs), cells=spec.cells,
-            fingerprint=spec.fingerprint(),
+            "shard.plan", shards=len(shard_specs),
+            cells=sum(len(shard.cells) for shard in shard_specs),
+            served=len(served), fingerprint=spec.fingerprint(),
         )
 
         def finish_one() -> None:
@@ -205,6 +268,8 @@ class ShardSupervisor:
                 outcome = await self.dispatcher.attempt(
                     shard, attempt, self.faults.fault_for(shard.index, attempt)
                 )
+                if outcome is None:
+                    outcome = await self._inline(shard, engine, inline_lock)
                 if isinstance(outcome, ShardResult):
                     tracer.end(span, "shard.attempt",
                                shard=shard.index, status="ok")
@@ -245,10 +310,11 @@ class ShardSupervisor:
 
         await asyncio.gather(*(slot() for _ in range(slots)))
         with tracer.span(
-            "shard.merge", shards=len(results), holes_expected=len(quarantined)
+            "shard.merge", shards=len(results),
+            holes_expected=len(quarantined), mode=self.dispatcher.mode,
         ):
             merged, holes = merge_shards(
-                spec, [results[index] for index in sorted(results)]
+                spec, [results[index] for index in sorted(results)], served
             )
         runtime = obs_runtime.current()
         if runtime is not None:
@@ -269,3 +335,16 @@ class ShardSupervisor:
             mode=self.dispatcher.mode,
             shard_reports=reports,
         )
+
+
+def _cell_args(spec: ExperimentSpec, ref: CellRef) -> tuple:
+    """``SweepEngine.lookup``/``run_cell`` arguments of one grid cell."""
+    benchmark, mech_index, seed = ref
+    return (benchmark, spec.mechanisms[mech_index], seed,
+            spec.window.warmup, spec.window.measure, spec.sampling)
+
+
+def _cell(result: SimulationResult) -> CellResult:
+    return CellResult(
+        result.benchmark, result.mechanism, result.seed, result.stats
+    )

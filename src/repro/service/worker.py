@@ -9,14 +9,15 @@ appends one byte per finished cell to a progress file, the liveness
 signal the dispatcher's deadline restarts on.  Everything the worker needs
 travels in the payload (spec, cells, fault injection); it reads no
 ``REPRO_*`` state of its own, so a shard computes identically no matter
-which process — or attempt — runs it.
+which process — or attempt — runs it.  A worker only simulates: the
+coordinator serves and files the lake (DESIGN.md §11).
 
-:func:`execute_shard` is the fault-free core, also used directly by the
-inline degradation paths; :func:`shard_process_main` is the
-``multiprocessing.Process`` target that wraps it with the deterministic
-fault plane (crash / hang / corrupt / tamper); :class:`ForkDispatcher`
-runs one such process per attempt for the
-:class:`~repro.service.supervisor.ShardSupervisor`.
+:func:`execute_shard` is the fault-free core, also run by ``repro
+serve`` hosts and by the supervisor's inline fallback;
+:func:`shard_process_main` is the ``multiprocessing.Process`` target
+that wraps it with the deterministic fault plane (crash / hang /
+corrupt / tamper); :class:`ForkDispatcher` runs one such process per
+attempt for the :class:`~repro.service.supervisor.ShardSupervisor`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import multiprocessing
 import os
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.api import env as api_env
@@ -48,18 +50,18 @@ def execute_shard(
 ) -> ShardResult:
     """Simulate every cell of *shard* and return its result.
 
-    With no *engine*, a private session honouring the shard spec's store
-    configuration is built (workers share the on-disk trace store when
-    the spec enables one, so even a cold sharded sweep interprets each
-    trace once per machine).  Passing an engine lets the degradation
-    path reuse the caller's memo.  *on_cell*, when given, is called with
-    each :class:`CellResult` as it finishes; a forked worker uses it to
-    report progress to its dispatcher.
+    With no *engine* (a forked worker), a private one is built on the
+    shard spec's trace store — shared on disk, so even a cold sharded
+    sweep interprets each trace once per machine — with the lake off.
+    *on_cell*, when given, is called with each :class:`CellResult` as it
+    finishes; a forked worker uses it to report progress.
     """
     if engine is None:
         from repro.api.session import Session
 
-        engine = Session(store=shard.spec.store).engine
+        engine = Session(
+            store=replace(shard.spec.store, result_lake=False)
+        ).engine
     spec = shard.spec
     cells = []
     for benchmark, mech_index, seed in shard.cells:
@@ -83,46 +85,6 @@ def execute_shard(
     return ShardResult(
         index=shard.index, fingerprint=shard.fingerprint, cells=cells
     )
-
-
-def execute_shard_with_lake(
-    shard: ShardSpec, engine=None
-) -> tuple[ShardResult, list[dict]]:
-    """Like :func:`execute_shard`, also returning portable lake entries.
-
-    The cluster path: a remote host runs the shard and ships one
-    :meth:`~repro.harness.sweep.SweepEngine.lake_entry` payload per cell
-    beside the digest-sealed artifact, so the coordinator can warm its
-    own result lake from work it never simulated.  The entries are built
-    from the very results the artifact seals — the coordinator
-    cross-checks them against the artifact (and recomputes tokens
-    locally) before filing anything.
-    """
-    if engine is None:
-        from repro.api.session import Session
-
-        engine = Session(store=shard.spec.store).engine
-    spec = shard.spec
-    cells: list[CellResult] = []
-    entries: list[dict] = []
-    for benchmark, mech_index, seed in shard.cells:
-        mechanism = spec.mechanisms[mech_index]
-        result = engine.run_cell(
-            benchmark, mechanism, seed=seed,
-            warmup=spec.window.warmup, measure=spec.window.measure,
-            sampling=spec.sampling,
-        )
-        cells.append(
-            CellResult(benchmark, mechanism.name, seed, result.stats)
-        )
-        entries.append(engine.lake_entry(
-            result, mechanism,
-            spec.window.warmup, spec.window.measure, spec.sampling,
-        ))
-    shard_result = ShardResult(
-        index=shard.index, fingerprint=shard.fingerprint, cells=cells
-    )
-    return shard_result, entries
 
 
 def _tampered(text: str) -> str:
@@ -194,8 +156,8 @@ class ForkDispatcher:
     is killed (**hang**), a non-zero exit is a **death**, a clean exit
     without an artifact is **no-artifact**, and an artifact failing the
     digest, fingerprint or cell-set checks is **corrupt** / **foreign**.
-    When no process can be spawned at all, the shard executes inline,
-    fault-free, and still merges digest-verified.
+    When no process can be spawned at all, the attempt answers ``None``
+    and the supervisor runs the shard inline.
     """
 
     #: What the supervisor labels results produced through us.
@@ -217,11 +179,12 @@ class ForkDispatcher:
 
     async def attempt(
         self, shard: ShardSpec, attempt: int, fault: str | None
-    ) -> ShardResult | tuple[str, str]:
+    ) -> ShardResult | tuple[str, str] | None:
         """One attempt at one shard in a fresh worker process.
 
         A :class:`ShardResult` on success, a ``(kind, reason)`` tuple on
-        a retriable failure; *fault* is injected in the worker.
+        a retriable failure, ``None`` when no worker process can be
+        started; *fault* is injected in the worker.
         """
         with tempfile.TemporaryDirectory(prefix="repro-shard-") as spool:
             out_path = Path(spool) / "shard.json"
@@ -233,17 +196,8 @@ class ForkDispatcher:
             )
             try:
                 process.start()
-            except OSError as error:
-                # Can't spawn workers at all: degrade to executing the
-                # shard inline.  Results stay digest-verified by the merge.
-                try:
-                    return execute_shard(shard)
-                except Exception as inline_error:  # noqa: BLE001
-                    return (
-                        "spawn",
-                        f"no worker process ({error}) and inline "
-                        f"execution failed: {inline_error}",
-                    )
+            except OSError:
+                return None
             if not await self._live_until_exit(process, progress):
                 process.terminate()
                 process.join(timeout=5.0)

@@ -16,6 +16,18 @@ def stats_dict(stats) -> dict:
     return data
 
 
+def event_records(directory) -> list[dict]:
+    """Every record of every obs event stream in *directory*."""
+    from pathlib import Path
+
+    from repro.obs import read_events
+
+    return [
+        record for path in sorted(Path(directory).glob("events-*.jsonl"))
+        for record in read_events(path)[0]
+    ]
+
+
 def use_generic_stages(monkeypatch) -> None:
     """Keep the generic rename/issue methods on pipelines built from now
     on: the install of the generated loops becomes a no-op."""

@@ -4,9 +4,10 @@ The wire protocol's failure surface (oversized, truncated, malformed —
 over both the Unix and TCP listeners, same code path); client dial
 retry; the capability handshake rejecting incompatible hosts; dead-host
 detection with shard reassignment; duplicate results from slow hosts;
-graceful inline degradation with no healthy hosts; and the artifact
-plane — digest-verified lake write-back that a fresh coordinator process
-can serve from without simulating.
+graceful inline degradation with no healthy hosts; and the coordinator
+owning the cell caches — it serves its memo and lake before dispatching
+anything, hosts only simulate, and the lake the coordinator files warms
+a fresh coordinator process to zero simulations.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import asyncio
 import dataclasses
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import event_records
 from repro.api import env as api_env
 from repro.api.result import RunResult
 from repro.api.session import Session
@@ -43,6 +46,7 @@ from repro.cluster.hosts import (
     parse_hosts,
 )
 from repro.cluster.pool import HostPool
+from repro.obs import ObsSpec
 from repro.service.server import SweepServer
 from repro.service.shards import (
     merge_shards,
@@ -249,9 +253,7 @@ class TestCapabilities:
         caps = dict(local_capabilities(), future_field="whatever")
         assert capability_mismatch(caps) is None
 
-    @pytest.mark.parametrize("key", [
-        "protocol", "workload_version", "cell_format",
-    ])
+    @pytest.mark.parametrize("key", ["protocol", "workload_version"])
     def test_each_capability_enforced(self, key):
         caps = dict(local_capabilities())
         caps[key] = "bogus"
@@ -518,35 +520,40 @@ class TestClusteredRuns:
         session = Session.for_spec(spec)
         with ServerThread() as served:
             pool = HostPool([HostSpec.parse(served.host_list)])
-            dispatcher = RemoteDispatcher(
-                pool, session.engine, deadline=2.0
-            )
+            dispatcher = RemoteDispatcher(pool, deadline=2.0)
             supervisor = fast_supervisor(
                 faults="hang:0", dispatcher=dispatcher
             )
-            outcome = supervisor.run(spec, shards=2)
+            outcome = supervisor.run(spec, shards=2, session=session)
         assert outcome.complete
         assert outcome.digest() == reference.digest()
         assert outcome.shard_reports[0].failure_kinds == ("hang",)
         # A timeout is not proof of death: the host stays in the pool.
         assert pool.report()[served.host_list]["status"] == "alive"
 
-    def test_no_healthy_hosts_degrades_inline(self, reference):
+    def test_no_healthy_hosts_degrades_inline(self, reference, tmp_path):
         listener = socket.create_server(("127.0.0.1", 0))
         dead_address = "{}:{}".format(*listener.getsockname()[:2])
         listener.close()
-        spec = tiny_spec()
+        spec = tiny_spec(obs=ObsSpec(
+            enabled=True, dir=str(tmp_path), metrics_every=0
+        ))
         session = Session.for_spec(spec)
         pool = HostPool(
             parse_hosts(dead_address), connect_timeout=0.5
         )
-        dispatcher = RemoteDispatcher(pool, session.engine)
-        supervisor = fast_supervisor(dispatcher=dispatcher)
-        outcome = supervisor.run(spec, shards=2)
+        supervisor = fast_supervisor(dispatcher=RemoteDispatcher(pool))
+        outcome = supervisor.run(spec, shards=2, session=session)
         assert outcome.mode == "clustered"
         assert outcome.complete
         assert outcome.digest() == reference.digest()
-        assert dispatcher.inline_shards == 2
+        # Both shards ran on the coordinator's own engine.
+        assert session.engine.cell_misses == spec.cells
+        inline = [
+            record["tags"]["shard"] for record in event_records(tmp_path)
+            if record["name"] == "shard.inline"
+        ]
+        assert sorted(inline) == [0, 1]
         assert pool.report()[dead_address]["status"] == "dead"
 
     def test_duplicate_shard_result_from_slow_host_merges(self, reference):
@@ -568,13 +575,58 @@ class TestClusteredRuns:
 
 
 # ---------------------------------------------------------------------------
-# Artifact plane: verified lake write-back
+# The coordinator owns the cell caches; hosts only simulate
 # ---------------------------------------------------------------------------
 
 
 class TestLakeWriteBack:
     def lake_spec(self, root) -> ExperimentSpec:
         return tiny_spec(store=StoreSpec(path=str(root), result_lake=True))
+
+    def test_warm_lake_dispatches_nothing(self, tmp_path, reference):
+        spec = self.lake_spec(tmp_path / "lake")
+        Session.for_spec(spec).run(spec)  # fills the lake in process
+        session = Session.for_spec(spec)
+        with ServerThread() as served:
+            outcome = session.run_clustered(
+                spec, hosts=served.host_list, shards=2
+            )
+            assert served.server.requests_served == 0
+        assert outcome.mode == "in-process"
+        assert outcome.attempts == {}
+        assert outcome.host_reports[served.host_list]["dispatched"] == 0
+        assert outcome.digest() == reference.digest()
+        assert session.engine.lake_hits == spec.cells
+        assert session.engine.cell_misses == 0
+
+    def test_coordinator_files_every_cell_hosts_file_none(
+        self, tmp_path, monkeypatch, reference
+    ):
+        # The hosts' own environment turns the lake on: they must
+        # still only simulate.
+        host_store = tmp_path / "host-store"
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(host_store))
+        monkeypatch.setenv("REPRO_RESULT_LAKE", "1")
+        events = tmp_path / "events"
+        spec = dataclasses.replace(
+            self.lake_spec(tmp_path / "lake"),
+            obs=ObsSpec(enabled=True, dir=str(events), metrics_every=0),
+        )
+        session = Session.for_spec(spec)
+        with ServerThread() as served:
+            outcome = session.run_clustered(
+                spec, hosts=served.host_list, shards=2
+            )
+        assert outcome.mode == "clustered" and outcome.complete
+        assert outcome.digest() == reference.digest()
+        assert session.engine.lake_writes == spec.cells
+        assert len(list((tmp_path / "lake").glob("*.cell"))) == spec.cells
+        assert list(host_store.glob("*.cell")) == []
+        names = [record["name"] for record in event_records(events)]
+        # The hosts share this process, so every lake event is counted
+        # here: one write per cell, all of them the coordinator's.
+        assert names.count("sweep.cell.lake_write") == spec.cells
+        assert "sweep.cell.lake" not in names
 
     def test_round_trip_warms_fresh_coordinator_process(
         self, tmp_path, reference
@@ -618,56 +670,6 @@ class TestLakeWriteBack:
         assert fields["simulated"] == "0"
         assert fields["digest"] == reference.digest()
 
-    def test_write_back_drops_unverifiable_entries(self, tmp_path):
-        spec = self.lake_spec(tmp_path / "lake")
-        session = Session.for_spec(spec)
-        shards = plan_shards(spec, 2)
-        shard = shards[0]
-        pool = HostPool([HostSpec("unused", 1)])
-        dispatcher = RemoteDispatcher(pool, session.engine)
-        # Execute on a lake-less engine, as a remote host would — the
-        # coordinator's lake must be warmed by _write_back alone.
-        result = execute_shard(
-            shard, Session(store=StoreSpec(enabled=False)).engine
-        )
-        engine = session.engine
-        good = []
-        for benchmark, mech_index, seed in shard.cells:
-            mechanism = spec.mechanisms[mech_index]
-            cell = next(
-                c for c in result.cells
-                if (c.benchmark, c.mechanism, c.seed)
-                == (benchmark, mechanism.name, seed)
-            )
-            good.append({
-                "benchmark": benchmark,
-                "seed": seed,
-                "token": engine.cell_token(
-                    mechanism, spec.window.warmup, spec.window.measure,
-                    spec.sampling,
-                ),
-                "stats": dataclasses.asdict(cell.stats),
-                "meta": {"mechanism": mechanism.name},
-            })
-        tampered = json.loads(json.dumps(good[0]))
-        tampered["stats"]["committed"] += 7  # stats a digest never saw
-        keyed_wrong = json.loads(json.dumps(good[1]))
-        keyed_wrong["token"] = "a-token-of-the-hosts-choosing"
-        dispatcher._write_back(
-            shard, result, [tampered, keyed_wrong, "junk", good[0]]
-        )
-        assert dispatcher.lake_writebacks == 1
-        assert dispatcher.lake_dropped == 3
-        store = session.engine.simulator.trace_store
-        payload = store.load_cell(
-            good[0]["benchmark"], good[0]["seed"], good[0]["token"]
-        )
-        assert payload is not None
-        assert payload["stats"]["committed"] == \
-            good[0]["stats"]["committed"]
-        # The tampered stats never landed anywhere.
-        assert len(list(store.root.glob("*.cell"))) == 1
-
 
 # ---------------------------------------------------------------------------
 # Shared validation and CLI error paths
@@ -693,6 +695,59 @@ class TestCli:
 
         assert main(["serve", "--tcp", "nonsense"]) == 2
         assert "host:port" in capsys.readouterr().err
+
+    def test_serve_exits_quietly_on_sigint_mid_request(self, tmp_path):
+        events = tmp_path / "events"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+            "REPRO_OBS": "1", "REPRO_OBS_DIR": str(events),
+        }
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--tcp", "127.0.0.1:0", "--no-socket"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            address = None
+            while address is None:
+                line = server.stdout.readline()
+                assert line, "repro serve exited before announcing"
+                if "tcp=" in line:
+                    address = line.strip().rsplit("tcp=", 1)[1]
+            shard = plan_shards(tiny_spec(), 2)[0]
+            closed = []
+
+            def submit():
+                try:
+                    client.submit_shard(
+                        HostSpec.parse(address), shard.to_dict(),
+                        fault="hang", timeout=30.0,
+                    )
+                except FrameError as error:
+                    closed.append(error.kind)
+
+            submitter = threading.Thread(target=submit, daemon=True)
+            submitter.start()
+            # SIGINT only once the server is parked inside the request.
+            deadline = time.monotonic() + 30.0
+            while "serve.request" not in {
+                record["name"] for record in event_records(events)
+            }:
+                assert time.monotonic() < deadline, "request never arrived"
+                time.sleep(0.02)
+            time.sleep(0.1)
+            server.send_signal(signal.SIGINT)
+            _, stderr = server.communicate(timeout=30.0)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        submitter.join(timeout=10.0)
+        assert server.returncode == 0
+        assert "Traceback" not in stderr, stderr
+        assert closed == ["closed"]  # the parked request just ended
 
     def test_sweep_smoke_hosts_accepts_only_loopback(self, capsys):
         from repro.api.cli import main

@@ -347,6 +347,32 @@ class TestActivation:
         # The installed runtime is scoped to the run.
         assert current() is None
 
+    def test_run_sharded_with_spec_obs(self, monkeypatch, tmp_path):
+        # Only the spec enables observation; forked workers inherit the
+        # runtime the supervisor activates and write their own streams.
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        directory = tmp_path / "spec-obs"
+        spec = tiny_spec(
+            benchmarks=("mcf", "dealII"),
+            obs=ObsSpec(enabled=True, dir=str(directory), metrics_every=0),
+        )
+        supervisor = ShardSupervisor(
+            backoff_base=0.01, backoff_cap=0.05, faults=FaultPlan()
+        )
+        outcome = Session.for_spec(spec).run_sharded(
+            spec, shards=2, supervisor=supervisor
+        )
+        assert outcome.mode == "sharded" and outcome.complete
+        assert set(outcome.result.telemetry["shards"]) == {"0", "1"}
+        pids = {}
+        for path in directory.glob("events-*.jsonl"):
+            for record in read_events(path)[0]:
+                pids.setdefault(record["pid"], set()).add(record["name"])
+        assert len(pids) == 3
+        assert "shard.merge" in pids.pop(os.getpid())
+        assert all("worker.shard" in names for names in pids.values())
+        assert current() is None
+
     def test_memo_recalls_reach_the_event_stream(self, monkeypatch,
                                                  tmp_path):
         directory = obs_env(monkeypatch, tmp_path)

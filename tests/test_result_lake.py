@@ -247,7 +247,7 @@ class TestParallelAndSharded:
         session = Session(store=spec.store)
         outcome = session.run_sharded(spec)
         assert not outcome.holes
-        assert len(_cell_files(tmp_path)) == 2  # shards wrote the lake
+        assert len(_cell_files(tmp_path)) == 2  # the coordinator filed them
 
         warm = Session(store=spec.store)
         result = warm.run(spec)

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
+from helpers import event_records
 from repro.api.result import CellResult, RunResult
 from repro.api.session import Session
 from repro.api.spec import (
@@ -26,6 +29,7 @@ from repro.api.spec import (
 )
 from repro.cluster import client
 from repro.cluster.hosts import local_capabilities
+from repro.obs import ObsSpec
 from repro.service.faults import Fault, FaultPlan, FaultPlanError
 from repro.service.server import SweepServer
 from repro.service.shards import (
@@ -378,7 +382,7 @@ class TestSupervisor:
         assert any(tmp_path.iterdir())  # the session's store was used
 
     def test_spawn_failure_degrades_to_inline_execution(
-        self, reference, monkeypatch
+        self, reference, monkeypatch, tmp_path
     ):
         import multiprocessing
 
@@ -386,11 +390,19 @@ class TestSupervisor:
             raise OSError("cannot fork")
 
         monkeypatch.setattr(multiprocessing.Process, "start", refuse)
-        outcome = fast_supervisor().run(tiny_spec(), shards=2)
+        spec = tiny_spec(obs=ObsSpec(
+            enabled=True, dir=str(tmp_path), metrics_every=0
+        ))
+        outcome = fast_supervisor().run(spec, shards=2)
         assert outcome.mode == "sharded"
         assert outcome.complete
         assert outcome.attempts == {0: 1, 1: 1}
         assert outcome.digest() == reference.digest()
+        inline = [
+            record["tags"]["shard"] for record in event_records(tmp_path)
+            if record["name"] == "shard.inline"
+        ]
+        assert sorted(inline) == [0, 1]
 
     def test_session_run_sharded_front_door(self, reference):
         spec = tiny_spec(shards=2)
@@ -405,6 +417,152 @@ class TestSupervisor:
         assert outcome.complete
         assert len(outcome.attempts) == 4  # capped at the grid size
         assert outcome.digest() == reference.digest()
+
+
+# ---------------------------------------------------------------------------
+# The coordinator resolves every cell it holds before planning
+# ---------------------------------------------------------------------------
+
+
+class RecordingDispatcher(ForkDispatcher):
+    """A fork dispatcher that remembers the cells of every shard it ran."""
+
+    def __init__(self) -> None:
+        super().__init__(deadline=60.0)
+        self.planned: dict[int, tuple] = {}
+
+    async def attempt(self, shard, attempt, fault):
+        self.planned[shard.index] = shard.cells
+        return await super().attempt(shard, attempt, fault)
+
+
+def lake_spec(root, **overrides) -> ExperimentSpec:
+    return tiny_spec(
+        store=StoreSpec(path=str(root), result_lake=True), **overrides
+    )
+
+
+class TestCoordinatorResolution:
+    def test_warm_memo_starts_no_worker(self, reference):
+        spec = tiny_spec()
+        session = Session.for_spec(spec)
+        session.run(spec)
+        outcome = session.run_sharded(
+            spec, shards=2, supervisor=fast_supervisor()
+        )
+        assert outcome.mode == "in-process"
+        assert outcome.attempts == {}
+        assert outcome.digest() == reference.digest()
+        assert session.engine.cell_misses == spec.cells
+
+    def test_warm_lake_starts_no_worker(self, tmp_path, reference):
+        spec = lake_spec(tmp_path)
+        Session.for_spec(spec).run(spec)
+        session = Session.for_spec(spec)
+        outcome = session.run_sharded(
+            spec, shards=2, supervisor=fast_supervisor()
+        )
+        assert outcome.mode == "in-process"
+        assert outcome.attempts == {}
+        assert outcome.digest() == reference.digest()
+        assert session.engine.lake_hits == spec.cells
+        assert session.engine.cell_misses == 0
+
+    def test_one_missing_cell_runs_in_process(self, tmp_path, reference):
+        spec = lake_spec(tmp_path)
+        baseline, rsep = spec.mechanisms
+        Session.for_spec(spec).run(replace(spec, mechanisms=(baseline,)))
+        Session.for_spec(spec).run(replace(
+            spec, benchmarks=("mcf",), mechanisms=(rsep,)
+        ))
+        session = Session.for_spec(spec)
+        outcome = session.run_sharded(
+            spec, shards=2, supervisor=fast_supervisor()
+        )
+        assert outcome.mode == "in-process" and outcome.attempts == {}
+        assert outcome.digest() == reference.digest()
+        assert session.engine.lake_hits == spec.cells - 1
+        assert session.engine.cell_misses == 1
+
+    def test_half_warm_lake_shards_only_the_misses(
+        self, tmp_path, reference
+    ):
+        spec = lake_spec(tmp_path)
+        baseline, rsep = spec.mechanisms
+        # Warm a diagonal: (mcf, baseline) and (dealII, rsep).
+        Session.for_spec(spec).run(replace(
+            spec, benchmarks=("mcf",), mechanisms=(baseline,)
+        ))
+        Session.for_spec(spec).run(replace(
+            spec, benchmarks=("dealII",), mechanisms=(rsep,)
+        ))
+        missing = {("mcf", 1, 1), ("dealII", 0, 1)}
+        dispatcher = RecordingDispatcher()
+        session = Session.for_spec(spec)
+        outcome = fast_supervisor(
+            faults="crash:0,corrupt:1", dispatcher=dispatcher
+        ).run(spec, shards=2, session=session)
+        assert outcome.mode == "sharded" and outcome.complete
+        assert outcome.attempts == {0: 2, 1: 2}
+        planned = [ref for cells in dispatcher.planned.values()
+                   for ref in cells]
+        assert sorted(planned) == sorted(missing)
+        assert outcome.digest() == reference.digest()
+        assert session.engine.lake_hits == 2
+        assert session.engine.lake_writes == 2
+
+    def test_custom_core_session_runs_in_process(self):
+        # Workers simulate the default core, so a session on another
+        # core must never file their cells under its own key.
+        from repro.pipeline.config import CoreConfig
+
+        spec = tiny_spec()
+        session = Session(
+            store=spec.store, core_config=CoreConfig(rob_entries=64)
+        )
+        outcome = session.run_sharded(
+            spec, shards=2, supervisor=fast_supervisor()
+        )
+        assert outcome.mode == "in-process" and outcome.attempts == {}
+        assert outcome.digest() == session.run(spec).digest()
+        assert session.engine.cell_misses == spec.cells
+
+    def test_cold_run_plans_todays_shards(self):
+        spec = tiny_spec(seeds=(1, 2))
+        dispatcher = RecordingDispatcher()
+        fast_supervisor(dispatcher=dispatcher).run(spec, shards=2)
+        assert dispatcher.planned == {
+            shard.index: shard.cells for shard in plan_shards(spec, 2)
+        }
+
+    def test_cold_lake_is_filed_by_the_coordinator_only(
+        self, tmp_path, reference
+    ):
+        events = tmp_path / "events"
+        spec = lake_spec(tmp_path / "lake", obs=ObsSpec(
+            enabled=True, dir=str(events), metrics_every=0
+        ))
+        session = Session.for_spec(spec)
+        outcome = session.run_sharded(
+            spec, shards=2, supervisor=fast_supervisor()
+        )
+        assert outcome.mode == "sharded" and outcome.complete
+        assert outcome.digest() == reference.digest()
+        assert session.engine.lake_writes == spec.cells
+        assert session.engine.cell_misses == 0
+        lake_events = {}
+        for record in event_records(events):
+            if record["name"].startswith("sweep.cell.lake"):
+                lake_events.setdefault(record["pid"], []).append(
+                    record["name"]
+                )
+        assert lake_events == {
+            os.getpid(): ["sweep.cell.lake_write"] * spec.cells
+        }
+        # A fresh session serves the whole grid from what was filed.
+        warm = Session.for_spec(spec)
+        assert warm.run(spec).digest() == reference.digest()
+        assert warm.engine.cell_misses == 0
 
 
 # ---------------------------------------------------------------------------
