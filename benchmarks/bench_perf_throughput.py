@@ -20,6 +20,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.api.spec import WindowSpec
 from repro.harness.perf import (
     DEFAULT_BENCHMARKS,
     SMOKE_TOLERANCE,
@@ -136,9 +137,12 @@ def _merge_trajectory(existing: list | None, entry: dict) -> list:
 
 
 def run_full(repeats: int, json_path: Path) -> int:
+    window = WindowSpec.from_env()
     report = measure_throughput(
         benchmarks=DEFAULT_BENCHMARKS,
         mechanisms=_mechanisms(),
+        warmup=window.warmup,
+        measure=window.measure,
         repeats=repeats,
     )
     print(render_report(report))

@@ -36,6 +36,7 @@ from pathlib import Path
 from repro.api import env as api_env
 from repro.harness.reporting import format_ipc, harmonic_mean
 from repro.pipeline.simulator import _TRACE_SLACK, Simulator
+from repro.sampling.config import SamplingConfig
 from repro.workloads.spec2006 import representative_names
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -111,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
 
     today, today_wall = _sweep(
         simulator, REPRESENTATIVE, mechanisms,
-        args.warmup, args.today_measure, None, repeats=2,
+        args.warmup, args.today_measure, SamplingConfig(), repeats=2,
     )
     sampled, sampled_wall = _sweep(
         simulator, REPRESENTATIVE, mechanisms,
@@ -119,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     full, full_wall = _sweep(
         simulator, REPRESENTATIVE, mechanisms,
-        args.warmup, args.measure, None,
+        args.warmup, args.measure, SamplingConfig(),
     )
 
     print(f"traces: built/loaded in {build_wall:.1f}s "

@@ -9,10 +9,11 @@ Shows the front-door API (DESIGN.md §10): describe the experiment as a
 typed :class:`ExperimentSpec` (the environment overlays defaults exactly
 once, at construction), run it through a :class:`Session`, and read
 IPC/coverage/accuracy off the versioned :class:`RunResult` artifact.
-The session shares the process-wide sweep engine — the same code path
-the figure benches and the ``repro`` CLI use — so its simulator serves
-traces from the persistent on-disk trace store, the second invocation of
-this script skips interpretation entirely, and identical cells are
+``Session.for_spec`` hands the spec the process-wide sweep engine —
+built once on the environment's store, the same code path the figure
+benches and the ``repro`` CLI use — so its simulator serves traces from
+the persistent on-disk trace store, the second invocation of this
+script skips interpretation entirely, and identical cells are
 simulated only once per process.
 
 The equivalent CLI invocation::
@@ -34,7 +35,7 @@ def main() -> None:
             MechanismConfig.baseline(), MechanismConfig.rsep_ideal()
         ],
     )
-    session = Session()
+    session = Session.for_spec(spec)
     result = session.run(spec)
 
     base = result.outcome(benchmark, "baseline")

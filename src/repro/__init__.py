@@ -15,8 +15,9 @@ Quick start::
     from repro import Simulator, MechanismConfig
 
     sim = Simulator()
-    base = sim.run_benchmark("mcf", MechanismConfig.baseline())
-    rsep = sim.run_benchmark("mcf", MechanismConfig.rsep_ideal())
+    window = dict(warmup=8000, measure=20000)
+    base = sim.run_benchmark("mcf", MechanismConfig.baseline(), **window)
+    rsep = sim.run_benchmark("mcf", MechanismConfig.rsep_ideal(), **window)
     print(f"speedup: {rsep.ipc / base.ipc - 1.0:+.1%}")
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -5,8 +5,12 @@ One import surface for the whole experiment lifecycle::
     from repro.api import ExperimentSpec, Session
 
     spec = ExperimentSpec.from_env(benchmarks=["mcf"])   # env overlay, once
-    result = Session().run(spec)                         # shared engine
+    result = Session.for_spec(spec).run(spec)            # shared engine
     result.save("mcf.json")                              # versioned artifact
+
+``REPRO_*`` is read only at the front doors — ``ExperimentSpec.from_env``,
+the ``repro`` CLI and the construction of the process-wide engine
+(DESIGN.md §10); below them every setting travels as a value.
 
 Submodules: :mod:`repro.api.env` (the single ``REPRO_*`` reader),
 :mod:`repro.api.spec` (the frozen spec family), :mod:`repro.api.session`

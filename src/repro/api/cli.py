@@ -16,6 +16,8 @@ through the one environment overlay (explicit flag beats ``REPRO_*``
 beats default) and executes it through a
 :class:`~repro.api.session.Session`, so a CLI invocation, a bench and a
 library call are the same experiment value — fingerprint and all.
+:func:`main` runs every subcommand under ``activated(ObsSpec.from_env())``,
+so ``REPRO_OBS=1 repro …`` observes the whole command.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.api.result import RunResult
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec, StoreSpec, WindowSpec
 from repro.harness.reporting import Table, format_ipc, harmonic_mean
+from repro.obs import ObsSpec, activated
 from repro.pipeline.config import MECHANISM_PRESETS, MechanismConfig
 
 PROG = "repro"
@@ -212,6 +215,15 @@ def _cmd_sweep(args) -> int:
     return 1 if holes else 0
 
 
+def _window(args) -> WindowSpec:
+    """The environment's window with ``--warmup``/``--measure`` over it."""
+    base = WindowSpec.from_env()
+    return WindowSpec(
+        warmup=base.warmup if args.warmup is None else args.warmup,
+        measure=base.measure if args.measure is None else args.measure,
+    )
+
+
 def _cmd_perf(args) -> int:
     import json
 
@@ -238,20 +250,23 @@ def _cmd_perf(args) -> int:
             return 2
         return throughput_smoke(args.json or "BENCH_perf.json",
                                 repeats=args.repeats)
-    sampling = None
-    if args.sampled:
-        from dataclasses import replace
+    from dataclasses import replace
 
+    from repro.sampling import SamplingConfig
+
+    sampling = SamplingConfig()
+    if args.sampled:
         sampling = replace(api_env.sampling_from_env(), enabled=True)
         if args.interval is not None:
             sampling = replace(sampling, interval=args.interval)
         if args.detail_ratio is not None:
             sampling = replace(sampling, detail_ratio=args.detail_ratio)
+    window = _window(args)
     report = measure_throughput(
         benchmarks=tuple(args.benchmarks or DEFAULT_BENCHMARKS),
         mechanisms=_mechanisms_from_args(args.mechanisms),
-        warmup=args.warmup,
-        measure=args.measure,
+        warmup=window.warmup,
+        measure=window.measure,
         seed=1 if args.seed is None else args.seed,
         repeats=args.repeats,
         sampling=sampling,
@@ -284,11 +299,7 @@ def _cmd_figures(args) -> int:
             return 2
     window = None
     if args.warmup is not None or args.measure is not None:
-        base = WindowSpec.from_env()
-        window = WindowSpec(
-            warmup=base.warmup if args.warmup is None else args.warmup,
-            measure=base.measure if args.measure is None else args.measure,
-        )
+        window = _window(args)
     # The sweep figures run first, as one batch, so forked workers start
     # from a parent that has not yet run fig1's functional analysis.
     results, holes = {}, ()
@@ -635,18 +646,22 @@ def _cmd_profile(args) -> int:
             write_json(report, args.json)
             print(f"wrote {args.json}")
         return 0 if ok else 1
-    sampling = None
-    if args.full_detail:
-        from repro.sampling import SamplingConfig
+    from dataclasses import replace
 
-        sampling = SamplingConfig(enabled=False)
+    from repro.sampling import SamplingConfig
+
+    sampling = (
+        SamplingConfig() if args.full_detail
+        else replace(api_env.sampling_from_env(), enabled=True)
+    )
+    window = _window(args)
     try:
         payload = phase_profile(
             benchmarks=tuple(args.benchmarks) if args.benchmarks
             else DEFAULT_BENCHMARKS,
             mechanism_name=args.mechanism,
-            warmup=args.warmup,
-            measure=args.measure,
+            warmup=window.warmup,
+            measure=window.measure,
             sampling=sampling,
         )
     except (KeyError, ValueError) as error:
@@ -660,14 +675,13 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_tail(args) -> int:
-    import os
     import time
 
     from repro.obs import decode_record, format_record
     from repro.obs.config import DEFAULT_OBS_DIR
 
     directory = Path(
-        args.dir or os.environ.get("REPRO_OBS_DIR") or DEFAULT_OBS_DIR
+        args.dir or api_env.obs_dir_from_env() or DEFAULT_OBS_DIR
     )
     offsets: dict[Path, int] = {}
 
@@ -963,21 +977,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "tail":
-        return _cmd_tail(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    return _cmd_inspect(args)
+    handler = {
+        "sweep": _cmd_sweep, "perf": _cmd_perf, "figures": _cmd_figures,
+        "report": _cmd_report, "profile": _cmd_profile, "tail": _cmd_tail,
+        "serve": _cmd_serve, "inspect": _cmd_inspect,
+    }[args.command]
+    with activated(ObsSpec.from_env()):
+        return handler(args)
 
 
 if __name__ == "__main__":

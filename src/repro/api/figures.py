@@ -225,8 +225,10 @@ def figure_spec(
     """The :class:`ExperimentSpec` of one sweep figure.
 
     Everything not fixed by the figure (benchmark subset, window, seeds,
-    store, shards) overlays the environment exactly like
-    :meth:`ExperimentSpec.from_env`.
+    store) overlays the environment exactly like
+    :meth:`ExperimentSpec.from_env`.  ``shards`` is 0: how a figure
+    fans out is its batch's choice, resolved once by
+    :func:`run_figures`.
     """
     if name not in FIGURES:
         raise KeyError(
@@ -238,6 +240,7 @@ def figure_spec(
         mechanisms=FIGURES[name].mechanisms,
         window=window,
         seeds=seeds,
+        shards=0,
     )
 
 
@@ -293,6 +296,7 @@ def run_figures(
     goes through :meth:`Session.run_sharded` over forked workers, one
     shard per benchmark (``REPRO_SHARDS`` overrides; ``1`` keeps it in
     process); a given *session* runs it in process on its own engine.
+    Every figure's spec records the shard count its batch ran with.
 
     *results* maps every figure whose cells all arrived to its own
     :class:`RunResult`: the figure's :func:`figure_spec`, mechanism
@@ -315,14 +319,16 @@ def run_figures(
     for spec in specs.values():
         for mechanism in spec.mechanisms:
             unique.setdefault(mechanism.fingerprint(), mechanism)
-    batch = replace(next(iter(specs.values())),
-                    mechanisms=tuple(unique.values()))
+    first = next(iter(specs.values()))
+    # One shard count, resolved once: the batch runs with it and every
+    # figure's artifact records it.
+    shards = 1 if session is not None else api_env.shards_from_env(
+        default=len(first.benchmarks)
+    )
+    batch = replace(first, mechanisms=tuple(unique.values()), shards=shards)
     if session is None:
         session = Session.for_spec(batch)
-        shards = api_env.shards_from_env(default=len(batch.benchmarks))
-    else:
-        shards = 1
-    outcome = session.run_sharded(batch, shards=shards)
+    outcome = session.run_sharded(batch)
     stats = {
         (cell.benchmark, cell.mechanism, cell.seed): cell.stats
         for cell in outcome.result.cells
@@ -344,7 +350,8 @@ def run_figures(
         except KeyError:  # a hole: the figure is incomplete
             continue
         results[name] = RunResult(
-            spec=spec, cells=cells, telemetry=outcome.result.telemetry
+            spec=replace(spec, shards=shards), cells=cells,
+            telemetry=outcome.result.telemetry,
         )
     return results, outcome
 

@@ -17,9 +17,6 @@ from repro.api.result import CellResult, RunResult
 from repro.api.spec import ExperimentSpec, StoreSpec
 from repro.obs import runtime as obs_runtime
 from repro.harness.sweep import SweepEngine, shared_engine
-from repro.pipeline.config import CoreConfig
-from repro.pipeline.simulator import Simulator
-from repro.workloads.store import TraceStore
 
 
 class Session:
@@ -28,14 +25,14 @@ class Session:
     The default session shares the process-wide engine (and with it the
     persistent trace store and cell memo) with every other default
     session, bench and example in the process.  Pass a
-    :class:`StoreSpec` or a non-default :class:`CoreConfig` to get a
-    private engine instead — e.g. a throwaway store root in tests.
+    :class:`StoreSpec` to get a private engine pinned to it instead —
+    e.g. a throwaway store root in tests — or an engine of your own
+    (a test on another core builds one around ``Simulator(core)``).
     """
 
     def __init__(
         self,
         store: StoreSpec | None = None,
-        core_config: CoreConfig | None = None,
         engine: SweepEngine | None = None,
     ) -> None:
         if engine is not None:
@@ -43,44 +40,29 @@ class Session:
                 raise ValueError("pass a store spec or an engine, not both")
             self.engine = engine
         elif store is None:
-            self.engine = shared_engine(core_config)
+            self.engine = shared_engine()
         else:
-            root = store.resolve_root()
-            self.engine = SweepEngine(
-                simulator=Simulator(
-                    core_config,
-                    trace_store=(
-                        TraceStore(root) if root is not None else None
-                    ),
-                ),
-                # Pinned, not env-following: an explicit spec always
-                # wins over ambient state (shared-engine sessions follow
-                # the environment, which for_spec only allows when the
-                # spec agrees with it anyway).
-                result_lake=store.result_lake,
-            )
+            self.engine = SweepEngine.for_store(store)
         self.simulator = self.engine.simulator
 
     @classmethod
-    def for_spec(cls, spec: ExperimentSpec,
-                 core_config: CoreConfig | None = None) -> "Session":
+    def for_spec(cls, spec: ExperimentSpec) -> "Session":
         """A session honouring *spec*'s store configuration.
 
-        The shared engine is used only when the spec's store agrees
-        with what the environment resolves to anyway — then sharing is
+        The shared engine is used only when the spec's store equals the
+        :class:`StoreSpec` that engine was built from — then sharing is
         observationally equivalent and buys the cross-run memo.  Any
-        disagreement (an explicit path, a pinned ``result_lake`` that
-        the environment contradicts) gets a private engine with the
-        spec's settings, so an explicit spec always wins over ambient
-        state.
+        other store gets a private engine pinned to it, so an explicit
+        spec always wins over ambient state.
         (One documented exception: ``path=None`` means "the default
-        cache location" and resolves through the environment, so a
-        process that disabled persistence is never forced to write the
-        user's cache — see :meth:`StoreSpec.resolve_root`.)
+        cache location" and resolves through the environment when the
+        engine is built, so a process that disabled persistence is
+        never forced to write the user's cache — see
+        :meth:`StoreSpec.resolve_root`.)
         """
-        if spec.store == StoreSpec() and StoreSpec.from_env() == spec.store:
-            return cls(core_config=core_config)
-        return cls(store=spec.store, core_config=core_config)
+        if spec.store == shared_engine().store:
+            return cls()
+        return cls(store=spec.store)
 
     # ------------------------------------------------------------------
 
@@ -93,9 +75,10 @@ class Session:
         with the same engine state) yields digest-identical artifacts.
         """
         # The telemetry plane (DESIGN.md §13) activates for this scope
-        # when the spec enables it; otherwise REPRO_OBS steers it.
-        # Off (the default) is free: no
-        # runtime resolves and the artifact carries no telemetry.
+        # when the spec enables it; otherwise a runtime the caller
+        # installed (the ``repro`` CLI does for ``REPRO_OBS=1``) keeps
+        # observing.  Off (the default) is free: no runtime is active
+        # and the artifact carries no telemetry.
         with obs_runtime.activated(spec.obs):
             swept = self.engine.sweep(
                 list(spec.benchmarks),

@@ -75,11 +75,6 @@ class IssuePorts:
         self._mul = 0
         self._fpmul = 0
 
-    @property
-    def issued_this_cycle(self) -> int:
-        """Slots claimed this cycle (hot paths read ``_total`` directly)."""
-        return self._total
-
     def _has_slot(self) -> bool:
         return self._total < self.config.issue_width
 

@@ -56,10 +56,6 @@ class LoadStoreQueues:
     def lq_occupancy(self) -> int:
         return len(self._loads)
 
-    @property
-    def sq_occupancy(self) -> int:
-        return len(self._stores)
-
     def add_load(self, op) -> None:
         if self.lq_full:
             raise OverflowError("LQ overflow")

@@ -39,12 +39,6 @@ class HashRegisterFile:
         """The hash written to the HRF for one result."""
         return fold_hash(value, self.hash_bits)
 
-    def record_writeback(self) -> None:
-        self.writes += 1
-
-    def record_commit_read(self) -> None:
-        self.reads += 1
-
     def storage_report(self) -> StorageReport:
         report = StorageReport("Hash Register File")
         report.add(

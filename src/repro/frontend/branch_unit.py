@@ -133,7 +133,3 @@ class BranchUnit:
         self.history.restore_raw(outcome.history_snapshot)
         self.path.restore(outcome.path_snapshot)
         self.ras.restore(outcome.ras_checkpoint)
-
-    @property
-    def mpki_numerator(self) -> int:
-        return self.direction_mispredicts + self.target_mispredicts

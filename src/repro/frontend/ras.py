@@ -29,9 +29,6 @@ class ReturnAddressStack:
             self._top -= 1
         return self._stack[self._top % self._entries]
 
-    def peek(self) -> int:
-        return self._stack[(self._top - 1) % self._entries]
-
     def checkpoint(self) -> int:
         """Capture the pointer for squash recovery."""
         return self._top

@@ -31,9 +31,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.api import env as api_env
 from repro.api.spec import default_mechanisms
-from repro.pipeline.config import CoreConfig, MechanismConfig
+from repro.pipeline.config import MechanismConfig
 from repro.pipeline.core import Pipeline
 from repro.pipeline.simulator import (
     _TRACE_SLACK,  # match Simulator.run_benchmark's trace sizing exactly
@@ -93,12 +92,12 @@ class PerfReport:
 def measure_throughput(
     benchmarks=DEFAULT_BENCHMARKS,
     mechanisms: list[MechanismConfig] | None = None,
-    warmup: int | None = None,
-    measure: int | None = None,
+    *,
+    warmup: int,
+    measure: int,
     seed: int = 1,
     repeats: int = 3,
-    core_config: CoreConfig | None = None,
-    sampling: SamplingConfig | None = None,
+    sampling: SamplingConfig = SamplingConfig(),
 ) -> PerfReport:
     """Measure simulated KIPS for every benchmark × mechanism cell.
 
@@ -110,10 +109,6 @@ def measure_throughput(
     """
     if mechanisms is None:
         mechanisms = list(default_mechanisms())
-    if warmup is None or measure is None:
-        default_warmup, default_measure = api_env.window_from_env()
-        warmup = default_warmup if warmup is None else warmup
-        measure = default_measure if measure is None else measure
     if repeats <= 0:
         raise ValueError("repeats must be positive")
 
@@ -122,7 +117,7 @@ def measure_throughput(
     # sessions — the timed region stays the pipeline alone either way.
     from repro.harness.sweep import shared_engine
 
-    simulator = shared_engine(core_config).simulator
+    simulator = shared_engine().simulator
     instructions = warmup + measure
     report = PerfReport(warmup=warmup, measure=measure, repeats=repeats)
 
@@ -139,12 +134,11 @@ def measure_throughput(
             best_wall = None
             stats = None
             simulated = instructions
-            sampled_active = sampling is not None and sampling.active
             for _ in range(repeats):
                 pipeline = Pipeline(
                     trace, simulator.core_config, mechanism, seed
                 )
-                if sampled_active:
+                if sampling.active:
                     run = SampledRun(pipeline, sampling)
                     start = time.perf_counter()
                     warmed_up = run.warm_up(warmup)

@@ -38,20 +38,22 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
-from repro.api import env as api_env
+from repro.api.spec import StoreSpec
 from repro.obs.runtime import obs_tracer
-from repro.pipeline.config import CoreConfig, MechanismConfig
+from repro.pipeline.config import MechanismConfig
 from repro.pipeline.simulator import SimulationResult, Simulator
 from repro.pipeline.stats import Stats
 from repro.sampling import SamplingConfig
-from repro.workloads.store import CELL_FORMAT, workload_code_version
+from repro.workloads.store import (
+    CELL_FORMAT,
+    TraceStore,
+    workload_code_version,
+)
 
 #: Cell key: (benchmark, seed, warmup, measure, mechanism fingerprint,
-#: sampling fingerprint, core-config fingerprint).  The core fingerprint
-#: makes the memo sound for any core configuration — two cores can
-#: never collide on a key — which is also what lets engines with
-#: different cores share one cell table (see :meth:`SweepEngine.variant`)
-#: and what makes a persistent result lake keyed the same way safe.
+#: sampling fingerprint, core-config fingerprint).  An engine simulates
+#: one core, but its fingerprint stays in every key and lake token: a
+#: changed ``CoreConfig`` default can never be served a stale cell.
 CellKey = tuple[str, int, int, int, str, str, str]
 
 #: The exact Stats schema this build writes/reads in lake cells.  A lake
@@ -79,87 +81,50 @@ def _copy_result(
 
 
 class SweepEngine:
-    """Memoising sweep executor shared by benches, examples and tests."""
+    """Memoising sweep executor shared by benches, examples and tests.
+
+    What a cell computes and where it is filed is fixed when the engine
+    is built (the simulator's core and trace store, the lake gate) or
+    passed with each call (window, sampling): no method reads the
+    environment (DESIGN.md §10).
+    """
 
     def __init__(
         self,
-        core_config: CoreConfig | None = None,
         simulator: Simulator | None = None,
-        sampling: SamplingConfig | None = None,
-        result_lake: bool | None = None,
+        result_lake: bool = False,
     ) -> None:
-        self.simulator = simulator or Simulator(core_config)
-        self.core_config = self.simulator.core_config
-        self._core_fp = self.core_config.fingerprint()
-        #: Engine-wide sampling default; ``None`` follows the environment
-        #: (``REPRO_SAMPLING`` and friends) at each call.
-        self.sampling = sampling
-        #: Result-lake gate (DESIGN.md §14): ``None`` follows the
-        #: environment (``REPRO_RESULT_LAKE``) at each call; an explicit
-        #: bool (a :class:`~repro.api.spec.StoreSpec` threading through
-        #: :class:`~repro.api.session.Session`) pins it.  The lake lives
-        #: in the simulator's trace store, so no store means no lake.
-        self.result_lake = result_lake
+        self.simulator = simulator or Simulator()
+        self._core_fp = self.simulator.core_config.fingerprint()
+        #: Result-lake gate (DESIGN.md §14).  The lake lives in the
+        #: simulator's trace store, so no store means no lake.
+        self.result_lake = (
+            result_lake and self.simulator.trace_store is not None
+        )
+        #: The :class:`StoreSpec` a :meth:`for_store` engine was built
+        #: from (``None`` for an engine around a given simulator).
+        self.store: StoreSpec | None = None
         self._cells: dict[CellKey, SimulationResult] = {}
-        self._variants: dict[str, SweepEngine] = {}
         self.cell_hits = 0
         self.cell_misses = 0
         self.lake_hits = 0
         self.lake_misses = 0
         self.lake_writes = 0
 
-    # ------------------------------------------------------------------
-
-    def variant(self, core_config: CoreConfig | None) -> "SweepEngine":
-        """An engine simulating *core_config* that shares this engine's
-        caches.
-
-        The variant reuses the same on-disk trace store, the same
-        in-memory trace cache (traces are core-independent), the same
-        cell memo (sound: cell keys cover the core fingerprint) and the
-        same result-lake gate.  Repeated requests for one core config
-        return the same object, so its hit/miss counters accumulate
-        across callers — unlike the pre-lake behaviour where every
-        non-default core got a throwaway private engine that
-        re-simulated everything.
-        """
-        if core_config is None:
-            return self
-        fingerprint = core_config.fingerprint()
-        if fingerprint == self._core_fp:
-            return self
-        engine = self._variants.get(fingerprint)
-        if engine is None:
-            engine = SweepEngine(
-                simulator=Simulator(
-                    core_config, trace_store=self.simulator.trace_store
-                ),
-                sampling=self.sampling,
-                result_lake=self.result_lake,
-            )
-            engine._cells = self._cells
-            engine.simulator._trace_cache = self.simulator._trace_cache
-            self._variants[fingerprint] = engine
+    @classmethod
+    def for_store(cls, store: StoreSpec) -> "SweepEngine":
+        """An engine on *store*'s trace-store root and lake gate."""
+        root = store.resolve_root()
+        engine = cls(
+            simulator=Simulator(
+                trace_store=TraceStore(root) if root is not None else None
+            ),
+            result_lake=store.result_lake,
+        )
+        engine.store = store
         return engine
 
-    def lake_enabled(self) -> bool:
-        """Whether cell lookups consult (and misses populate) the lake."""
-        if self.simulator.trace_store is None:
-            return False
-        if self.result_lake is not None:
-            return self.result_lake
-        return api_env.result_lake_from_env()
-
     # ------------------------------------------------------------------
-
-    def _resolve_sampling(
-        self, sampling: SamplingConfig | None
-    ) -> SamplingConfig:
-        if sampling is not None:
-            return sampling
-        if self.sampling is not None:
-            return self.sampling
-        return api_env.sampling_from_env()
 
     def _key(
         self, benchmark: str, mechanism: MechanismConfig, seed: int,
@@ -244,7 +209,7 @@ class SweepEngine:
                 mechanism=mechanism.name, seed=seed,
             )
             return _copy_result(cached, benchmark, mechanism.name, seed)
-        if not self.lake_enabled():
+        if not self.result_lake:
             return None
         cached = self._lake_load(
             benchmark, mechanism, seed,
@@ -276,7 +241,7 @@ class SweepEngine:
         self._cells[key] = _copy_result(
             result, benchmark, mechanism.name, seed
         )
-        if not self.lake_enabled():
+        if not self.result_lake:
             return
         written = self.simulator.trace_store.save_cell(
             dataclasses.asdict(result.stats), benchmark, seed,
@@ -294,21 +259,16 @@ class SweepEngine:
         self,
         benchmark: str,
         mechanism: MechanismConfig,
-        seed: int = 1,
-        warmup: int | None = None,
-        measure: int | None = None,
-        sampling: SamplingConfig | None = None,
+        seed: int,
+        warmup: int,
+        measure: int,
+        sampling: SamplingConfig = SamplingConfig(),
     ) -> SimulationResult:
         """Simulate (or recall) one cell; returns a private result copy.
 
         :meth:`lookup` first; a miss is simulated and :meth:`record`
         files it, so with the lake on it is served from disk from then on.
         """
-        sampling = self._resolve_sampling(sampling)
-        if warmup is None or measure is None:
-            default_warmup, default_measure = api_env.window_from_env()
-            warmup = default_warmup if warmup is None else warmup
-            measure = default_measure if measure is None else measure
         cached = self.lookup(
             benchmark, mechanism, seed, warmup, measure, sampling
         )
@@ -330,10 +290,10 @@ class SweepEngine:
         self,
         benchmarks: list[str],
         mechanisms: list[MechanismConfig],
-        seeds: list[int] | None = None,
-        warmup: int | None = None,
-        measure: int | None = None,
-        sampling: SamplingConfig | None = None,
+        seeds: list[int],
+        warmup: int,
+        measure: int,
+        sampling: SamplingConfig = SamplingConfig(),
     ) -> dict[tuple[str, str], list[SimulationResult]]:
         """Run every benchmark × mechanism × seed cell via :meth:`run_cell`.
 
@@ -344,7 +304,7 @@ class SweepEngine:
                 self.run_cell(
                     benchmark, mechanism, seed, warmup, measure, sampling
                 )
-                for seed in seeds or [1]
+                for seed in seeds
             ]
             for benchmark in benchmarks
             for mechanism in mechanisms
@@ -358,23 +318,16 @@ class SweepEngine:
 _shared: SweepEngine | None = None
 
 
-def shared_engine(core_config: CoreConfig | None = None) -> SweepEngine:
-    """The process-wide engine for sweeps of any core configuration.
+def shared_engine() -> SweepEngine:
+    """The process-wide engine, built once on ``StoreSpec.from_env()``.
 
     Scripts running in one process (e.g. every figure bench of a pytest
-    session) share its trace and cell memos.  Cell keys cover the
-    core-config fingerprint, so a non-default core no longer gets a
-    throwaway private engine that re-simulates everything: it gets the
-    shared engine's :meth:`~SweepEngine.variant`, sharing the trace
-    store, the in-memory trace cache and the (now sound) cell memo.
+    session) share its trace and cell memos.  Its store root and lake
+    gate are read from the environment when it is built and never
+    again; :meth:`Session.for_spec` hands it only to specs whose store
+    equals :attr:`SweepEngine.store`.
     """
     global _shared
     if _shared is None:
-        _shared = SweepEngine()
-    return _shared.variant(core_config)
-
-
-def reset_shared_engine() -> None:
-    """Drop the process-wide engine (tests use this for isolation)."""
-    global _shared
-    _shared = None
+        _shared = SweepEngine.for_store(StoreSpec.from_env())
+    return _shared

@@ -91,7 +91,3 @@ class DramModel:
     @property
     def average_latency_cycles(self) -> float:
         return self.total_latency / self.accesses if self.accesses else 0.0
-
-    @property
-    def average_latency_ns(self) -> float:
-        return self.average_latency_cycles / self.config.clock_ghz

@@ -1,9 +1,10 @@
 """The telemetry plane (DESIGN.md §13): tracing, metrics, profiling.
 
-Everything here defaults **off**: with ``REPRO_OBS`` unset the simulator
-runs the identical step sequence, produces bit-identical stats and
-digest-identical artifacts, and pays no measurable overhead.  With ``REPRO_OBS=1`` (or an enabled
-:class:`ObsSpec` on the experiment spec):
+Everything here defaults **off**: with no runtime installed the
+simulator runs the identical step sequence, produces bit-identical stats
+and digest-identical artifacts, and pays no measurable overhead.  With
+an enabled :class:`ObsSpec` on the experiment spec (or ``REPRO_OBS=1``
+on a ``repro`` command line, which installs one for the whole command):
 
 * a :class:`~repro.obs.tracer.Tracer` appends span/event records
   (JSONL, monotonic clock, pid-tagged) around trace interpretation,

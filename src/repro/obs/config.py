@@ -29,10 +29,10 @@ class ObsSpec:
     """Observability configuration for one run (default: fully off).
 
     ``enabled`` turns the plane on for the session executing the spec;
-    ``dir`` is where event streams land (``None`` = ``REPRO_OBS_DIR`` or
-    ``.repro-obs``); ``metrics_every`` is the pipeline-metrics sampling
-    cadence in committed instructions (``0`` disables the metrics hub
-    while keeping tracing).
+    ``dir`` is where event streams land (``None`` = ``.repro-obs``;
+    :meth:`from_env` reads ``REPRO_OBS_DIR``); ``metrics_every`` is the
+    pipeline-metrics sampling cadence in committed instructions (``0``
+    disables the metrics hub while keeping tracing).
     """
 
     enabled: bool = False

@@ -25,7 +25,6 @@ import dataclasses
 import json
 import tempfile
 import time
-from dataclasses import replace
 
 #: Profile payload layout version.
 PROFILE_FORMAT = 1
@@ -81,7 +80,6 @@ def _profile_cells(benchmarks, mechanism, warmup: int, measure: int,
     stages["warm"] = 0.0
     wall = 0.0
     covered = 0
-    sampled_active = sampling is not None and sampling.active
     for benchmark in benchmarks:
         start = clock()
         trace = simulator.trace_for(
@@ -91,7 +89,7 @@ def _profile_cells(benchmarks, mechanism, warmup: int, measure: int,
         pipeline = Pipeline(trace, simulator.core_config, mechanism, seed)
         _instrument_stages(pipeline, stages)
         start = clock()
-        if sampled_active:
+        if sampling.active:
             run = SampledRun(pipeline, sampling)
             inner_warm = run.warmer.warm
 
@@ -123,29 +121,23 @@ def _profile_cells(benchmarks, mechanism, warmup: int, measure: int,
 def phase_profile(
     benchmarks=DEFAULT_BENCHMARKS,
     mechanism_name: str = "rsep-realistic",
-    warmup: int | None = None,
-    measure: int | None = None,
-    sampling=None,
+    *,
+    warmup: int,
+    measure: int,
+    sampling,
     combos: str = "current",
     seed: int = 1,
 ) -> dict:
     """Per-stage wall attribution of one profiled run.
 
-    The default run is sampled (so warming shows up as a phase); pass an
-    inactive *sampling* for a full-detail profile.  There is one compute
+    An active *sampling* makes warming show up as a phase (``repro
+    profile`` samples unless ``--full-detail``).  There is one compute
     plane: the result sits under ``combos`` as its single entry, keyed
     ``"current"``, and *combos* is accepted for existing callers and
     changes nothing.
     """
-    from repro.api import env as api_env
     from repro.pipeline.config import MechanismConfig
 
-    if warmup is None or measure is None:
-        default_warmup, default_measure = api_env.window_from_env()
-        warmup = default_warmup if warmup is None else warmup
-        measure = default_measure if measure is None else measure
-    if sampling is None:
-        sampling = replace(api_env.sampling_from_env(), enabled=True)
     mechanism = MechanismConfig.preset(mechanism_name)
     result = _profile_cells(
         benchmarks, mechanism, warmup, measure, sampling, seed
@@ -157,7 +149,7 @@ def phase_profile(
         "mechanism": mechanism.name,
         "warmup": warmup,
         "measure": measure,
-        "sampled": bool(sampling is not None and sampling.active),
+        "sampled": sampling.active,
         "seed": seed,
         "combos": {"current": result},
     }
@@ -215,7 +207,8 @@ def overhead_gate(
     robust estimator).  Returns ``(ok, report)``: ``ok`` requires the
     on-arm stats to equal the off-arm stats field-for-field AND on-KIPS
     >= ``(1 - tolerance) * off-KIPS``.  The off arm must really run
-    unobserved, so an observed process (``REPRO_OBS`` set) is refused.
+    unobserved, so a call under an installed runtime (``REPRO_OBS=1
+    repro profile --gate``) is refused.
     """
     from repro.harness.sweep import shared_engine
     from repro.obs import runtime as obs_runtime

@@ -1,29 +1,27 @@
 """Process-level activation of the observability plane.
 
 One question, answered in one place: *is this process being observed,
-and by what?*  :func:`current` returns the active :class:`ObsRuntime` or
-``None``; every hook in the pipeline, sampler, sweep engine and service
-asks it (or the :func:`obs_tracer` shorthand) and does nothing when the
-answer is ``None`` — which is the default, always.
+and by what?*  :func:`current` returns the installed :class:`ObsRuntime`
+or ``None``; every hook in the pipeline, sampler, sweep engine and
+service asks it (or the :func:`obs_tracer` shorthand) and does nothing
+when the answer is ``None`` — which is the default, always.
 
-Resolution mirrors the spec family's *explicit beats environment beats
-default*:
+A runtime is installed only by :func:`activated`, for a ``with`` scope,
+and nothing here reads the environment:
 
-* :func:`activated` installs a runtime for a ``with`` scope —
-  :meth:`Session.run` does this when the spec's :class:`ObsSpec` is
-  enabled, so a spec-driven run observes exactly what its spec says
-  regardless of ambient state;
-* otherwise ``REPRO_OBS=1`` resolves a process-wide runtime from the
-  environment (cached per environment value, so tests flipping the
-  variables get fresh runtimes and long-lived processes pay one read).
-  The environment inherits across ``fork``, which is how shard/pool
-  worker processes join the same event directory — each writes its own
-  pid-suffixed stream (the tracer re-expands ``{pid}`` after a fork).
+* :meth:`Session.run` and the shard supervisor activate the spec's
+  :class:`ObsSpec`, so a spec-driven run observes exactly what its spec
+  says;
+* the ``repro`` CLI runs every subcommand under
+  ``activated(ObsSpec.from_env())``, which is how ``REPRO_OBS=1 repro
+  …`` observes sweeps, figures, perf, profile and ``repro serve``
+  hosts.  Forked shard workers inherit the installed runtime — each
+  writes its own pid-suffixed stream (the tracer re-expands ``{pid}``
+  after a fork).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -38,9 +36,7 @@ class ObsRuntime:
     def __init__(self, spec: ObsSpec) -> None:
         self.spec = spec
         self.metrics_every = spec.metrics_every
-        self.dir = Path(
-            spec.dir or os.environ.get("REPRO_OBS_DIR") or DEFAULT_OBS_DIR
-        )
+        self.dir = Path(spec.dir or DEFAULT_OBS_DIR)
         self.tracer = Tracer(str(self.dir / "events-{pid}.jsonl"))
         #: Per-cell metrics series collected since the last drain.
         self._cells: list[dict] = []
@@ -68,7 +64,7 @@ class ObsRuntime:
 
     def drain_cells(self) -> list[dict]:
         """Hand over (and forget) the banked cell series — one run's
-        worth, so consecutive runs under one env runtime never bleed."""
+        worth, so consecutive runs under one runtime never bleed."""
         cells, self._cells = self._cells, []
         return cells
 
@@ -94,41 +90,15 @@ class ObsRuntime:
 
 
 # ---------------------------------------------------------------------------
-# Resolution: explicit install beats environment beats (default) off
+# Activation: installed for a scope, or (default) off
 # ---------------------------------------------------------------------------
 
 _installed: ObsRuntime | None = None
-_env_runtime: ObsRuntime | None = None
-_env_key: tuple | None = None
 
 
 def current() -> ObsRuntime | None:
-    """The active runtime, or ``None`` (the overhead-free default).
-
-    The environment path re-checks ``REPRO_OBS`` on each call — a single
-    dict read when off — and caches the built runtime keyed on the three
-    variables' values, so a mid-process environment change (tests)
-    swaps runtimes instead of going stale.
-    """
-    if _installed is not None:
-        return _installed
-    from repro.api.env import flag
-
-    raw = os.environ.get("REPRO_OBS")
-    if not flag(raw):
-        return None
-    global _env_runtime, _env_key
-    key = (
-        raw,
-        os.environ.get("REPRO_OBS_DIR"),
-        os.environ.get("REPRO_METRICS_EVERY"),
-    )
-    if _env_runtime is None or key != _env_key:
-        if _env_runtime is not None:
-            _env_runtime.close()
-        _env_runtime = ObsRuntime(ObsSpec.from_env())
-        _env_key = key
-    return _env_runtime
+    """The installed runtime, or ``None`` (the overhead-free default)."""
+    return _installed
 
 
 def obs_tracer():
@@ -149,13 +119,12 @@ def metrics_hub_for_pipeline() -> MetricsHub | None:
 def activated(spec: ObsSpec | None):
     """Install *spec*'s runtime for a scope (no-op unless enabled).
 
-    A disabled spec does **not** suppress an environment-resolved
-    runtime — ``REPRO_OBS=1`` still observes legacy paths — it simply
-    declines to install one.
+    A disabled spec installs nothing and leaves an enclosing runtime —
+    the one ``repro`` installs for ``REPRO_OBS=1`` — in place.
     """
     global _installed
     if spec is None or not spec.enabled:
-        yield current()
+        yield _installed
         return
     runtime = ObsRuntime(spec)
     previous = _installed

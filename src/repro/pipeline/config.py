@@ -151,9 +151,6 @@ class MechanismConfig:
             rsep=RsepConfig.realistic(),
         )
 
-    def with_rsep(self, rsep: RsepConfig, name: str | None = None):
-        return replace(self, rsep=rsep, name=name or self.name)
-
     @classmethod
     def preset(cls, name: str) -> "MechanismConfig":
         """Resolve a CLI/spec preset name to its configuration."""

@@ -246,8 +246,8 @@ class Pipeline:
 
         # Telemetry plane (DESIGN.md §13): a metrics hub samples this
         # pipeline every N committed instructions — but only when an
-        # observability runtime is active (REPRO_OBS, or an enabled
-        # ObsSpec on the executing session).  None — the default — keeps
+        # observability runtime is installed (an enabled ObsSpec, or
+        # REPRO_OBS=1 on a repro command).  None — the default — keeps
         # run_until on its unchunked fast path: zero per-step cost.
         from repro.obs.runtime import metrics_hub_for_pipeline
 

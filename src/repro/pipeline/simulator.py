@@ -2,17 +2,15 @@
 
 Mirrors the paper's methodology (§V): per benchmark, several checkpoints
 (seeds), warm-up then measurement, IPC reported per seed and aggregated
-with the harmonic mean.  Window sizes default to laptop-scale values and
-follow the environment through :mod:`repro.api.env` (the single
-``REPRO_*`` front door; see DESIGN.md §2 on window scaling and §10 on
-the API layering).
+with the harmonic mean.  Every run takes its window and sampling mode
+as arguments; the front doors resolve them (DESIGN.md §2 on window
+scaling, §10 on the API layering).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import env as api_env
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import obs_tracer
 from repro.pipeline.config import CoreConfig, MechanismConfig
@@ -28,7 +26,7 @@ from repro.sampling.checkpoint import CHECKPOINT_FORMAT
 from repro.workloads.columnar import ColumnarTrace, pack_trace
 from repro.workloads.spec2006 import build_benchmark
 from repro.workloads.store import TraceStore, workload_code_version
-from repro.workloads.trace import Trace, execute
+from repro.workloads.trace import execute
 
 #: In-flight margin so traces never run dry mid-window.
 _TRACE_SLACK = 4096
@@ -133,24 +131,17 @@ class Simulator:
         self,
         benchmark: str,
         mechanisms: MechanismConfig,
-        warmup: int | None = None,
-        measure: int | None = None,
+        warmup: int,
+        measure: int,
         seed: int = 1,
-        sampling: SamplingConfig | None = None,
+        sampling: SamplingConfig = SamplingConfig(),
     ) -> SimulationResult:
         """Run one benchmark/mechanism/seed combination.
 
-        ``sampling=None`` follows the environment (``REPRO_SAMPLING``
-        and friends, like the window variables); an *inactive*
-        configuration — disabled, or the degenerate 100%-duty ratio —
-        takes the plain full-detail path unchanged.
+        An *inactive* sampling configuration — the default (off), or
+        the degenerate 100%-duty ratio — takes the plain full-detail
+        path unchanged.
         """
-        if warmup is None or measure is None:
-            default_warm, default_measure = api_env.window_from_env()
-            warmup = default_warm if warmup is None else warmup
-            measure = default_measure if measure is None else measure
-        if sampling is None:
-            sampling = api_env.sampling_from_env()
         if sampling.active:
             return self._run_sampled(
                 benchmark, mechanisms, warmup, measure, seed, sampling
@@ -224,18 +215,3 @@ class Simulator:
         stats = run.measure(measure)
         self._collect_telemetry(benchmark, mechanisms, seed, pipeline)
         return SimulationResult(benchmark, mechanisms.name, seed, stats)
-
-    def run_trace(
-        self,
-        trace: Trace,
-        mechanisms: MechanismConfig,
-        warmup: int = 0,
-        measure: int | None = None,
-        seed: int = 1,
-    ) -> SimulationResult:
-        """Run an explicit trace (used by tests and examples)."""
-        if measure is None:
-            measure = len(trace)
-        pipeline = Pipeline(trace, self.core_config, mechanisms, seed)
-        stats = pipeline.run(measure, warmup)
-        return SimulationResult(trace.name, mechanisms.name, seed, stats)

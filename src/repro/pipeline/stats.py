@@ -95,32 +95,6 @@ class Stats:
         total = self.dist_pred + self.rsep_mispredicts
         return self.dist_pred / total if total else 1.0
 
-    @property
-    def rsep_coverage_of_eligible(self) -> float:
-        """Distance-predicted fraction of eligible instructions (§VI.B)."""
-        if not self.committed_eligible:
-            return 0.0
-        return self.dist_pred / self.committed_eligible
-
-    def coverage_summary(self) -> dict[str, float]:
-        """Fig. 5's bar segments for this run."""
-        return {
-            "zero_idiom_elim": self.coverage_fraction(self.zero_idiom_elim),
-            "move_elim": self.coverage_fraction(self.move_elim),
-            "zero_pred": self.coverage_fraction(
-                self.zero_pred - self.zero_pred_load
-            ),
-            "zero_pred_load": self.coverage_fraction(self.zero_pred_load),
-            "dist_pred": self.coverage_fraction(
-                self.dist_pred - self.dist_pred_load
-            ),
-            "dist_pred_load": self.coverage_fraction(self.dist_pred_load),
-            "value_pred": self.coverage_fraction(
-                self.value_pred - self.value_pred_load
-            ),
-            "value_pred_load": self.coverage_fraction(self.value_pred_load),
-        }
-
     def reset_window(self) -> None:
         """Zero the counters at the end of warm-up (state is retained)."""
         extra = self.extra

@@ -37,9 +37,6 @@ class FreeList:
 
     # ------------------------------------------------------------------
 
-    def preg_class(self, preg: int) -> RegClass:
-        return RegClass.INT if preg < self.num_int else RegClass.FP
-
     @property
     def free_int(self) -> int:
         return len(self._free_int)
@@ -74,22 +71,3 @@ class FreeList:
             self._free_int.append(preg)
         else:
             self._free_fp.append(preg)
-
-    def is_allocated(self, preg: int) -> bool:
-        return self._allocated[preg]
-
-    def seed_architectural(self, pregs_needed_int: int,
-                           pregs_needed_fp: int) -> list[int]:
-        """Allocate the pregs backing the initial architectural state."""
-        seeded = []
-        for _ in range(pregs_needed_int):
-            preg = self.allocate(RegClass.INT)
-            if preg is None:
-                raise FreeListError("not enough INT pregs for arch state")
-            seeded.append(preg)
-        for _ in range(pregs_needed_fp):
-            preg = self.allocate(RegClass.FP)
-            if preg is None:
-                raise FreeListError("not enough FP pregs for arch state")
-            seeded.append(preg)
-        return seeded

@@ -8,13 +8,7 @@ the ISRB of [11] is designed to coexist with).
 
 from __future__ import annotations
 
-from repro.isa.registers import (
-    NUM_ARCH_REGS,
-    NUM_FP_ARCH_REGS,
-    NUM_INT_ARCH_REGS,
-    XZR,
-    reg_class,
-)
+from repro.isa.registers import NUM_ARCH_REGS, XZR, reg_class
 from repro.rename.free_list import FreeList
 
 
@@ -32,11 +26,6 @@ class RenameMap:
                 if preg is None:
                     raise RuntimeError("free list too small for arch state")
                 self._map[arch] = preg
-
-    @staticmethod
-    def architectural_register_count() -> tuple[int, int]:
-        """(INT, FP) architectural registers that consume pregs."""
-        return NUM_INT_ARCH_REGS - 1, NUM_FP_ARCH_REGS  # XZR excluded
 
     # ------------------------------------------------------------------
 

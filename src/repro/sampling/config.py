@@ -6,9 +6,10 @@ runs on the cycle-level pipeline, and the remainder is covered by the
 functional warmer (:mod:`repro.sampling.warming`), which keeps every
 stateful structure trained while skipping the scheduler entirely.
 
-Follows the existing window conventions (DESIGN.md §2): the sampled mode
-and its parameters come from environment variables so benches and CLIs
-pick them up without code changes.
+Follows the existing window conventions (DESIGN.md §2): the front
+doors (``ExperimentSpec.from_env`` and the ``repro`` CLI) read the
+sampled mode and its parameters from these variables, once; below
+them a ``SamplingConfig`` travels as a value.
 
 | variable             | default | meaning                             |
 |----------------------|---------|-------------------------------------|

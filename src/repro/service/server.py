@@ -90,7 +90,7 @@ class SweepServer:
         if self._engine is None:
             from repro.harness.sweep import SweepEngine
 
-            self._engine = SweepEngine(result_lake=False)
+            self._engine = SweepEngine()
         return self._engine
 
     # ------------------------------------------------------------------

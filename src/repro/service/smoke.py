@@ -359,12 +359,16 @@ def fault_smoke(loopback: bool = False, shards: int = 2) -> int:
     plan = FaultPlan.parse(api_env.faults_from_env() or DEFAULT_FAULTS)
     supervisor = ShardSupervisor(faults=plan, backoff_base=0.01)
     # Store-less, so the reference cannot pre-warm the lake the
-    # loopback run is about to prove out.
+    # loopback run is about to prove out; and on private engines, so
+    # neither run is served from a memo another run in this process
+    # (the shared engine's, when persistence is off) has filled.
     spec = _smoke_spec(StoreSpec(enabled=False))
-    reference = Session.for_spec(spec).run(spec)
+    reference = Session(store=spec.store).run(spec)
     if loopback:
         return _loopback_smoke(plan, supervisor, reference, shards)
-    outcome = supervisor.run(spec, shards=shards)
+    outcome = supervisor.run(
+        spec, shards=shards, session=Session(store=spec.store)
+    )
     problem = _problem(outcome, "sharded", plan, reference)
     if problem is not None:
         print(f"sharded smoke: {problem}")

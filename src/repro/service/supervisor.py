@@ -160,7 +160,7 @@ class ShardSupervisor:
         count = spec.shards if shards is None else shards
         # Workers and hosts simulate the default core; a session on any
         # other core must not file their cells as its own.
-        if count <= 1 or session.engine.core_config != CoreConfig():
+        if count <= 1 or session.simulator.core_config != CoreConfig():
             return ShardedSweepResult(
                 result=session.run(spec), mode="in-process"
             )

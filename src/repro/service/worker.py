@@ -125,9 +125,9 @@ def shard_process_main(
         with open(progress_path, "ab") as progress:
             progress.write(b".")
 
-    # The worker inherits REPRO_OBS through the environment and, thanks
-    # to the tracer's ``{pid}`` path template, appends to its *own*
-    # event file — no cross-process interleaving.
+    # The worker inherits the installed obs runtime across the fork
+    # and, thanks to the tracer's ``{pid}`` path template, appends to
+    # its *own* event file — no cross-process interleaving.
     with obs_tracer().span(
         "worker.shard", shard=shard.index, cells=len(shard.cells)
     ):

@@ -425,16 +425,20 @@ class TestSessionAndResult:
         assert Session().engine is shared_engine()
 
     def test_for_spec_never_lets_env_override_an_explicit_pin(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         # An explicitly pinned result_lake=False must survive
-        # REPRO_RESULT_LAKE=1: the shared engine (the lake follows env)
-        # is only acceptable when the environment agrees with the spec.
+        # REPRO_RESULT_LAKE=1: the shared engine (its lake fixed from
+        # the environment when built) only serves a spec whose store
+        # equals the one it was built from.
         monkeypatch.setenv("REPRO_RESULT_LAKE", "1")
-        spec = tiny_spec(store=StoreSpec(result_lake=False))
-        session = Session.for_spec(spec)
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
         from repro.harness.sweep import shared_engine
 
+        assert shared_engine().result_lake is True
+        spec = tiny_spec(store=StoreSpec(path=str(tmp_path),
+                                         result_lake=False))
+        session = Session.for_spec(spec)
         assert session.engine is not shared_engine()
         assert session.engine.result_lake is False
 
@@ -577,6 +581,93 @@ class TestGoldenFig4:
             assert result.digest() == references[name].digest()
             assert result.mechanism_names() == \
                 references[name].mechanism_names()
+
+
+class TestFigureShards:
+    """Every ``figN.json`` records the shard count its batch ran with."""
+
+    ARGS = ["figures", "fig7", "--benchmark", "mcf", "--benchmark",
+            "hmmer", "--warmup", "256", "--measure", "512"]
+
+    @pytest.mark.parametrize("configured,recorded,shown", [
+        (None, 2, "2"),  # default: one shard per benchmark
+        ("1", 1, "in-process"),
+    ])
+    def test_cli_artifacts_record_the_batch_count(
+        self, tmp_path, capsys, monkeypatch, configured, recorded, shown
+    ):
+        from repro.api.cli import main
+
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        if configured is None:
+            monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SHARDS", configured)
+        assert main([*self.ARGS, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "fig7.json"
+        assert RunResult.load(path).spec.shards == recorded
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == 0
+        assert f"shards      : {shown}" in capsys.readouterr().out
+
+    def test_a_callers_session_runs_in_process(self):
+        results, outcome = run_figures(
+            ["fig7"], benchmarks=["mcf", "hmmer"], window=TINY,
+            session=private_session(),
+        )
+        assert outcome.mode == "in-process"
+        assert results["fig7"].spec.shards == 1
+
+
+class TestResolveOnce:
+    """``REPRO_*`` is read at the front doors only: changing it after a
+    session, an engine or a spec was built changes nothing they
+    compute, file or observe."""
+
+    CHANGED = {
+        "REPRO_RESULT_LAKE": "1", "REPRO_SAMPLING": "1",
+        "REPRO_INTERVAL": "1000", "REPRO_DETAIL_RATIO": "0.25",
+        "REPRO_WARMUP": "300", "REPRO_MEASURE": "3000", "REPRO_OBS": "1",
+    }
+
+    def test_env_changes_after_construction_change_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.harness.sweep import shared_engine
+        from repro.workloads.store import cell_stats_digest
+
+        for name in list(self.CHANGED) + ["REPRO_OBS_DIR"]:
+            monkeypatch.delenv(name, raising=False)
+        store, events = tmp_path / "store", tmp_path / "events"
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(store))
+        spec = ExperimentSpec.from_env(benchmarks=["mcf"], window=TINY)
+        assert not spec.store.result_lake and not spec.obs.enabled
+        engine = shared_engine()  # built on the spec's store, lake off
+        default_session, spec_session = Session(), Session.for_spec(spec)
+
+        def run_all() -> dict:
+            cell = engine.run_cell(
+                "mcf", MechanismConfig.baseline(), 1, 256, 4000
+            )
+            return {
+                "default session": default_session.run(spec).digest(),
+                "spec session": spec_session.run(spec).digest(),
+                "cell": cell_stats_digest(dataclasses.asdict(cell.stats)),
+                "intervals": cell.stats.intervals,
+                "lake writes": engine.lake_writes,
+                "lake cells": sorted(store.glob("*.cell")),
+                "events": sorted(events.rglob("*")),
+            }
+
+        before = run_all()
+        for name, value in self.CHANGED.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setenv("REPRO_OBS_DIR", str(events))
+        after = run_all()
+        assert after == before
+        assert before["intervals"] == 0 and before["lake writes"] == 0
+        assert before["lake cells"] == before["events"] == []
+        assert spec_session.engine is default_session.engine is engine
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +915,13 @@ class TestFigureRegistry:
             spec = figure_spec(name, benchmarks=["mcf"])
             assert spec.benchmarks == ("mcf",)
             assert len(spec.mechanisms) >= 1
+
+    def test_figure_spec_leaves_the_fan_out_to_its_batch(
+        self, monkeypatch
+    ):
+        # run_figures resolves REPRO_SHARDS, once, for the whole batch.
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        assert figure_spec("fig7", benchmarks=["mcf"]).shards == 0
 
     def test_unknown_figure_raises(self):
         with pytest.raises(KeyError, match="fig99"):

@@ -148,3 +148,43 @@ class TestDocumentedCommands:
             except SystemExit:
                 pytest.fail(f"{document}: `repro {shlex.join(argv)}` does "
                             f"not parse: {capsys.readouterr().err}")
+
+
+def readme_env_rows() -> list[str]:
+    """The variable named by each row of README's environment table."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Environment variables → spec fields", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"^\|\s*`(REPRO_\w+)`", section, flags=re.MULTILINE)
+
+
+#: A literal read of a ``REPRO_*`` variable from the environment.
+_ENV_READ = re.compile(
+    r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](REPRO_\w+)["']"""
+)
+
+
+class TestEnvironmentReaders:
+    def test_readme_table_matches_known_vars(self):
+        from repro.api.env import KNOWN_VARS
+
+        rows = readme_env_rows()
+        assert len(rows) == len(set(rows)), f"duplicate rows: {rows}"
+        assert set(rows) - set(KNOWN_VARS) == set(), "rows nothing reads"
+        assert set(KNOWN_VARS) - set(rows) == set(), "variables without rows"
+
+    def test_only_api_env_reads_repro_variables(self):
+        assert _ENV_READ.findall(
+            "os.environ.get(\n 'REPRO_A') os.environ[\"REPRO_B\"] "
+            "os.getenv('REPRO_C') os.environ.get(name)"
+        ) == ["REPRO_A", "REPRO_B", "REPRO_C"]
+        package = REPO_ROOT / "src" / "repro"
+        readers = [
+            f"{path.relative_to(package)}: {name}"
+            for path in sorted(package.rglob("*.py"))
+            if path != package / "api" / "env.py"
+            for name in _ENV_READ.findall(path.read_text(encoding="utf-8"))
+        ]
+        assert readers == [], (
+            "read REPRO_* through repro.api.env, at a front door"
+        )

@@ -1,8 +1,8 @@
 """Differential equivalence: columnar runtime vs the object-trace loops.
 
 Store loads and fresh interpretation always yield a ``ColumnarTrace``;
-object ``Trace`` inputs (``Simulator.run_trace``, the examples) keep the
-object-walking fetch and warming loops.  Every test here runs the same
+object ``Trace`` inputs (a ``Pipeline`` built on one, as the examples
+do) keep the object-walking fetch and warming loops.  Every test here runs the same
 cell through both, the object side on a trace decoded from the same
 packed payload (``helpers.plant_object_trace``), and asserts
 *bit-identical* statistics, so any drift in the columnar fetch loop, the
@@ -50,7 +50,7 @@ def run_cell(
     warmup: int,
     measure: int,
     store_root=None,
-    sampling: SamplingConfig | None = None,
+    sampling: SamplingConfig = SamplingConfig(),
 ) -> dict:
     """One (benchmark, mechanism) cell on a columnar or object trace."""
     store = TraceStore(store_root) if store_root is not None else None

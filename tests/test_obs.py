@@ -1,9 +1,10 @@
 """The telemetry plane (DESIGN.md §13): tracing, metrics, profiler.
 
-The contract under test is double-sided: with ``REPRO_OBS`` unset the
+The contract under test is double-sided: with no runtime installed the
 plane must be *invisible* (bit-identical stats, no telemetry section, no
-files); with it set, the event stream and metric series must be
-complete, crash-recoverable, schema-versioned and digest-neutral.
+files); with an enabled ``ObsSpec``, the event stream and metric series
+must be complete, crash-recoverable, schema-versioned and
+digest-neutral.
 """
 
 from __future__ import annotations
@@ -60,23 +61,10 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**settings_)
 
 
-@pytest.fixture(autouse=True)
-def close_env_runtime():
-    """Close the env-resolved runtime a test leaves cached, so no event
-    file stays open past the test that wrote it."""
-    yield
-    from repro.obs import runtime
-
-    if runtime._env_runtime is not None:
-        runtime._env_runtime.close()
-
-
-def obs_env(monkeypatch, tmp_path, every: int = 100) -> str:
-    directory = str(tmp_path / "obs")
-    monkeypatch.setenv("REPRO_OBS", "1")
-    monkeypatch.setenv("REPRO_OBS_DIR", directory)
-    monkeypatch.setenv("REPRO_METRICS_EVERY", str(every))
-    return directory
+def observed(tmp_path, every: int = 100) -> ObsSpec:
+    """An enabled ``ObsSpec`` writing under ``tmp_path/obs``."""
+    return ObsSpec(enabled=True, dir=str(tmp_path / "obs"),
+                   metrics_every=every)
 
 
 def all_event_names(directory: str) -> set[str]:
@@ -233,9 +221,9 @@ class TestTracer:
 
 
 class TestMetricsHub:
-    def test_cadence_and_growth(self, monkeypatch, tmp_path):
-        obs_env(monkeypatch, tmp_path, every=50)
-        spec = tiny_spec(window=WindowSpec(warmup=0, measure=3000))
+    def test_cadence_and_growth(self, tmp_path):
+        spec = tiny_spec(window=WindowSpec(warmup=0, measure=3000),
+                         obs=observed(tmp_path, every=50))
         result = Session.for_spec(spec).run(spec)
         assert result.telemetry is not None
         cells = result.telemetry["cells"]
@@ -258,9 +246,8 @@ class TestMetricsHub:
         with pytest.raises(ValueError):
             MetricsHub(0)
 
-    def test_metrics_off_when_cadence_zero(self, monkeypatch, tmp_path):
-        obs_env(monkeypatch, tmp_path, every=0)
-        spec = tiny_spec()
+    def test_metrics_off_when_cadence_zero(self, tmp_path):
+        spec = tiny_spec(obs=observed(tmp_path, every=0))
         result = Session.for_spec(spec).run(spec)
         # Tracing active, metric series empty: cells list has no entries.
         assert result.telemetry is not None
@@ -287,15 +274,16 @@ class TestBitIdentity:
         ) if sampled else SamplingSpec()
         spec = tiny_spec(benchmarks=("mcf", "dealII"), sampling=sampling)
 
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        baseline = Session.for_spec(spec).run(spec)
+        # Private sessions: each run simulates every cell itself.
+        baseline = Session(store=spec.store).run(spec)
         assert baseline.telemetry is None
 
-        obs_env(monkeypatch, tmp_path, every=64)
-        observed = Session.for_spec(spec).run(spec)
-        assert observed.telemetry is not None
-        assert observed.digest() == baseline.digest()
-        for cell_a, cell_b in zip(baseline.cells, observed.cells):
+        loud = dataclasses.replace(spec, obs=observed(tmp_path, every=64))
+        result = Session(store=loud.store).run(loud)
+        assert result.telemetry["cells"]
+        assert result.telemetry is not None
+        assert result.digest() == baseline.digest()
+        for cell_a, cell_b in zip(baseline.cells, result.cells):
             assert stats_dict(cell_a.stats) == stats_dict(cell_b.stats)
             assert (cell_a.stats.warmed > 0) == bool(sampled)
 
@@ -329,10 +317,15 @@ class TestActivation:
 
     def test_disabled_spec_does_not_suppress_env(self, monkeypatch,
                                                  tmp_path):
-        directory = obs_env(monkeypatch, tmp_path)
-        with activated(ObsSpec(enabled=False)) as runtime:
-            assert runtime is not None
-            assert str(runtime.dir) == directory
+        # The runtime the CLI installs from REPRO_OBS=1 keeps observing
+        # a run whose own spec is off.
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+        with activated(ObsSpec.from_env()) as outer:
+            with activated(ObsSpec(enabled=False)) as runtime:
+                assert runtime is outer
+                assert str(runtime.dir) == str(tmp_path / "obs")
+        assert current() is None
 
     def test_session_run_with_spec_obs(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_OBS", raising=False)
@@ -373,10 +366,9 @@ class TestActivation:
         assert all("worker.shard" in names for names in pids.values())
         assert current() is None
 
-    def test_memo_recalls_reach_the_event_stream(self, monkeypatch,
-                                                 tmp_path):
-        directory = obs_env(monkeypatch, tmp_path)
-        spec = tiny_spec()
+    def test_memo_recalls_reach_the_event_stream(self, tmp_path):
+        spec = tiny_spec(obs=observed(tmp_path))
+        directory = spec.obs.dir
         session = Session.for_spec(spec)
         session.run(spec)
         session.run(spec)  # every cell a memo recall
@@ -388,15 +380,6 @@ class TestActivation:
         ]
         assert session.engine.cell_hits == spec.cells
         assert len(memo_events) == session.engine.cell_hits
-
-    def test_env_runtime_swaps_on_value_change(self, monkeypatch, tmp_path):
-        obs_env(monkeypatch, tmp_path, every=10)
-        first = current()
-        monkeypatch.setenv("REPRO_METRICS_EVERY", "20")
-        second = current()
-        assert first is not second
-        assert second.metrics_every == 20
-
 
 # ---------------------------------------------------------------------------
 # Artifact: telemetry section + forward compatibility
@@ -455,10 +438,8 @@ class TestArtifact:
         assert "provenance_v9" in out
         assert "not understood by this build" in out
 
-    def test_inspect_metrics_renders_series(self, monkeypatch, tmp_path,
-                                            capsys):
-        obs_env(monkeypatch, tmp_path, every=100)
-        spec = tiny_spec()
+    def test_inspect_metrics_renders_series(self, tmp_path, capsys):
+        spec = tiny_spec(obs=observed(tmp_path, every=100))
         result = Session.for_spec(spec).run(spec)
         path = tmp_path / "artifact.json"
         result.save(path)
@@ -476,9 +457,10 @@ class TestArtifact:
 class TestFaultedShardedSweep:
     def test_lifecycle_events_match_injected_faults(self, monkeypatch,
                                                     tmp_path):
-        directory = obs_env(monkeypatch, tmp_path, every=100)
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        spec = tiny_spec(benchmarks=("mcf", "dealII"))
+        spec = tiny_spec(benchmarks=("mcf", "dealII"),
+                         obs=observed(tmp_path, every=100))
+        directory = spec.obs.dir
         supervisor = ShardSupervisor(
             backoff_base=0.01, backoff_cap=0.05,
             faults=FaultPlan.parse("crash:0,corrupt:1"),
@@ -516,9 +498,9 @@ class TestFaultedShardedSweep:
         assert loaded.telemetry == telemetry
         assert loaded.digest() == outcome.result.digest()
 
-    def test_quarantine_event_and_report(self, monkeypatch, tmp_path):
-        directory = obs_env(monkeypatch, tmp_path)
-        spec = tiny_spec(benchmarks=("mcf", "dealII"))
+    def test_quarantine_event_and_report(self, tmp_path):
+        spec = tiny_spec(benchmarks=("mcf", "dealII"),
+                         obs=observed(tmp_path))
         supervisor = ShardSupervisor(
             backoff_base=0.01, backoff_cap=0.02, max_attempts=2,
             faults=FaultPlan.parse("crash:0:*"),
@@ -527,7 +509,7 @@ class TestFaultedShardedSweep:
         assert not outcome.complete
         assert outcome.shard_reports[0].quarantined
         assert outcome.shard_reports[0].failure_kinds == ("death", "death")
-        assert "shard.quarantine" in all_event_names(directory)
+        assert "shard.quarantine" in all_event_names(spec.obs.dir)
 
     def test_shard_report_round_trip(self, tmp_path):
         # A report's dict form is the artifact telemetry's per-shard
@@ -548,17 +530,17 @@ class TestFaultedShardedSweep:
             "backoff_seconds": 0.15, "quarantined": True,
         }
 
-    def test_sharded_result_round_trip_keeps_reports(self, monkeypatch,
-                                                     tmp_path):
+    def test_sharded_result_round_trip_keeps_reports(self, tmp_path):
         # Every shard report of a faulted run reaches the saved
         # artifact, so a reloaded result still explains its retries.
-        obs_env(monkeypatch, tmp_path, every=0)
         supervisor = ShardSupervisor(
             backoff_base=0.01, backoff_cap=0.02,
             faults=FaultPlan.parse("crash:1"),
         )
         outcome = supervisor.run(
-            tiny_spec(benchmarks=("mcf", "dealII")), shards=2
+            tiny_spec(benchmarks=("mcf", "dealII"),
+                      obs=observed(tmp_path, every=0)),
+            shards=2,
         )
         assert outcome.complete
         path = tmp_path / "merged.json"
@@ -579,8 +561,10 @@ class TestProfiler:
     def test_phase_profile_attributes_stages(self):
         from repro.obs.profile import phase_profile, render_profile
 
-        payload = phase_profile(benchmarks=("mcf",), warmup=200,
-                                measure=1000, combos="current")
+        payload = phase_profile(
+            benchmarks=("mcf",), warmup=200, measure=1000,
+            sampling=SamplingSpec(enabled=True), combos="current",
+        )
         assert payload["format"] == 1
         (combo,) = payload["combos"].values()
         stages = combo["stages_seconds"]

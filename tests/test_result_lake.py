@@ -28,11 +28,10 @@ from helpers import stats_dict  # noqa: E402  (shared test helper)
 KWARGS = dict(seed=1, warmup=256, measure=1000)
 
 
-def _engine(root, **extra) -> SweepEngine:
+def _engine(root, core_config=None) -> SweepEngine:
     return SweepEngine(
-        simulator=Simulator(trace_store=TraceStore(root)),
+        simulator=Simulator(core_config, trace_store=TraceStore(root)),
         result_lake=True,
-        **extra,
     )
 
 
@@ -96,22 +95,11 @@ class TestLakeRoundTrip:
         )
         assert stats_dict(plain.stats) == stats_dict(laked.stats)
 
-    def test_env_gates_when_unpinned(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_LAKE", "1")
-        engine = SweepEngine(
-            simulator=Simulator(trace_store=TraceStore(tmp_path))
-        )
-        assert engine.result_lake is None and engine.lake_enabled()
-        engine.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
-        assert len(_cell_files(tmp_path)) == 1
-        monkeypatch.setenv("REPRO_RESULT_LAKE", "0")
-        assert not engine.lake_enabled()
-
     def test_no_store_means_no_lake(self):
         engine = SweepEngine(
             simulator=Simulator(trace_store=None), result_lake=True
         )
-        assert not engine.lake_enabled()
+        assert engine.result_lake is False
         engine.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
         assert engine.lake_hits == engine.lake_misses == 0
 
@@ -121,18 +109,20 @@ class TestKeySoundness:
         # The regression the ISSUE names: two cores must never share a
         # lake cell.  Same benchmark/seed/window/mechanism, different
         # core -> different artifact, different stats.
-        default = _engine(tmp_path)
-        default.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
-        small = default.variant(CoreConfig(rob_entries=16))
-        small.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
-        assert len(_cell_files(tmp_path)) == 2
-
-        warm = _engine(tmp_path)
-        a = warm.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
-        b = warm.variant(CoreConfig(rob_entries=16)).run_cell(
+        small_core = CoreConfig(rob_entries=16)
+        _engine(tmp_path).run_cell(
             "mcf", MechanismConfig.baseline(), **KWARGS
         )
-        assert warm.cell_misses == 0  # both served, each from its own cell
+        _engine(tmp_path, small_core).run_cell(
+            "mcf", MechanismConfig.baseline(), **KWARGS
+        )
+        assert len(_cell_files(tmp_path)) == 2
+
+        warm, warm_small = _engine(tmp_path), _engine(tmp_path, small_core)
+        a = warm.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
+        b = warm_small.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
+        # Both served, each from its own cell.
+        assert warm.cell_misses == warm_small.cell_misses == 0
         assert stats_dict(a.stats) != stats_dict(b.stats)
 
     def test_window_seed_mechanism_split_cells(self, tmp_path):
@@ -288,7 +278,6 @@ class TestFrontDoor:
         monkeypatch.setenv("REPRO_RESULT_LAKE", "1")
         session = Session(store=StoreSpec(path=str(tmp_path)))
         assert session.engine.result_lake is False
-        assert not session.engine.lake_enabled()
 
 
 class TestVersionSnapshot:

@@ -514,12 +514,14 @@ class TestCoordinatorResolution:
     def test_custom_core_session_runs_in_process(self):
         # Workers simulate the default core, so a session on another
         # core must never file their cells under its own key.
+        from repro.harness.sweep import SweepEngine
         from repro.pipeline.config import CoreConfig
+        from repro.pipeline.simulator import Simulator
 
         spec = tiny_spec()
-        session = Session(
-            store=spec.store, core_config=CoreConfig(rob_entries=64)
-        )
+        session = Session(engine=SweepEngine(simulator=Simulator(
+            CoreConfig(rob_entries=64), trace_store=None
+        )))
         outcome = session.run_sharded(
             spec, shards=2, supervisor=fast_supervisor()
         )

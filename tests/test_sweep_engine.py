@@ -7,11 +7,7 @@ import dataclasses
 
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec, WindowSpec
-from repro.harness.sweep import (
-    SweepEngine,
-    mechanism_fingerprint,
-    shared_engine,
-)
+from repro.harness.sweep import SweepEngine, mechanism_fingerprint
 from repro.pipeline.config import CoreConfig, MechanismConfig
 from repro.pipeline.simulator import Simulator
 
@@ -130,7 +126,7 @@ class TestSweep:
 
 
 class TestRunnerIntegration:
-    """The spec runners on the engine: sessions and core variants."""
+    """The spec runners on the engine: sessions and the core key."""
 
     def test_runner_on_engine_matches_direct_simulation(self):
         result = Session(engine=_engine()).run(_spec(
@@ -155,28 +151,6 @@ class TestRunnerIntegration:
         assert engine.cell_misses == 1  # second session recalled the cell
         assert second.digest() == first.digest()
 
-    def test_shared_engine_serves_custom_config_via_variant(self):
-        default_engine = shared_engine()
-        assert shared_engine() is default_engine
-        custom = CoreConfig(rob_entries=64)
-        variant = shared_engine(custom)
-        assert variant is not default_engine
-        assert variant.core_config == custom
-        # The variant is memoised (its counters accumulate across
-        # callers) and shares the default engine's caches: same cell
-        # memo (sound — keys cover the core fingerprint), same trace
-        # store and in-memory trace cache.
-        assert shared_engine(custom) is variant
-        assert variant._cells is default_engine._cells
-        assert variant.simulator.trace_store is (
-            default_engine.simulator.trace_store
-        )
-        assert variant.simulator._trace_cache is (
-            default_engine.simulator._trace_cache
-        )
-        # The default core resolves to the shared engine itself.
-        assert shared_engine(CoreConfig()) is default_engine
-
     def test_core_config_is_part_of_the_cell_key(self):
         # Regression for the unsound-sharing caveat: two different core
         # configs must never collide on a cell key (the small-ROB core
@@ -184,41 +158,15 @@ class TestRunnerIntegration:
         engine = _engine()
         kwargs = dict(seed=1, warmup=256, measure=1000)
         big = engine.run_cell("mcf", MechanismConfig.baseline(), **kwargs)
-        small_engine = engine.variant(CoreConfig(rob_entries=16))
+        small_engine = SweepEngine(simulator=Simulator(
+            CoreConfig(rob_entries=16), trace_store=None
+        ))
         small = small_engine.run_cell(
             "mcf", MechanismConfig.baseline(), **kwargs
         )
-        # Shared cell table, but the small-ROB cell was a genuine miss
-        # (no collision with the default core's key), so the stats
-        # differ too.
-        assert small_engine._cells is engine._cells
         assert engine.cell_misses == 1 and small_engine.cell_misses == 1
-        assert engine.cell_hits == 0 and small_engine.cell_hits == 0
+        assert set(engine._cells).isdisjoint(small_engine._cells)
         assert stats_dict(big.stats) != stats_dict(small.stats)
-
-    def test_variant_results_match_private_engine(self):
-        custom = CoreConfig(rob_entries=48)
-        kwargs = dict(seed=1, warmup=256, measure=1000)
-        shared = _engine()
-        via_variant = shared.variant(custom).run_cell(
-            "dealII", MechanismConfig.rsep_realistic(), **kwargs
-        )
-        private = SweepEngine(
-            simulator=Simulator(custom, trace_store=None)
-        ).run_cell("dealII", MechanismConfig.rsep_realistic(), **kwargs)
-        assert stats_dict(via_variant.stats) == stats_dict(private.stats)
-
-    def test_runner_reuses_engine_variant_for_custom_config(self):
-        custom = CoreConfig(rob_entries=64)
-        session = Session(core_config=custom)
-        assert session.engine is shared_engine().variant(custom)
-        assert session.engine.core_config == custom
-        # A second session on the custom core recalls the first's cells.
-        spec = _spec([MechanismConfig.baseline()])
-        session.run(spec)
-        misses = session.engine.cell_misses
-        Session(core_config=custom).run(spec)
-        assert session.engine.cell_misses == misses
 
 
 class TestSmokeGate:
