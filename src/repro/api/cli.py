@@ -484,7 +484,9 @@ def _render_telemetry(payload: dict, detail: bool) -> str:
     shards = payload.get("shards")
     if shards:
         lines.append(f"  shard reports: {len(shards)}")
-        for index, report in sorted(shards.items()):
+        # JSON object keys are strings; list shards by their index.
+        for index, report in sorted(shards.items(),
+                                    key=lambda item: int(item[0])):
             kinds = ", ".join(report.get("failure_kinds", [])) or "none"
             lines.append(
                 f"  shard {index}: {report.get('attempts')} attempt(s), "

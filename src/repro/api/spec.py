@@ -109,6 +109,13 @@ def default_mechanisms() -> tuple[MechanismConfig, ...]:
     return (MechanismConfig.baseline(), MechanismConfig.rsep_realistic())
 
 
+def _reject_duplicates(what: str, values) -> None:
+    """A grid axis names each value once: a repeat would be one cell
+    twice, which the sweep memo folds and the shard planner refuses."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"duplicate {what}: {list(values)}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep, completely described.
@@ -156,6 +163,7 @@ class ExperimentSpec:
                 object.__setattr__(self, name, tuple(value))
         if not self.benchmarks:
             raise ValueError("an ExperimentSpec needs at least one benchmark")
+        _reject_duplicates("benchmarks", self.benchmarks)
         from repro.workloads.spec2006 import benchmark_names
 
         unknown = [b for b in self.benchmarks if b not in benchmark_names()]
@@ -166,11 +174,12 @@ class ExperimentSpec:
             )
         if not self.mechanisms:
             raise ValueError("an ExperimentSpec needs at least one mechanism")
-        names = [mechanism.name for mechanism in self.mechanisms]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate mechanism names: {names}")
+        _reject_duplicates(
+            "mechanism names", [mechanism.name for mechanism in self.mechanisms]
+        )
         if not self.seeds:
             raise ValueError("an ExperimentSpec needs at least one seed")
+        _reject_duplicates("seeds", self.seeds)
         if self.shards < 0:
             raise ValueError("shards must be >= 0 (0 = in-process)")
 

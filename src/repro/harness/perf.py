@@ -155,6 +155,7 @@ def measure_throughput(
                     # The run can end early if the trace halts before the
                     # window fills; count what was actually simulated.
                     simulated = pipeline.total_committed
+                pipeline.close()
                 if best_wall is None or wall < best_wall:
                     best_wall = wall
             report.samples.append(PerfSample(

@@ -103,11 +103,13 @@ def _profile_cells(benchmarks, mechanism, warmup: int, measure: int,
             run.warmer.warm = timed_warm
             warmed = run.warm_up(warmup)
             stats = run.measure(measure)
+            del run.warmer.warm  # the wrapper and the warmer form a cycle
             covered += warmed + (stats.sampled_window or stats.committed)
         else:
             pipeline.run(measure, warmup)
             covered += pipeline.total_committed
         wall += clock() - start
+        pipeline.close()
     attributed = sum(stages.values()) - stages["interp"]
     return {
         "stages_seconds": {k: round(v, 4) for k, v in sorted(stages.items())},
@@ -246,6 +248,7 @@ def overhead_gate(
                 start = clock()
                 stats = pipeline.run(measure, warmup)
                 wall = clock() - start
+            pipeline.close()
             observed_stats[arm] = dataclasses.asdict(stats)
             simulated = pipeline.total_committed
             if best[arm] is None or wall < best[arm]:

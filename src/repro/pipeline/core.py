@@ -77,6 +77,16 @@ class PipelineError(RuntimeError):
     """Raised on internal inconsistencies (bugs) or deadlock."""
 
 
+#: The stages ``_step`` dispatches to.  Any of them may be bound on the
+#: instance (columnar fetch, generated rename/issue, a profiler's timing
+#: wrappers); :meth:`Pipeline.close` rebinds every one.
+_STAGES = ("_fast_forward_idle", "_commit", "_issue", "_rename", "_fetch")
+
+
+def _closed_stage(*_args) -> None:
+    raise PipelineError("a closed pipeline cannot step")
+
+
 class InflightOp:
     """Timing and rename state of one in-flight dynamic instruction."""
 
@@ -242,7 +252,8 @@ class Pipeline:
         # specialisations bound as instance attributes, exactly like the
         # columnar fetch binding above.  The generic _rename/_issue stay
         # as the reference the equivalence tests compare them against.
-        install_fast_stages(self)
+        # The loops' namespace is kept so close() can clear it.
+        self._stage_env = install_fast_stages(self)
 
         # Telemetry plane (DESIGN.md §13): a metrics hub samples this
         # pipeline every N committed instructions — but only when an
@@ -265,7 +276,10 @@ class Pipeline:
         reference-counted objects (in-flight ops, predictions) that
         refcounting alone reclaims, so generation-0 passes — which also
         rescan the long-lived trace — are pure overhead.  The previous
-        GC state is restored on exit, enabled or not.
+        GC state is restored on exit, enabled or not.  The pipeline
+        itself is not reclaimed by refcounting until :meth:`close`
+        breaks the cycles its stage bindings form; every front door
+        closes its cell's pipeline once the stats are read.
         """
         import gc
 
@@ -323,6 +337,24 @@ class Pipeline:
     def total_committed(self) -> int:
         """Instructions committed since construction (warm-up included)."""
         return self._total_committed
+
+    def close(self) -> None:
+        """Break the reference cycles of the stage bindings; idempotent.
+
+        The columnar fetch is a bound method stored on the pipeline, and
+        the generated rename/issue loops run in a namespace holding the
+        pipeline and its bound ``_try_share``: without this, a finished
+        pipeline lives until a full cyclic collection (DESIGN.md §12).
+        Closing clears that namespace and rebinds every stage to one that
+        raises, so refcounting frees the pipeline with its last
+        reference.  Its ``stats``, ``cycle`` and other state stay
+        readable; stepping raises :class:`PipelineError`.
+        """
+        if self._stage_env is not None:
+            self._stage_env.clear()
+            self._stage_env = None
+        for stage in _STAGES:
+            setattr(self, stage, _closed_stage)
 
     # ------------------------------------------------------------------
     # Sampled-simulation hooks (see repro.sampling; DESIGN.md §8)

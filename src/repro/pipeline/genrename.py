@@ -552,13 +552,17 @@ def compiled_stages(config, mechanisms) -> tuple:
     return codes
 
 
-def install_fast_stages(pipeline) -> None:
+def install_fast_stages(pipeline) -> dict:
     """Bind the generated rename/issue loops onto *pipeline*.
 
     The environment maps every name the generated bodies read to the
     pipeline's live structures (identity-stable ones directly, owners of
     rebindable containers so those are re-hoisted per call).  Bound as
     instance attributes, exactly like the columnar fetch binding.
+
+    Returns the environment, which is also the loops' globals: it holds
+    the pipeline, so the pipeline keeps it and clears it on
+    :meth:`~repro.pipeline.core.Pipeline.close` to break that cycle.
     """
     from repro.pipeline.core import _op_seq
 
@@ -614,3 +618,4 @@ def install_fast_stages(pipeline) -> None:
     exec(issue_code, env)  # noqa: S102 - static template, no external input
     pipeline._rename = env["fast_rename"]
     pipeline._issue = env["fast_issue"]
+    return env

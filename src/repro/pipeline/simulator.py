@@ -148,8 +148,13 @@ class Simulator:
             )
         trace = self.trace_for(benchmark, seed, warmup + measure + _TRACE_SLACK)
         pipeline = Pipeline(trace, self.core_config, mechanisms, seed)
-        stats = pipeline.run(measure, warmup)
-        self._collect_telemetry(benchmark, mechanisms, seed, pipeline)
+        try:
+            stats = pipeline.run(measure, warmup)
+            self._collect_telemetry(benchmark, mechanisms, seed, pipeline)
+        finally:
+            # Freed by refcounting here, not at the next full collection
+            # (DESIGN.md §12); a host keeps serving after a failed cell.
+            pipeline.close()
         return SimulationResult(benchmark, mechanisms.name, seed, stats)
 
     @staticmethod
@@ -184,34 +189,38 @@ class Simulator:
         """Interval-sampled run: warmed warm-up (or a restored µarch
         checkpoint), then alternating detail/warming over the window."""
         trace = self.trace_for(benchmark, seed, warmup + measure + _TRACE_SLACK)
-        pipeline = Pipeline(trace, self.core_config, mechanisms, seed)
-        run = SampledRun(pipeline, sampling)
         store = self.trace_store
         use_checkpoints = (
             store is not None and sampling.checkpoints and warmup > 0
         )
         restored = False
         token = ""
-        if use_checkpoints:
-            token = self._checkpoint_token(mechanisms, warmup)
-            payload = store.load_checkpoint(benchmark, seed, token)
-            if payload is not None:
-                try:
-                    restore_checkpoint(pipeline, payload)
-                    restored = True
-                except Exception:
-                    # Stale/foreign payload: the pipeline may be half
-                    # mutated — rebuild and warm from scratch.
-                    pipeline = Pipeline(
-                        trace, self.core_config, mechanisms, seed
-                    )
-                    run = SampledRun(pipeline, sampling)
-        if not restored and warmup > 0:
-            run.warm_up(warmup)
+        pipeline = Pipeline(trace, self.core_config, mechanisms, seed)
+        try:
+            run = SampledRun(pipeline, sampling)
             if use_checkpoints:
-                store.save_checkpoint(
-                    capture_checkpoint(pipeline), benchmark, seed, token
-                )
-        stats = run.measure(measure)
-        self._collect_telemetry(benchmark, mechanisms, seed, pipeline)
+                token = self._checkpoint_token(mechanisms, warmup)
+                payload = store.load_checkpoint(benchmark, seed, token)
+                if payload is not None:
+                    try:
+                        restore_checkpoint(pipeline, payload)
+                        restored = True
+                    except Exception:
+                        # Stale/foreign payload: the pipeline may be half
+                        # mutated — rebuild and warm from scratch.
+                        pipeline.close()
+                        pipeline = Pipeline(
+                            trace, self.core_config, mechanisms, seed
+                        )
+                        run = SampledRun(pipeline, sampling)
+            if not restored and warmup > 0:
+                run.warm_up(warmup)
+                if use_checkpoints:
+                    store.save_checkpoint(
+                        capture_checkpoint(pipeline), benchmark, seed, token
+                    )
+            stats = run.measure(measure)
+            self._collect_telemetry(benchmark, mechanisms, seed, pipeline)
+        finally:
+            pipeline.close()
         return SimulationResult(benchmark, mechanisms.name, seed, stats)

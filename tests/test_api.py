@@ -99,6 +99,17 @@ class TestSpecValidation:
                 ),
             )
 
+    def test_spec_rejects_duplicate_benchmarks_and_seeds(self):
+        """A repeated grid value is one cell twice: the in-process sweep
+        folded it and the sharded path refused it, so both reject it."""
+        baseline = (MechanismConfig.baseline(),)
+        with pytest.raises(ValueError, match="duplicate benchmarks"):
+            ExperimentSpec(benchmarks=("mcf", "mcf", "hmmer"),
+                           mechanisms=baseline)
+        with pytest.raises(ValueError, match="duplicate seeds"):
+            ExperimentSpec(benchmarks=("mcf", "hmmer"), seeds=(1, 1),
+                           mechanisms=baseline)
+
     def test_spec_rejects_empty_grid_axes(self):
         with pytest.raises(ValueError):
             ExperimentSpec(benchmarks=())
@@ -863,6 +874,12 @@ class TestCliReportInspect:
         assert "bogus" in capsys.readouterr().err
         assert main(["figures", "fig1", "--benchmark", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_cli_rejects_duplicate_benchmarks_cleanly(self, capsys):
+        from repro.api.cli import main
+
+        assert main(["sweep", "--benchmark", "mcf", "--benchmark", "mcf"]) == 2
+        assert "duplicate benchmarks" in capsys.readouterr().err
 
     def test_figures_fig1_notes_missing_artifact_with_out(
         self, tmp_path, capsys

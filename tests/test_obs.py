@@ -438,6 +438,23 @@ class TestArtifact:
         assert "provenance_v9" in out
         assert "not understood by this build" in out
 
+    def test_inspect_lists_shard_reports_in_index_order(self, tmp_path,
+                                                        capsys):
+        report = {"attempts": 1, "failure_kinds": [], "backoff_seconds": 0.0}
+        result = self._result(telemetry={
+            "format": 1, "metrics_every": 10, "events_dir": "x", "cells": [],
+            "shards": {str(index): report for index in range(12)},
+        })
+        path = tmp_path / "artifact.json"
+        result.save(path)
+        assert cli_main(["inspect", str(path)]) == 0
+        listed = [
+            int(line.split()[1].rstrip(":"))
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  shard ") and "attempt" in line
+        ]
+        assert listed == list(range(12))
+
     def test_inspect_metrics_renders_series(self, tmp_path, capsys):
         spec = tiny_spec(obs=observed(tmp_path, every=100))
         result = Session.for_spec(spec).run(spec)
