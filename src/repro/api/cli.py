@@ -35,7 +35,12 @@ from repro.api.figures import (
 )
 from repro.api.result import RunResult
 from repro.api.session import Session
-from repro.api.spec import ExperimentSpec, StoreSpec, WindowSpec
+from repro.api.spec import (
+    ExperimentSpec,
+    StoreSpec,
+    WindowSpec,
+    reject_unknown_benchmarks,
+)
 from repro.harness.reporting import Table, format_ipc, harmonic_mean
 from repro.obs import ObsSpec, activated
 from repro.pipeline.config import MECHANISM_PRESETS, MechanismConfig
@@ -250,6 +255,11 @@ def _cmd_perf(args) -> int:
             return 2
         return throughput_smoke(args.json or "BENCH_perf.json",
                                 repeats=args.repeats)
+    try:
+        reject_unknown_benchmarks(args.benchmarks or ())
+    except ValueError as error:
+        print(f"repro perf: {error}", file=sys.stderr)
+        return 2
     from dataclasses import replace
 
     from repro.sampling import SamplingConfig
@@ -289,14 +299,12 @@ def _cmd_figures(args) -> int:
         print(f"unknown figure(s): {', '.join(unknown)} "
               f"(choose from {', '.join(FIGURE_NAMES)})", file=sys.stderr)
         return 2
-    if args.benchmarks:
-        from repro.workloads.spec2006 import benchmark_names
-
-        bad = [b for b in args.benchmarks if b not in benchmark_names()]
-        if bad:
-            print(f"unknown benchmark(s): {', '.join(bad)}",
-                  file=sys.stderr)
-            return 2
+    try:
+        # fig1 runs without a spec, so it needs the spec's check here.
+        reject_unknown_benchmarks(args.benchmarks or ())
+    except ValueError as error:
+        print(f"repro figures: {error}", file=sys.stderr)
+        return 2
     window = None
     if args.warmup is not None or args.measure is not None:
         window = _window(args)

@@ -191,7 +191,8 @@ def shards_from_env(default: int = 0) -> int:
     """
     configured = os.environ.get("REPRO_SHARDS")
     if configured:
-        return max(0, int(configured))
+        # A negative count is the spec's to reject, as for --shards.
+        return int(configured)
     return default
 
 

@@ -109,6 +109,22 @@ def default_mechanisms() -> tuple[MechanismConfig, ...]:
     return (MechanismConfig.baseline(), MechanismConfig.rsep_realistic())
 
 
+def reject_unknown_benchmarks(benchmarks) -> None:
+    """Every name must be a known workload; ``ValueError`` otherwise.
+
+    The check a spec applies, shared with the front doors that run
+    benchmarks without one (``repro perf``, fig1).
+    """
+    from repro.workloads.spec2006 import benchmark_names
+
+    unknown = [b for b in benchmarks if b not in benchmark_names()]
+    if unknown:
+        raise ValueError(
+            f"unknown benchmark(s): {', '.join(unknown)} "
+            f"(choose from {', '.join(benchmark_names())})"
+        )
+
+
 def _reject_duplicates(what: str, values) -> None:
     """A grid axis names each value once: a repeat would be one cell
     twice, which the sweep memo folds and the shard planner refuses."""
@@ -164,14 +180,7 @@ class ExperimentSpec:
         if not self.benchmarks:
             raise ValueError("an ExperimentSpec needs at least one benchmark")
         _reject_duplicates("benchmarks", self.benchmarks)
-        from repro.workloads.spec2006 import benchmark_names
-
-        unknown = [b for b in self.benchmarks if b not in benchmark_names()]
-        if unknown:
-            raise ValueError(
-                f"unknown benchmark(s): {', '.join(unknown)} "
-                f"(choose from {', '.join(benchmark_names())})"
-            )
+        reject_unknown_benchmarks(self.benchmarks)
         if not self.mechanisms:
             raise ValueError("an ExperimentSpec needs at least one mechanism")
         _reject_duplicates(

@@ -6,9 +6,8 @@ Two tools in one module:
   outside the timed region, fresh pipeline per run) with every pipeline
   stage wrapped in a wall-clock accumulator, and emits one comparable,
   versioned JSON payload.  Stage wrapping is instance-attribute
-  shadowing — the same binding trick the columnar fetch and generated
-  loops use — so whatever stage is installed is exactly what gets
-  attributed.
+  shadowing — the same binding trick the generated loops use — so
+  whatever stage is installed is exactly what gets attributed.
 * :func:`overhead_gate` is the observability plane's own CI gate: it
   A/B-times the identical run with obs off and on (interleaved repeats,
   best-of), requires bit-identical stats and an on-plane throughput
@@ -46,9 +45,9 @@ DEFAULT_BENCHMARKS: tuple[str, ...] = ("mcf", "bzip2")
 def _instrument_stages(pipeline, acc: dict[str, float]) -> None:
     """Shadow each stage with a timing wrapper accumulating into *acc*.
 
-    ``getattr`` picks up whatever is installed — generic class methods,
-    generated loops, the columnar fetch — and the wrapper becomes the
-    instance attribute ``_step`` dispatches to.
+    ``getattr`` picks up whatever is installed — class methods or
+    generated loops — and the wrapper becomes the instance attribute
+    ``_step`` dispatches to.
     """
     clock = time.perf_counter
     for stage, attr in STAGE_ATTRS:

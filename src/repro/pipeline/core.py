@@ -30,16 +30,24 @@ those conditions re-checked each cycle — exactly the conditions the old
 poll-everything scheduler evaluated, on a far smaller set of candidates.
 Selection order, port arbitration and all readiness predicates are
 unchanged, which is what keeps statistics bit-identical.
+
+Every stage has one implementation.  Fetch, commit, squash and the idle
+fast-forward live here; the rename and issue loops are generated per
+configuration (:mod:`repro.pipeline.genrename`) and bound on each
+pipeline.  Fetch reads a :class:`~repro.workloads.columnar.ColumnarTrace`;
+an object trace is packed into one at construction.  What checks them is
+not a second implementation but the golden digests and a test-side
+invariant auditor run over planted-pair programs (DESIGN.md §3).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop
 
 from repro.backend.fu import IssuePorts
 from repro.backend.iq import IssueQueue
-from repro.backend.lsq import WORD_SHIFT, LoadStoreQueues
+from repro.backend.lsq import LoadStoreQueues
 from repro.backend.rob import ReorderBuffer
 from repro.backend.store_sets import StoreSets
 from repro.common.history import GlobalHistory, PathHistory
@@ -51,7 +59,7 @@ from repro.core.vp_engine import VpEngine
 from repro.frontend.branch_unit import BranchUnit
 from repro.isa.instruction import DynInst, NO_REG
 from repro.isa.opcodes import FuClass
-from repro.isa.registers import FP_BASE, RegClass, reg_class
+from repro.isa.registers import reg_class
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig, MechanismConfig
 from repro.pipeline.genrename import install_fast_stages
@@ -62,7 +70,11 @@ from repro.rename.isrb import Isrb
 from repro.rename.map_table import RenameMap
 from repro.rename.move_elim import MoveEliminator
 from repro.rename.zero_idiom import ZeroIdiomEliminator
-from repro.workloads.columnar import KIND_BRANCH, ColumnarTrace
+from repro.workloads.columnar import (
+    KIND_BRANCH,
+    ColumnarTrace,
+    columnar_from_trace,
+)
 from repro.workloads.trace import Trace
 
 _INF = 1 << 60
@@ -78,8 +90,8 @@ class PipelineError(RuntimeError):
 
 
 #: The stages ``_step`` dispatches to.  Any of them may be bound on the
-#: instance (columnar fetch, generated rename/issue, a profiler's timing
-#: wrappers); :meth:`Pipeline.close` rebinds every one.
+#: instance (generated rename/issue, a profiler's timing wrappers);
+#: :meth:`Pipeline.close` rebinds every one.
 _STAGES = ("_fast_forward_idle", "_commit", "_issue", "_rename", "_fetch")
 
 
@@ -90,15 +102,11 @@ def _closed_stage(*_args) -> None:
 class InflightOp:
     """Timing and rename state of one in-flight dynamic instruction."""
 
-    # Dispatch-creation cost was re-examined for PR 4 (DESIGN.md §9):
-    # prototype-clone (__dict__ copy), class-default fallback and a
-    # hybrid (hot slots + cold class defaults) were all measured slower
-    # than flat __slots__ with an explicit __init__ on CPython 3.11 —
-    # slot access specialisation outweighs the creation-time writes,
-    # and dict-backed variants regress the rsep configs outright.  The
-    # creation path is instead inlined into columnar fetch (no
-    # call/frame overhead), which is what "slim dispatch" ended up
-    # meaning; edit both together.
+    # Created only by :meth:`Pipeline._fetch`, which allocates with
+    # ``__new__`` and stores every slot inline (no call/frame per
+    # fetched instruction).  Flat __slots__ measured faster than
+    # prototype-clone, class-default and hybrid layouts on CPython 3.11
+    # (DESIGN.md §9).  A slot added here must be initialised there.
     __slots__ = (
         "d", "trace_index", "rename_ready_cycle",
         "src_preg1", "src_preg2", "dest_preg", "old_preg",
@@ -114,45 +122,6 @@ class InflightOp:
         "committed", "squashed",
         "waiters", "iq_index",
     )
-
-    def __init__(self, d: DynInst, trace_index: int,
-                 rename_ready_cycle: int) -> None:
-        self.d = d
-        self.trace_index = trace_index
-        self.rename_ready_cycle = rename_ready_cycle
-        # Renamed source pregs (NO_REG = fewer than 1/2 sources); two
-        # scalar slots instead of a tuple keep dispatch allocation-free.
-        self.src_preg1 = NO_REG
-        self.src_preg2 = NO_REG
-        self.dest_preg = NO_REG
-        self.old_preg = NO_REG
-        self.allocated = False
-        self.shared = False
-        self.eliminated = None
-        self.zero_pred = None
-        self.zero_pred_used = False
-        self.dist_pred = None
-        self.dist_used = False
-        self.likely_candidate = False
-        self.producer = None
-        self.equality_ok = False
-        self.vp_pred = None
-        self.vp_used = False
-        self.vp_ok = False
-        self.fetch_outcome = None
-        self.issued = False
-        self.complete_cycle = None
-        self.executed = False
-        self.validation_done_cycle = None
-        self.retained = False
-        self.store_dep = None
-        self.forward_from = None
-        self.committed = False
-        self.squashed = False
-        # Scheduler subscribers: ops whose issue eligibility becomes
-        # computable once this op's completion cycle is known.
-        self.waiters = None
-        self.iq_index = -1
 
     @property
     def validation_required(self) -> bool:
@@ -171,13 +140,11 @@ class Pipeline:
         mechanisms: MechanismConfig | None = None,
         seed: int = 1,
     ) -> None:
+        if not isinstance(trace, ColumnarTrace):
+            # One trace form (DESIGN.md §9): an object trace is packed
+            # once, and fetch and the warmer read the columns.
+            trace = columnar_from_trace(trace, len(trace))[0]
         self.trace = trace
-        if isinstance(trace, ColumnarTrace):
-            # Columnar trace plane (DESIGN.md §9): fetch reads the packed
-            # columns directly; rows materialise lazily per fetched
-            # index.  Bound as an instance attribute so the per-cycle
-            # dispatch costs nothing.
-            self._fetch = self._fetch_columnar
         self.config = config or CoreConfig()
         self.mechanisms = mechanisms or MechanismConfig.baseline()
         c = self.config
@@ -249,10 +216,9 @@ class Pipeline:
         self._last_progress_cycle = 0
 
         # Generated rename/issue loops (DESIGN.md §12): per-mechanism
-        # specialisations bound as instance attributes, exactly like the
-        # columnar fetch binding above.  The generic _rename/_issue stay
-        # as the reference the equivalence tests compare them against.
-        # The loops' namespace is kept so close() can clear it.
+        # specialisations bound as instance attributes; the class has no
+        # other rename or issue stage.  The loops' namespace is kept so
+        # close() can clear it.
         self._stage_env = install_fast_stages(self)
 
         # Telemetry plane (DESIGN.md §13): a metrics hub samples this
@@ -341,9 +307,9 @@ class Pipeline:
     def close(self) -> None:
         """Break the reference cycles of the stage bindings; idempotent.
 
-        The columnar fetch is a bound method stored on the pipeline, and
-        the generated rename/issue loops run in a namespace holding the
-        pipeline and its bound ``_try_share``: without this, a finished
+        The generated rename/issue loops run in a namespace holding the
+        pipeline and its bound ``_try_share``, and a profiler's timing
+        wrappers close over bound stages: without this, a finished
         pipeline lives until a full cyclic collection (DESIGN.md §12).
         Closing clears that namespace and rebinds every stage to one that
         raises, so refcounting frees the pipeline with its last
@@ -438,9 +404,10 @@ class Pipeline:
     def _rename_stall_cause(self, d: DynInst) -> str | None:
         """The stats field rename charges when *d* cannot rename, or None.
 
-        This is the canonical form of the capacity checks; the 8-wide
-        rename loop inlines the same predicate over hoisted locals (kept
-        bit-identical by the golden-stats tests — edit both together).
+        This is the canonical form of the capacity checks; the generated
+        rename loop (:mod:`repro.pipeline.genrename`) inlines the same
+        predicate with literal capacities (kept bit-identical by the
+        golden-stats tests — edit both together).
         """
         if self.rob.full:
             return "stall_rob"
@@ -574,7 +541,7 @@ class Pipeline:
         n_loads = 0
         n_stores = 0
         producers_group: list[InflightOp] | None = None
-        squash = None  # (first_seq, refetch_index, cause)
+        squash = None  # (first_seq, refetch_index)
 
         while committed < commit_width and rob_entries:
             op = rob_entries[0]
@@ -599,13 +566,13 @@ class Pipeline:
                 rsep.on_commit_used(op, False)
                 stats.rsep_mispredicts += 1
                 stats.squashes_rsep += 1
-                squash = (d.seq, op.trace_index, "rsep")
+                squash = (d.seq, op.trace_index)
                 break
             if op.zero_pred_used and d.result != 0:
                 self.zero_predictor.on_mispredict(op.zero_pred)
                 stats.zero_mispredicts += 1
                 stats.squashes_zero += 1
-                squash = (d.seq, op.trace_index, "zero")
+                squash = (d.seq, op.trace_index)
                 break
 
             # --- commit the instruction --------------------------------
@@ -696,7 +663,7 @@ class Pipeline:
                 # pipeline is flushed behind it.
                 stats.vp_mispredicts += 1
                 stats.squashes_vp += 1
-                squash = (d.seq + 1, op.trace_index + 1, "vp")
+                squash = (d.seq + 1, op.trace_index + 1)
                 break
 
         if rsep is not None and producers_group:
@@ -712,533 +679,10 @@ class Pipeline:
             self._last_progress_cycle = cycle
         if squash is not None:
             self._squash_from_seq(squash[0], squash[1], cycle)
-            if squash[2] == "memory_order":  # pragma: no cover - not here
-                stats.squashes_memory_order += 1
 
     # ==================================================================
-    # Issue
+    # Rename (the loop itself is generated: repro.pipeline.genrename)
     # ==================================================================
-
-    def _issue(self, cycle: int) -> None:
-        bucket = self._wakeup.pop(cycle, None)
-        if bucket is not None:
-            # Ops were parked here with every readiness condition known to
-            # be met by this cycle, and known ready times never move (a
-            # source preg cannot be reallocated while a non-squashed
-            # consumer is in flight), so no re-evaluation is needed.
-            ready_append = self._ready.append
-            for op in bucket:
-                if not (op.issued or op.squashed):
-                    ready_append(op)
-            self._ready_dirty = True
-
-        validation_queue = self.validation_queue
-        ready = self._ready
-        pending_validation = len(validation_queue) != 0
-        if not ready and not pending_validation:
-            return
-        ports = self.ports
-        ports.new_cycle(cycle)
-
-        if pending_validation:
-            validated = validation_queue.issue_cycle(cycle, ports)
-            if validated:
-                self.iq.remove_issued(validated)
-        if not ready:
-            return
-        if self._ready_dirty:
-            ready.sort(key=_op_seq)
-            self._ready_dirty = False
-
-        issue_width = self.config.ports.issue_width
-        op_ready = self._op_ready
-        try_issue = ports.try_issue
-        alu_count = ports._alu_count
-        ldst_ports = ports._ldst_ports
-        fu_int_alu = FuClass.INT_ALU
-        fu_branch = FuClass.BRANCH
-        fu_load = FuClass.MEM_LOAD
-        lsq = self.lsq
-        # _do_issue, hand-inlined (this is the per-issued-op hot path):
-        # completion timing, validation request, scoreboard update and
-        # waiter wakeups run with all structures in locals.
-        stats = self.stats
-        stlf_latency = self.config.stlf_latency
-        hierarchy_load = self.hierarchy.load
-        validation_ideal = validation_queue.mode is ValidationMode.IDEAL
-        reg_ready = self._reg_ready
-        preg_waiters = self._preg_waiters
-        issued: list[InflightOp] | None = None
-        to_wake: list[InflightOp] | None = None
-        violation_load = None
-        violating_store = None
-        for op in ready:
-            if ports._total >= issue_width:
-                break
-            d = op.d
-            # Non-loads in the ready list are ready by construction
-            # (register/producer times were known when they were parked);
-            # only loads carry LSQ conditions that must be re-evaluated.
-            if d.is_load and not op_ready(op, cycle):
-                continue
-            # Inlined IssuePorts.try_issue for the two dominant port
-            # classes (ALU-family and loads); the loop's break condition
-            # already guarantees a free issue slot.  Other FU classes
-            # keep the full method.
-            fu = d.fu
-            if fu is fu_int_alu or fu is fu_branch:
-                if ports._alu >= alu_count:
-                    continue
-                ports._alu += 1
-                ports._total += 1
-            elif fu is fu_load:
-                if ports._ldst >= ldst_ports:
-                    continue
-                ports._ldst += 1
-                ports._total += 1
-            elif not try_issue(fu, cycle):
-                continue
-            op.issued = True
-            if d.is_load:
-                if op.forward_from is not None:
-                    latency = stlf_latency
-                    stats.load_forwards += 1
-                else:
-                    latency = hierarchy_load(d.pc, d.addr, cycle)
-                complete = cycle + latency
-                op.executed = True
-            elif d.is_store:
-                complete = cycle + 1
-                op.executed = True
-            else:
-                complete = cycle + d.latency
-            op.complete_cycle = complete
-            if op.dist_used or (
-                op.likely_candidate and op.producer is not None
-            ):
-                validation_queue.request(op)
-                if not validation_ideal:
-                    # §IV.F.b: predicted instructions retain their
-                    # scheduler entry until the validation µ-op issued.
-                    op.retained = True
-            if op.allocated and not op.vp_used:
-                dest = op.dest_preg
-                reg_ready[dest] = complete
-                waiters = preg_waiters.pop(dest, None)
-                if waiters is not None:
-                    # Wakeup re-insertions are batched: waiters collect
-                    # here and re-park in one flat pass after the issue
-                    # loop (the popped list seeds the batch).
-                    if to_wake is None:
-                        to_wake = waiters
-                    else:
-                        to_wake.extend(waiters)
-            waiters = op.waiters
-            if waiters is not None:
-                op.waiters = None
-                if to_wake is None:
-                    to_wake = waiters
-                else:
-                    to_wake.extend(waiters)
-            if issued is None:
-                issued = [op]
-            else:
-                issued.append(op)
-            if d.is_store:
-                violators = lsq.find_violations(op)
-                if violators:
-                    violation_load = violators[0]
-                    violating_store = op
-                    break
-
-        if to_wake is not None:
-            # Batched re-parking of the woken waiters, one flat pass per
-            # completion cycle, with all scheduler structures in locals
-            # and no per-waiter call.
-            # Deferral past the issue loop is behaviour-preserving:
-            # reg_ready entries written this cycle are final before the
-            # pass runs, wakeup buckets are seq-sorted when drained, and
-            # a waiter parks in exactly one place either way (the golden
-            # and equivalence suites pin this bit-identical).
-            wakeup = self._wakeup
-            wakeup_heap = self._wakeup_heap
-            ready_append = ready.append
-            for waiter in to_wake:
-                if waiter.issued or waiter.squashed:
-                    continue
-                wake = 0
-                preg = waiter.src_preg1
-                if preg >= 0:
-                    t = reg_ready[preg]
-                    if t > wake:
-                        if t >= _INF:
-                            parked = preg_waiters.get(preg)
-                            if parked is None:
-                                preg_waiters[preg] = [waiter]
-                            else:
-                                parked.append(waiter)
-                            continue
-                        wake = t
-                preg = waiter.src_preg2
-                if preg >= 0:
-                    t = reg_ready[preg]
-                    if t > wake:
-                        if t >= _INF:
-                            parked = preg_waiters.get(preg)
-                            if parked is None:
-                                preg_waiters[preg] = [waiter]
-                            else:
-                                parked.append(waiter)
-                            continue
-                        wake = t
-                if (
-                    waiter.dist_used or waiter.likely_candidate
-                ) and waiter.producer is not None:
-                    producer = waiter.producer
-                    t = producer.complete_cycle
-                    if t is None:
-                        if producer.waiters is None:
-                            producer.waiters = [waiter]
-                        else:
-                            producer.waiters.append(waiter)
-                        continue
-                    if t > wake:
-                        wake = t
-                if wake <= cycle:
-                    ready_append(waiter)
-                else:
-                    bucket = wakeup.get(wake)
-                    if bucket is None:
-                        wakeup[wake] = [waiter]
-                        heappush(wakeup_heap, wake)
-                    else:
-                        bucket.append(waiter)
-
-        if issued is not None:
-            # In-place filter: the ready list's identity is stable for the
-            # pipeline's life (the generated issue loop closes over it).
-            ready[:] = [op for op in ready if not op.issued]
-            # Inlined iq.remove_issued over the issued list (retained
-            # ops keep their entry until their validation µ-op issues).
-            iq = self.iq
-            entries = iq._entries
-            live = iq._live
-            for op in issued:
-                if op.retained:
-                    continue
-                index = op.iq_index
-                if index >= 0 and entries[index] is op:
-                    entries[index] = None
-                    op.iq_index = -1
-                    live -= 1
-            iq._live = live
-            if len(entries) > 2 * live + 16:
-                iq._compact()
-
-        if violation_load is not None:
-            self.store_sets.train_violation(
-                violation_load.d.pc, violating_store.d.pc
-            )
-            self.stats.squashes_memory_order += 1
-            self._squash_from_seq(
-                violation_load.d.seq, violation_load.trace_index, cycle
-            )
-
-    def _op_ready(self, op: InflightOp, cycle: int) -> bool:
-        reg_ready = self._reg_ready
-        preg = op.src_preg1
-        if preg >= 0 and reg_ready[preg] > cycle:
-            return False
-        preg = op.src_preg2
-        if preg >= 0 and reg_ready[preg] > cycle:
-            return False
-        if (op.dist_used or op.likely_candidate) and op.producer is not None:
-            # §IV.F: the predicted instruction is made dependent on the
-            # producer so validation can catch the value on the bypass.
-            producer = op.producer
-            if producer.complete_cycle is None or (
-                producer.complete_cycle > cycle
-            ):
-                return False
-        if op.d.is_load:
-            dep = op.store_dep
-            if dep is not None and not dep.squashed and not dep.executed:
-                return False
-            blocking = self.lsq.blocking_store(op)
-            if blocking is not None:
-                return False
-            forward = self.lsq.forwarding_store(op, cycle)
-            if forward is not None and forward.complete_cycle > cycle:
-                return False
-            op.forward_from = forward
-        return True
-
-    # ==================================================================
-    # Rename / dispatch
-    # ==================================================================
-
-    def _rename(self, cycle: int) -> None:
-        fetch_buffer = self._fetch_buffer
-        if not fetch_buffer:
-            return
-        c = self.config
-        m = self.mechanisms
-        stats = self.stats
-        rob = self.rob
-        iq = self.iq
-        lsq = self.lsq
-        free_list = self.free_list
-        rsep = self.rsep
-        zero_predictor = self.zero_predictor
-        vp = self.vp
-        producer_window = self.producer_window
-        store_sets = self.store_sets
-        reg_ready = self._reg_ready
-        rename_width = c.rename_width
-        renamed = 0
-        # Hot-loop inlining: the backing containers of the rename map,
-        # ROB, producer window and LSQ are hoisted here so the 8-wide
-        # per-cycle loop skips method/property dispatch.  Semantics are
-        # those of the wrapped calls (capacity was checked, and `d.dest`
-        # is never XZR in a trace — the interpreter strips such dests).
-        rmap = self.rename_map._map
-        rob_entries = rob._entries
-        rob_capacity = rob.capacity
-        rob_len = len(rob_entries)
-        iq_entries = iq._entries
-        iq_live = iq._live
-        iq_capacity = iq.capacity
-        preg_waiters = self._preg_waiters
-        ready_append = self._ready.append
-        wakeup = self._wakeup
-        wakeup_heap = self._wakeup_heap
-        lq_capacity = lsq.lq_capacity
-        sq_capacity = lsq.sq_capacity
-        free_int_pool = free_list._free_int
-        free_fp_pool = free_list._free_fp
-        free_allocated = free_list._allocated
-        pw_append = producer_window._window.append
-        lsq_loads = lsq._loads
-        lsq_stores = lsq._stores
-        loads_by_word = lsq._loads_by_word
-        stores_by_word = lsq._stores_by_word
-        lq_len = len(lsq_loads)
-        sq_len = len(lsq_stores)
-        zero_idiom_elimination = c.zero_idiom_elimination
-        move_elim = m.move_elim
-        zero_preg = self.zero_preg
-        zero_idiom_eliminator = self.zero_idiom_elim
-        move_eliminator = self.move_eliminator
-        producer_at = producer_window.producer_at
-        rsep_sampling = False
-        if rsep is not None:
-            rsep_predict = rsep.predictor.predict
-            rsep_stats = rsep.stats
-            rsep_sampling = rsep.config.sampling
-
-        while renamed < rename_width and fetch_buffer:
-            op = fetch_buffer[0]
-            if op.rename_ready_cycle > cycle:
-                break
-            d = op.d
-            produces = d.dest != NO_REG
-
-            # ---- capacity checks (stall in order) ---------------------
-            # Inlined over hoisted locals; must mirror
-            # _rename_stall_cause exactly (golden-stats gated).
-            if rob_len >= rob_capacity:
-                stats.stall_rob += 1
-                break
-            if d.fu != FuClass.NONE and iq_live >= iq_capacity:
-                stats.stall_iq += 1
-                break
-            if d.is_load and lq_len >= lq_capacity:
-                stats.stall_lsq += 1
-                break
-            if d.is_store and sq_len >= sq_capacity:
-                stats.stall_lsq += 1
-                break
-            if produces:
-                dest_class = (
-                    RegClass.FP if d.dest >= FP_BASE else RegClass.INT
-                )
-                if not d.zero_idiom and not (
-                    free_fp_pool if d.dest >= FP_BASE else free_int_pool
-                ):
-                    stats.stall_regs += 1
-                    break
-
-            # ---- source operands (old map) ----------------------------
-            src1 = d.src1
-            src2 = d.src2
-            if src1 != NO_REG:
-                op.src_preg1 = rmap[src1]
-                if src2 != NO_REG:
-                    op.src_preg2 = rmap[src2]
-            elif src2 != NO_REG:
-                op.src_preg1 = rmap[src2]
-
-            needs_iq = d.fu != FuClass.NONE
-
-            # ---- destination handling & mechanisms --------------------
-            if produces:
-                dest_preg = NO_REG
-                eligible = d.eligible
-
-                if zero_idiom_elimination and d.zero_idiom:
-                    dest_preg = zero_preg
-                    op.eliminated = "zero_idiom"
-                    zero_idiom_eliminator.eliminated += 1
-                    needs_iq = False
-                elif move_elim and d.move:
-                    shared_preg = move_eliminator.try_eliminate(d)
-                    if shared_preg is not None:
-                        dest_preg = shared_preg
-                        op.eliminated = "move"
-                        op.shared = True
-                        needs_iq = False
-
-                if rsep is not None and eligible and op.eliminated is None:
-                    # Inlined RsepUnit.lookup (prediction + accounting).
-                    prediction = rsep_predict(d.pc)
-                    rsep_stats.lookups += 1
-                    if prediction.use_pred:
-                        rsep_stats.confident += 1
-                        op.dist_pred = prediction
-                        if dest_preg == NO_REG:
-                            dest_preg = self._try_share(
-                                op, prediction, dest_class
-                            )
-                    else:
-                        op.dist_pred = prediction
-                        if prediction.likely_candidate and rsep_sampling:
-                            producer = producer_at(prediction.distance)
-                            if producer is not None:
-                                op.likely_candidate = True
-                                op.producer = producer
-
-                if zero_predictor is not None and eligible:
-                    zero_prediction = zero_predictor.predict(d.pc)
-                    op.zero_pred = zero_prediction
-                    if zero_prediction.use_pred and dest_preg == NO_REG:
-                        dest_preg = zero_preg
-                        op.zero_pred_used = True  # executes to validate
-
-                if vp is not None and eligible:
-                    value_prediction = vp.lookup(d.pc)
-                    op.vp_pred = value_prediction
-                    if value_prediction.predicted() and dest_preg == NO_REG:
-                        op.vp_used = True
-                        op.vp_ok = value_prediction.value == d.result
-                        vp.stats.used += 1
-
-                if dest_preg == NO_REG:
-                    # Inlined free_list.allocate (pool non-emptiness was
-                    # established by the stall guard above).
-                    dest_preg = (
-                        free_fp_pool if d.dest >= FP_BASE else free_int_pool
-                    ).pop()
-                    free_allocated[dest_preg] = True
-                    op.allocated = True
-                    reg_ready[dest_preg] = (
-                        cycle if op.vp_used else _INF
-                    )
-                op.dest_preg = dest_preg
-                dest = d.dest
-                op.old_preg = rmap[dest]
-                rmap[dest] = dest_preg
-
-            if not needs_iq:
-                op.complete_cycle = cycle
-                op.executed = True
-
-            # ---- structures -------------------------------------------
-            rob_entries.append(op)
-            rob_len += 1
-            if needs_iq:
-                # Inlined iq.insert (capacity was checked above).
-                op.iq_index = len(iq_entries)
-                iq_entries.append(op)
-                iq_live += 1
-                iq._live = iq_live
-                # Park the op where its wakeup will find it (module
-                # docstring).  The op is the youngest in flight, so when
-                # it is ready now it is appended to the (seq-sorted)
-                # ready list without a re-sort.
-                preg = op.src_preg1
-                t1 = reg_ready[preg] if preg >= 0 else 0
-                if t1 >= _INF:
-                    waiters = preg_waiters.get(preg)
-                    if waiters is None:
-                        preg_waiters[preg] = [op]
-                    else:
-                        waiters.append(op)
-                else:
-                    preg = op.src_preg2
-                    t2 = reg_ready[preg] if preg >= 0 else 0
-                    if t2 >= _INF:
-                        waiters = preg_waiters.get(preg)
-                        if waiters is None:
-                            preg_waiters[preg] = [op]
-                        else:
-                            waiters.append(op)
-                    else:
-                        wake = t1 if t1 > t2 else t2
-                        parked = False
-                        if (
-                            op.dist_used or op.likely_candidate
-                        ) and op.producer is not None:
-                            # §IV.F: depend on the producer so validation
-                            # can catch the value on the bypass.
-                            producer = op.producer
-                            t = producer.complete_cycle
-                            if t is None:
-                                if producer.waiters is None:
-                                    producer.waiters = [op]
-                                else:
-                                    producer.waiters.append(op)
-                                parked = True
-                            elif t > wake:
-                                wake = t
-                        if not parked:
-                            if wake <= cycle:
-                                ready_append(op)
-                            else:
-                                bucket = wakeup.get(wake)
-                                if bucket is None:
-                                    wakeup[wake] = [op]
-                                    heappush(wakeup_heap, wake)
-                                else:
-                                    bucket.append(op)
-            if d.is_load:
-                # Inlined lsq.add_load (LQ capacity was checked above).
-                lsq_loads.append(op)
-                word = d.addr >> WORD_SHIFT
-                bucket = loads_by_word.get(word)
-                if bucket is None:
-                    loads_by_word[word] = [op]
-                else:
-                    bucket.append(op)
-                lq_len += 1
-                dep = store_sets.load_dependency(d.pc)
-                if dep is not None and not dep.committed and not dep.squashed:
-                    op.store_dep = dep
-            elif d.is_store:
-                # Inlined lsq.add_store (SQ capacity was checked above).
-                lsq_stores.append(op)
-                word = d.addr >> WORD_SHIFT
-                bucket = stores_by_word.get(word)
-                if bucket is None:
-                    stores_by_word[word] = [op]
-                else:
-                    bucket.append(op)
-                sq_len += 1
-                store_sets.store_dispatched(d.pc, op)
-            if produces:
-                pw_append(op)
-
-            fetch_buffer.popleft()
-            renamed += 1
 
     def _try_share(self, op: InflightOp, prediction, dest_class) -> int:
         """Attempt RSEP register sharing; returns the shared preg or NO_REG."""
@@ -1269,83 +713,16 @@ class Pipeline:
     # ==================================================================
 
     def _fetch(self, cycle: int) -> None:
-        c = self.config
-        if self._fetch_stalled_by is not None:
-            blocked_on = self._fetch_stalled_by
-            if blocked_on.complete_cycle is None:
-                return  # mispredicted branch not resolved yet
-            self._next_fetch_cycle = max(
-                self._next_fetch_cycle,
-                blocked_on.complete_cycle + c.redirect_delay,
-            )
-            self._fetch_stalled_by = None
-        if cycle < self._next_fetch_cycle:
-            return
-
-        trace = self.trace.instructions
-        num_instructions = len(trace)
-        fetch_buffer = self._fetch_buffer
-        append = fetch_buffer.append
-        hierarchy = self.hierarchy
-        branch_unit = self.branch_unit
-        fetch_width = c.fetch_width
-        fetch_buffer_size = c.fetch_buffer_size
-        frontend_depth = c.frontend_depth
-        rename_ready = cycle + frontend_depth
-        fetched = 0
-        taken_seen = 0
-        buffered = len(fetch_buffer)
-        while (
-            fetched < fetch_width
-            and buffered < fetch_buffer_size
-            and self._cursor < num_instructions
-        ):
-            d = trace[self._cursor]
-            line = d.line
-            if line != self._last_fetch_line:
-                bubble = hierarchy.fetch(d.pc, cycle)
-                if bubble > 0:
-                    self._next_fetch_cycle = cycle + bubble
-                    break
-                self._last_fetch_line = line
-            op = InflightOp(d, self._cursor, rename_ready)
-            if d.is_branch:
-                outcome = branch_unit.fetch_branch(d)
-                op.fetch_outcome = outcome
-                append(op)
-                buffered += 1
-                self._cursor += 1
-                fetched += 1
-                if outcome.mispredicted:
-                    self._fetch_stalled_by = op
-                    break
-                if outcome.decode_redirect:
-                    self._next_fetch_cycle = (
-                        cycle + c.decode_redirect_bubble
-                    )
-                    break
-                if d.taken:
-                    taken_seen += 1
-                    self._last_fetch_line = -1  # fetch redirects to target
-                    if taken_seen >= 2:
-                        break  # 8-wide fetch over at most 1 taken branch
-                continue
-            append(op)
-            buffered += 1
-            self._cursor += 1
-            fetched += 1
-
-    def _fetch_columnar(self, cycle: int) -> None:
         """Fetch straight from the packed trace columns (DESIGN.md §9).
 
-        Mirrors :meth:`_fetch` decision for decision — same line checks,
-        same branch handling, same stall exits — but the per-instruction
-        reads come from the flat columns (``lines``/``pcs``/``kinds``)
-        and the ``DynInst`` row is materialised lazily, only for indices
-        that actually enter the pipeline (cached across squash refetches
-        and across every later cell replaying this trace).  The
-        equivalence suite pins this path bit-identical to the legacy
-        one.
+        Up to ``fetch_width`` instructions a cycle, over at most one
+        taken branch, stopping at an I-cache miss bubble, a decode
+        redirect or a mispredicted branch (fetch then waits for it to
+        resolve).  The per-instruction reads come from the flat columns
+        (``lines``/``pcs``/``kinds``); the ``DynInst`` row is
+        materialised lazily, only for indices that actually enter the
+        pipeline, and cached across squash refetches and across every
+        later cell replaying this trace.
         """
         c = self.config
         if self._fetch_stalled_by is not None:
@@ -1397,13 +774,13 @@ class Pipeline:
             d = rows[cursor]
             if d is None:
                 d = row(cursor)
-            # Inlined InflightOp.__init__, seeded from the columnar row:
-            # same stores, no call/frame per fetched instruction (edit
-            # together with the constructor).
+            # Every InflightOp slot, initialised inline (see the class).
             op = new_op(inflight)
             op.d = d
             op.trace_index = cursor
             op.rename_ready_cycle = rename_ready
+            # Renamed source pregs (NO_REG = fewer than 1/2 sources); two
+            # scalar slots instead of a tuple keep dispatch allocation-free.
             op.src_preg1 = no_reg
             op.src_preg2 = no_reg
             op.dest_preg = no_reg
@@ -1431,6 +808,8 @@ class Pipeline:
             op.forward_from = None
             op.committed = False
             op.squashed = False
+            # Scheduler subscribers: ops whose issue eligibility becomes
+            # computable once this op's completion cycle is known.
             op.waiters = None
             op.iq_index = -1
             if kinds[cursor] & KIND_BRANCH:

@@ -1,8 +1,9 @@
 """Per-mechanism code generation of the rename and issue loops (DESIGN.md §12).
 
-``Pipeline._rename`` and ``Pipeline._issue`` are the two largest tottime
-blocks of a detailed run, and most of what they execute per instruction
-is *configuration dispatch*: is RSEP on, is there a zero predictor, is
+These are the pipeline's only rename and issue stages.  Rename and issue
+are two of the largest tottime blocks of a detailed run, and most of
+what a configuration-generic loop would execute per instruction is
+*configuration dispatch*: is RSEP on, is there a zero predictor, is
 validation ideal, is sharing sampled.  None of those answers change
 during a run, so — exactly like the predictors' generated fast paths
 (``DistancePredictor._build_fast_predict``,
@@ -13,8 +14,8 @@ constant-folded away, compiles it once per configuration fingerprint
 cached code object against an environment of that pipeline's live
 structures.
 
-The contract that makes the binding safe (enforced by the differential
-tests and documented in DESIGN.md §12):
+The contract that makes the binding safe (documented in DESIGN.md §12,
+checked by the golden digests and the test-side invariant auditor):
 
 * every container the generated code closes over is mutated strictly in
   place for the pipeline's life (ready list, wakeup map/heap, preg-waiter
@@ -22,11 +23,11 @@ tests and documented in DESIGN.md §12):
 * containers that *are* rebound elsewhere (the IQ entry list compacts,
   the LSQ lists/buckets rebuild on squash) are re-hoisted from their
   owner on every call, never embedded;
-* generated bodies mirror the generic loops statement for statement —
-  every pipeline installs them, and the generic ``_rename``/``_issue``
-  stay as the reference the equivalence tests compare them against
-  (the tests skip :func:`install_fast_stages` to select the generic
-  loops).
+* every pipeline installs them: :class:`~repro.pipeline.core.Pipeline`
+  defines no rename or issue method of its own, so the bodies below are
+  the one statement of each stage.  The rename capacity checks must stay
+  in step with ``Pipeline._rename_stall_cause``, which the idle
+  fast-forward charges stall cycles by.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class _Spec:
 
 
 def _rename_source(s: _Spec) -> str:
-    """The specialised ``_rename`` body (mirror of ``Pipeline._rename``)."""
+    """The specialised ``_rename`` body for one configuration."""
     any_mech = s.has_rsep or s.has_zp or s.has_vp
     w: list[str] = []
     a = w.append
@@ -114,7 +115,7 @@ def _rename_source(s: _Spec) -> str:
     a("            break")
     a("        d = op.d")
     a("        produces = d.dest != -1")
-    # ---- capacity checks (stall in order), mirroring _rename_stall_cause
+    # ---- capacity checks (stall in order), as in _rename_stall_cause
     a(f"        if rob_len >= {s.rob_capacity}:")
     a("            stats.stall_rob += 1")
     a("            break")
@@ -312,11 +313,15 @@ def _rename_source(s: _Spec) -> str:
 
 
 def _issue_source(s: _Spec) -> str:
-    """The specialised ``_issue`` body (mirror of ``Pipeline._issue``)."""
+    """The specialised ``_issue`` body for one configuration."""
     w: list[str] = []
     a = w.append
     a("def fast_issue(cycle):")
     a("    ready = _ready")
+    # Ops parked in a wakeup bucket had every readiness condition known
+    # to be met by its cycle, and known ready times never move (a source
+    # preg cannot be reallocated while a non-squashed consumer is in
+    # flight), so draining the bucket needs no re-evaluation.
     a("    bucket = _wakeup.pop(cycle, None)")
     a("    if bucket is not None:")
     a("        ready_append = ready.append")
@@ -356,7 +361,8 @@ def _issue_source(s: _Spec) -> str:
     a(f"        if ports._total >= {s.issue_width}:")
     a("            break")
     a("        d = op.d")
-    # Inlined _op_ready for loads (producer dependence folded per config).
+    # Load readiness: registers, the §IV.F producer dependence (folded
+    # per config), then the LSQ conditions, re-checked every cycle.
     a("        if d.is_load:")
     a("            preg = op.src_preg1")
     a("            if preg >= 0 and reg_ready[preg] > cycle:")
@@ -417,6 +423,8 @@ def _issue_source(s: _Spec) -> str:
         a("            op.likely_candidate and op.producer is not None")
         a("        ):")
         if s.validation_real:
+            # §IV.F.b: predicted instructions retain their scheduler
+            # entry until the validation µ-op issued.
             a("            _vq_request(op)")
             a("            op.retained = True")
         else:
@@ -451,7 +459,9 @@ def _issue_source(s: _Spec) -> str:
     a("                violation_load = violators[0]")
     a("                violating_store = op")
     a("                break")
-    # Batched waiter re-insertion (mirror of the generic flat pass).
+    # Batched waiter re-insertion: woken waiters re-park in one flat
+    # pass after the issue loop, once this cycle's completion times are
+    # final (a waiter parks in exactly one place either way).
     a("    if to_wake is not None:")
     a("        wakeup = _wakeup")
     a("        wakeup_heap = _wakeup_heap")
@@ -558,7 +568,7 @@ def install_fast_stages(pipeline) -> dict:
     The environment maps every name the generated bodies read to the
     pipeline's live structures (identity-stable ones directly, owners of
     rebindable containers so those are re-hoisted per call).  Bound as
-    instance attributes, exactly like the columnar fetch binding.
+    instance attributes, which ``Pipeline._step`` dispatches to.
 
     Returns the environment, which is also the loops' globals: it holds
     the pipeline, so the pipeline keeps it and clears it on

@@ -23,7 +23,7 @@ from repro.sampling import (
     restore_checkpoint,
 )
 from repro.sampling.checkpoint import CHECKPOINT_FORMAT
-from repro.workloads.columnar import ColumnarTrace, pack_trace
+from repro.workloads.columnar import ColumnarTrace, columnar_from_trace
 from repro.workloads.spec2006 import build_benchmark
 from repro.workloads.store import TraceStore, workload_code_version
 from repro.workloads.trace import execute
@@ -91,8 +91,10 @@ class Simulator:
         Lookup order: in-memory cache, then the on-disk store, then
         interpretation (which also populates the store).  The cached
         value is a :class:`ColumnarTrace` (DESIGN.md §9): cold
-        interpretation packs the fresh trace once and both the store
-        write and the runtime view share that payload.
+        interpretation packs the fresh trace once
+        (:func:`~repro.workloads.columnar.columnar_from_trace`, the
+        helper a ``Pipeline`` built on an object trace uses) and both the
+        store write and the runtime view share that payload.
         """
         version = workload_code_version()
         key = (benchmark, seed, version)
@@ -115,13 +117,7 @@ class Simulator:
             interpreted = execute(
                 built.program, instructions, built.machine()
             )
-        payload = pack_trace(interpreted, instructions)
-        trace = ColumnarTrace.from_payload(payload)
-        # Seed the row cache with the freshly interpreted objects: they
-        # are field-identical to decoded rows (pinned by the codec
-        # property suite), so the first cold run never re-materialises
-        # what the interpreter just built.
-        trace.rows[:] = interpreted.instructions
+        trace, payload = columnar_from_trace(interpreted, instructions)
         if store is not None:
             store.save_payload(payload, benchmark, seed, version)
         self._trace_cache[key] = (trace, instructions)

@@ -43,29 +43,15 @@ from repro.workloads.columnar import (
     KIND_STORE,
     MOVE,
     TAKEN,
-    ColumnarTrace,
 )
 
 
-class _WarmOp:
+class _ColumnarWarmOp:
     """Commit-group stand-in for an ``InflightOp`` during warming.
 
     Carries exactly the attributes
-    :meth:`~repro.core.rsep.RsepUnit.observe_commit_group` reads.
-    """
-
-    __slots__ = ("d", "dist_pred", "likely_candidate", "producer")
-
-    def __init__(self, d) -> None:
-        self.d = d
-        self.dist_pred = None
-        self.likely_candidate = False
-        self.producer = None
-
-
-class _ColumnarWarmOp:
-    """Column-fed :class:`_WarmOp`: no ``DynInst`` behind it.
-
+    :meth:`~repro.core.rsep.RsepUnit.observe_commit_group` reads, fed
+    from the trace columns: no ``DynInst`` behind it.
     ``observe_commit_group`` (and its generated hash fold) reads
     ``op.d.result``; ring validation reads ``producer.d.dest`` /
     ``producer.d.result``.  Pointing ``d`` at the op itself satisfies
@@ -100,8 +86,8 @@ class FunctionalWarmer:
         # The recent-producer ring persists across warmed spans so
         # producer distances carry over interval boundaries; commit
         # groups flush at the end of each span.
-        self._ring: list[_WarmOp] = []
-        self._group: list[_WarmOp] = []
+        self._ring: list[_ColumnarWarmOp] = []
+        self._group: list[_ColumnarWarmOp] = []
         rsep = pipeline.rsep
         # In sampling mode (§IV.B.3) the commit side trains exactly one
         # producer per group through the pairing search, so warming only
@@ -150,153 +136,9 @@ class FunctionalWarmer:
 
         Returns ``(end_index, end_cycle)`` — the trace position where
         detailed simulation should resume and the advanced pseudo-clock.
-        Columnar traces take the column-indexed loop (no ``DynInst`` is
-        ever materialised for a warmed-only span); object traces take
-        the per-``DynInst`` loop, the reference the columnar loop is
-        tested against.
-        """
-        p = self.pipeline
-        if isinstance(p.trace, ColumnarTrace):
-            return self._warm_columnar(start, count, cycle)
-        trace = p.trace.instructions
-        end = min(start + count, len(trace))
-        if end <= start:
-            return start, cycle
-
-        hierarchy = p.hierarchy
-        mem_load = hierarchy.load
-        mem_store = hierarchy.store
-        mem_fetch = hierarchy.fetch
-        branch_unit = p.branch_unit
-        tage_predict = branch_unit.tage.predict
-        tage_update = branch_unit.tage.update
-        btb_lookup = branch_unit.btb.lookup
-        btb_update = branch_unit.btb.update
-        ras = branch_unit.ras
-        history_push = p.history.push
-        path_push = p.path.push
-        zero_predictor = p.zero_predictor
-        vp = p.vp
-        if vp is not None:
-            vp_predict = vp.predictor.predict
-            vp_train = vp.predictor.train
-        rsep = p.rsep
-        if rsep is not None:
-            rsep_predict = rsep.predictor.predict
-            rsep_observe = rsep.observe_commit_group
-            rsep_mispredict = rsep.on_mispredict
-        rsep_sampling = self._rsep_sampling
-        group_results: list[int] = []
-        group_eligible: list[tuple[int, int]] = []
-        move_elim = self._move_elim
-        commit_width = p.config.commit_width
-        ring = self._ring
-        group = self._group
-        no_reg = NO_REG
-        fp_base = FP_BASE
-
-        last_line = -1
-        for d in trace[start:end]:
-            cycle += 1
-
-            # ---- front end: L1I/ITLB and branch structures ------------
-            line = d.line
-            if line != last_line:
-                mem_fetch(d.pc, cycle)
-                last_line = line
-            if d.is_branch:
-                taken = d.taken
-                if d.is_conditional:
-                    prediction = tage_predict(d.pc)
-                    if prediction.taken == taken and taken:
-                        btb_lookup(d.pc)
-                    history_push(1 if taken else 0)
-                    tage_update(prediction, taken)
-                elif d.is_return:
-                    ras.pop()
-                else:
-                    btb_lookup(d.pc)
-                    if d.is_call:
-                        ras.push(d.pc + INSTR_BYTES)
-                if taken:
-                    path_push(d.pc)
-                    if d.target_pc >= 0:
-                        btb_update(d.pc, d.target_pc)
-                    last_line = -1
-            # ---- data side: L1D/DTLB, prefetchers, DRAM ---------------
-            elif d.is_load:
-                mem_load(d.pc, d.addr, cycle)
-            elif d.is_store:
-                mem_store(d.pc, d.addr, cycle)
-
-            # ---- mechanism predictors (rename-side lookups) -----------
-            eligible = d.eligible
-            if eligible:
-                if zero_predictor is not None:
-                    zero_predictor.train(
-                        zero_predictor.predict(d.pc), d.result == 0
-                    )
-                if vp is not None:
-                    vp_train(vp_predict(d.pc), d.result)
-
-            # ---- commit-side producer stream (RSEP pairing) -----------
-            if rsep is None or d.dest == no_reg:
-                continue
-            if rsep_sampling:
-                # §IV.B.3 sampling: one pairing search (and one
-                # predictor lookup) per commit group is all the detailed
-                # commit path performs, so warming does the same.
-                if eligible and not (move_elim and d.move):
-                    group_eligible.append((len(group_results), d.pc))
-                group_results.append(d.result)
-                if len(group_results) >= commit_width:
-                    self._observe_sampling(group_results, group_eligible)
-                    del group_results[:]
-                    del group_eligible[:]
-                continue
-            op = _WarmOp(d)
-            if eligible and not (move_elim and d.move):
-                prediction = rsep_predict(d.pc)
-                op.dist_pred = prediction
-                distance = prediction.distance
-                if 0 < distance <= len(ring):
-                    producer = ring[-distance]
-                    if prediction.use_pred:
-                        # Emulate §IV.G commit-time validation: a shared
-                        # register whose producer's value differs would
-                        # squash and collapse confidence.
-                        if (producer.d.dest >= fp_base) == (
-                            d.dest >= fp_base
-                        ) and producer.d.result != d.result:
-                            rsep_mispredict(prediction)
-                    elif prediction.likely_candidate:
-                        op.likely_candidate = True
-                        op.producer = producer
-            group.append(op)
-            ring.append(op)
-            if len(group) >= commit_width:
-                rsep_observe(group)
-                del group[:]
-                if len(ring) > _RING_TRIM:
-                    del ring[:-_RING_KEEP]
-
-        if rsep is not None:
-            if group:
-                rsep_observe(group)
-                del group[:]
-            if group_results:
-                self._observe_sampling(group_results, group_eligible)
-        return end, cycle
-
-    def _warm_columnar(self, start: int, count: int,
-                       cycle: int) -> tuple[int, int]:
-        """Column-indexed warming: :meth:`warm` over packed columns.
-
-        Replays exactly the structure updates of the object loop —
-        ``tests/test_columnar_equivalence.py`` pins sampled runs
-        bit-identical across both paths — while every per-instruction
-        read is a flat column index (``lines[i]``, ``kinds[i]`` bit
-        tests, …) instead of a ``DynInst`` attribute chain.
+        Every per-instruction read is a flat column index (``lines[i]``,
+        ``kinds[i]`` bit tests, …): no ``DynInst`` is ever materialised
+        for a warmed-only span.
         """
         p = self.pipeline
         trace = p.trace

@@ -22,14 +22,14 @@ the columns themselves the representation the hot paths consume:
   replay one trace through many mechanism cells pay materialisation
   once per process, exactly like the old eager decode, while loads,
   unfetched slack and functionally-warmed spans pay nothing at all.
-Store loads and fresh interpretation always yield a
-:class:`ColumnarTrace`.  Object :class:`~repro.workloads.trace.Trace`
-inputs (``Simulator.run_trace``, the examples) keep the object-walking
-fetch and warming loops, which double as the reference
-``tests/test_columnar_equivalence.py`` compares the columnar loops
-against, on an object trace decoded from the same payload.
+* :func:`columnar_from_trace` — packs an object
+  :class:`~repro.workloads.trace.Trace` into its runtime view once.
+  Fresh interpretation (``Simulator.trace_for``) and a ``Pipeline``
+  built on an object trace (the examples, the planted-pair fuzzer) both
+  go through it, so the pipeline and the functional warmer only ever
+  read columns.
 
-Invariants the equivalence suite relies on:
+Invariants the pipeline and the property suites rely on:
 
 * A materialised row is field-for-field identical to the ``DynInst`` the
   eager decoder would have produced (same assignments, same tables).
@@ -180,13 +180,14 @@ def _validate_payload(payload: dict) -> int:
 
 
 def unpack_trace(payload: dict):
-    """Decode a packed payload into ``(trace, budget)`` — the legacy path.
+    """Decode a packed payload into ``(trace, budget)`` of ``DynInst`` objects.
 
+    The unit-level reference for :meth:`ColumnarTrace.row`: the store and
+    codec property suites compare the two field for field.
     Reconstruction bypasses ``DynInst.__init__``: all derived fields
     (``line``, ``eligible``, the static opcode properties) are assigned
-    from precomputed tables, which makes a warm store load cheaper than
-    re-running the interpreter.  The columnar runtime path skips even
-    this: see :class:`ColumnarTrace`.
+    from precomputed tables.  No simulation path decodes a whole trace:
+    see :class:`ColumnarTrace`.
     """
     from repro.workloads.trace import Trace
 
@@ -235,6 +236,20 @@ def unpack_trace(payload: dict):
         )
         append(d)
     return Trace(payload["name"], instructions), payload["budget"]
+
+
+def columnar_from_trace(trace, budget: int) -> tuple["ColumnarTrace", dict]:
+    """Pack an object trace once: ``(runtime view, codec payload)``.
+
+    The payload is what a trace store persists.  The trace's own
+    ``DynInst`` objects seed the view's row cache: they are field-identical
+    to decoded rows (pinned by the codec property suite), so nothing the
+    interpreter just built is materialised twice.
+    """
+    payload = pack_trace(trace, budget)
+    columnar = ColumnarTrace.from_payload(payload)
+    columnar.rows[:] = trace.instructions
+    return columnar, payload
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +380,7 @@ class ColumnarTrace:
 
     @property
     def instructions(self) -> list[DynInst]:
-        """All rows, materialising any not yet fetched (legacy surface)."""
+        """All rows, materialising any not yet fetched (for analyses)."""
         rows = self.rows
         row = self.row
         for index, d in enumerate(rows):

@@ -74,6 +74,26 @@ class TestPerfCli:
         with pytest.raises(SystemExit):
             main(["perf", "--mechanism", "definitely-not-a-preset"])
 
+    def test_unknown_benchmark_exits_2_without_a_traceback(self, capsys):
+        assert main(["perf", "--benchmark", "nosuch", "--repeats", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "repro perf: unknown benchmark(s): nosuch" in err
+        assert "Traceback" not in err
+
+
+class TestShardsFromEnvironment:
+    """``REPRO_SHARDS=-3`` is rejected like ``--shards -3``, not read as
+    0 (in process)."""
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--benchmark", "mcf", "--mechanism", "baseline"],
+        ["figures", "fig4", "--benchmark", "mcf"],
+    ], ids=["sweep", "figures"])
+    def test_negative_count_exits_2(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("REPRO_SHARDS", "-3")
+        assert main([*command, "--warmup", "0", "--measure", "200"]) == 2
+        assert "shards must be >= 0" in capsys.readouterr().err
+
 
 class TestSweepCli:
     def test_no_arguments_prints_help(self, capsys):

@@ -17,7 +17,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import stats_dict, use_generic_stages
+from helpers import stats_dict
 from repro.api import env as api_env
 from repro.api.cli import main as cli_main
 from repro.api.result import KNOWN_SECTIONS, CellResult, RunResult
@@ -260,15 +260,11 @@ class TestMetricsHub:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("generated,sampled",
-                             [(1, 1), (1, 0), (0, 1), (0, 0)])
-    def test_obs_is_invisible_on_every_compute_plane(
-        self, monkeypatch, tmp_path, generated, sampled
-    ):
-        """Generated or generic rename/issue loops, on a sampled run
-        (functional warmer, chunked detail spans) or a full-detail one."""
-        if not generated:
-            use_generic_stages(monkeypatch)
+    @pytest.mark.parametrize("sampled", [1, 0],
+                             ids=["sampled", "full-detail"])
+    def test_obs_is_invisible(self, tmp_path, sampled):
+        """On a sampled run (functional warmer, chunked detail spans) or
+        a full-detail one."""
         sampling = SamplingSpec(
             enabled=True, interval=200, detail_ratio=0.5, detail_warmup=32,
         ) if sampled else SamplingSpec()

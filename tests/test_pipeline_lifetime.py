@@ -25,7 +25,7 @@ from repro.pipeline.simulator import _TRACE_SLACK, Simulator
 from repro.sampling import SampledRun, SamplingConfig, capture_checkpoint
 from repro.workloads.store import TraceStore
 
-from helpers import stats_dict, use_generic_stages  # noqa: E402
+from helpers import stats_dict  # noqa: E402
 
 #: A small active sampling configuration, checkpoints on.
 SAMPLED = SamplingConfig(
@@ -84,19 +84,6 @@ class TestClose:
         pipeline.close()
         del pipeline
         assert len(built) == 1 and _live(built) == 0
-
-    def test_closing_generic_stages_leaves_the_core_module_alone(
-        self, monkeypatch
-    ):
-        """With the generic loops the stages' globals are the module's:
-        close() must clear only the namespace the generated loops got."""
-        use_generic_stages(monkeypatch)
-        simulator = Simulator(trace_store=None)
-        first = _pipeline(simulator)
-        first.run(2000, 500)
-        first.close()
-        second = _pipeline(simulator)
-        assert stats_dict(second.run(2000, 500)) == stats_dict(first.stats)
 
 
 class TestFreedWhenTheCellEnds:

@@ -2,6 +2,7 @@
 gshare, and the confidence scale."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.bitops import mask64
 from repro.common.history import GlobalHistory, PathHistory
@@ -396,3 +397,116 @@ class TestGshareDistance:
     def test_storage_report(self):
         predictor, _ = self.make()
         assert predictor.storage_report().total_bits == 2 * 4096 * 11
+
+
+# ---------------------------------------------------------------------------
+# Memoised fast_predict vs predict_reference
+# ---------------------------------------------------------------------------
+
+
+def _predictor_pair():
+    """Two predictors sharing nothing, built identically: one drives the
+    memoised generated path, the other the generic reference."""
+    pairs = []
+    for _ in range(2):
+        history = GlobalHistory()
+        path = PathHistory()
+        predictor = DistancePredictor(
+            DistancePredictorConfig.realistic(), history, path,
+            XorShift64(0xDECAF),
+        )
+        pairs.append((history, path, predictor))
+    return pairs
+
+
+_PCS = [0x1000 + 4 * i for i in range(24)]
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 1)),
+        st.tuples(st.just("path"), st.sampled_from(_PCS)),
+        st.tuples(st.just("predict"), st.sampled_from(_PCS)),
+        st.tuples(st.just("repredict"), st.sampled_from(_PCS)),
+        st.tuples(st.just("train_pair"), st.integers(0, 40)),
+        st.tuples(st.just("train_val"), st.booleans()),
+        st.tuples(st.just("mispredict"), st.just(0)),
+        st.tuples(st.just("snapshot"), st.just(0)),
+        st.tuples(st.just("restore"), st.just(0)),
+    ),
+    min_size=4, max_size=80,
+)
+
+
+def _fields(p):
+    return (
+        p.pc, p.distance, p.use_pred, p.likely_candidate, p.provider,
+        p.indices, p.tags, p.base_index, p.confidence_level,
+    )
+
+
+class TestMemoisedPredictEquivalence:
+    """The memoised fast path vs ``predict_reference`` under interleaved
+    pushes, trainings and squash-style history snapshot/restores."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS)
+    def test_random_interleavings(self, ops):
+        (hist_fast, path_fast, fast), (hist_ref, path_ref, ref) = (
+            _predictor_pair()
+        )
+        last_fast = last_ref = None
+        snap = None
+        for op, value in ops:
+            if op == "push":
+                hist_fast.push(value)
+                hist_ref.push(value)
+            elif op == "path":
+                path_fast.push(value)
+                path_ref.push(value)
+            elif op in ("predict", "repredict"):
+                last_fast = fast.predict(value)
+                last_ref = ref.predict_reference(value)
+                if op == "repredict":
+                    # Same history/path/tables: the memo must serve the
+                    # identical object, counters advancing as ever.
+                    assert fast.predict(value) is last_fast
+                    last_ref = ref.predict_reference(value)
+                assert _fields(last_fast) == _fields(last_ref)
+            elif op == "train_pair" and last_fast is not None:
+                fast.train_from_pairing(last_fast, value)
+                ref.train_from_pairing(last_ref, value)
+            elif op == "train_val" and last_fast is not None:
+                fast.train_from_validation(last_fast, value)
+                ref.train_from_validation(last_ref, value)
+            elif op == "mispredict" and last_fast is not None:
+                fast.on_mispredict(last_fast)
+                ref.on_mispredict(last_ref)
+            elif op == "snapshot":
+                snap = (
+                    hist_fast.snapshot(), path_fast.snapshot(),
+                    hist_ref.snapshot(), path_ref.snapshot(),
+                )
+            elif op == "restore" and snap is not None:
+                # Squash emulation: roll history back under the memo.
+                hist_fast.restore(snap[0])
+                path_fast.restore(snap[1])
+                hist_ref.restore(snap[2])
+                path_ref.restore(snap[3])
+        # Stat counters advanced in lockstep on both paths.
+        assert fast.lookups == ref.lookups
+        assert fast.confident_predictions == ref.confident_predictions
+
+    def test_memo_hit_and_invalidation(self):
+        (_, _, fast), _ = _predictor_pair()
+        first = fast.predict(0x1000)
+        assert fast.predict(0x1000) is first  # memo hit
+        fast.invalidate_prediction_memo()
+        recomputed = fast.predict(0x1000)
+        assert recomputed is not first  # version re-stamped: recompute
+        assert _fields(recomputed) == _fields(first)  # tables untouched
+
+    def test_training_invalidates_memo(self):
+        (_, _, fast), _ = _predictor_pair()
+        first = fast.predict(0x1000)
+        fast.train_from_pairing(first, 3)  # bumps the table version
+        assert fast.predict(0x1000) is not first

@@ -2,6 +2,7 @@
 backend resources (ROB, IQ, LSQ, ports, store sets)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backend.fu import IssuePorts, PortConfig
 from repro.backend.iq import IssueQueue
@@ -374,3 +375,63 @@ class TestStoreSets:
     def test_power_of_two_validation(self):
         with pytest.raises(ValueError):
             StoreSets(ssit_entries=1000)
+
+
+# ---------------------------------------------------------------------------
+# try_issue arms inlined into the generated issue loop
+# ---------------------------------------------------------------------------
+
+
+def _inline_arm(ports: IssuePorts, fu: FuClass, cycle: int) -> bool:
+    """Replica of the arms the generated issue loop inlines (genrename):
+    the INT_ALU/BRANCH and MEM_LOAD decisions with literal counts.  (Its
+    third arm, FU class NONE, never runs: such ops skip the IQ.)"""
+    if fu is FuClass.INT_ALU or fu is FuClass.BRANCH:
+        if ports._alu >= ports._alu_count:
+            return False
+        ports._alu += 1
+        ports._total += 1
+        return True
+    if fu is FuClass.MEM_LOAD:
+        if ports._ldst >= ports._ldst_ports:
+            return False
+        ports._ldst += 1
+        ports._total += 1
+        return True
+    return ports.try_issue(fu, cycle)
+
+
+class TestIssuePortInlineEquivalence:
+    """The inlined arms match ``IssuePorts.try_issue`` exactly while a
+    slot is free — and both issue loops break on ``_total >=
+    issue_width`` before ever reaching an arm, so that is the only
+    regime the inline decision runs in."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        fus=st.lists(
+            st.sampled_from([
+                FuClass.INT_ALU, FuClass.BRANCH, FuClass.MEM_LOAD,
+                FuClass.MEM_STORE, FuClass.FP_ALU, FuClass.INT_MUL,
+            ]),
+            min_size=1, max_size=24,
+        ),
+    )
+    def test_arm_matches_method(self, fus):
+        config = PortConfig()
+        oracle = IssuePorts(config)
+        inlined = IssuePorts(config)
+        oracle.new_cycle(0)
+        inlined.new_cycle(0)
+        for fu in fus:
+            # Both issue loops only reach the arms below this guard.
+            if inlined._total >= config.issue_width:
+                break
+            assert oracle.try_issue(fu, 0) == _inline_arm(inlined, fu, 0)
+            assert (
+                oracle._total, oracle._alu, oracle._ldst,
+                oracle._fp, oracle._store_only, oracle._mul,
+            ) == (
+                inlined._total, inlined._alu, inlined._ldst,
+                inlined._fp, inlined._store_only, inlined._mul,
+            )

@@ -7,8 +7,10 @@ import pickle
 
 import pytest
 
+from repro.isa.instruction import DynInst
 from repro.pipeline.config import MechanismConfig
 from repro.pipeline.simulator import Simulator
+from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.spec2006 import generate_trace
 from repro.workloads.store import (
     TraceStore,
@@ -16,6 +18,7 @@ from repro.workloads.store import (
     unpack_trace,
     workload_code_version,
 )
+from repro.workloads.trace import Trace
 
 DYN_FIELDS = [
     "seq", "pc", "opcode", "fu", "latency", "pipelined", "dest", "src1",
@@ -276,3 +279,27 @@ class TestCheckpointCorruptionRecovery:
         assert third.checkpoint_hits == 1
         assert third.checkpoint_writes == 0
         assert stats_again == reference
+
+
+class TestTracePlaneSelection:
+    def test_default_is_columnar(self):
+        trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
+        assert isinstance(trace, ColumnarTrace)
+
+    def test_planes_share_one_store_artifact(self, tmp_path):
+        # One file on disk: the store serves it as a columnar view, and
+        # the same payload decodes into the object rows it stands for.
+        Simulator(trace_store=TraceStore(tmp_path)).trace_for("mcf", 1, 800)
+        (path,) = tmp_path.glob("*.trace")
+        warm = Simulator(trace_store=TraceStore(tmp_path))
+        columnar = warm.trace_for("mcf", 1, 800)
+        assert warm.trace_store.hits == 1
+        assert isinstance(columnar, ColumnarTrace)
+        with open(path, "rb") as handle:
+            decoded, _ = unpack_trace(pickle.load(handle))
+        assert isinstance(decoded, Trace)
+
+        def rows(trace):
+            return [[getattr(d, f) for f in DynInst.__slots__] for d in trace]
+
+        assert rows(decoded) == rows(columnar)
