@@ -57,8 +57,8 @@ def main() -> None:
         print(f"trace store        : {store.root} "
               f"(hits {store.hits}, misses {store.misses})")
     # The artifact round-trips through JSON with its fingerprint intact:
-    # `repro report <file>` renders it, `repro inspect <file>` shows its
-    # provenance.  (See `repro sweep --json`.)
+    # `repro inspect <file>` shows its provenance and renders its IPC
+    # table.  (See `repro sweep --json`.)
 
 
 if __name__ == "__main__":

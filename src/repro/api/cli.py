@@ -3,13 +3,12 @@
 Subcommands::
 
     repro sweep    run (or smoke-gate) a benchmark × mechanism sweep
-    repro perf     simulated-KIPS throughput harness (+ CI smoke gate)
     repro figures  regenerate the paper's figures from declarative specs
-    repro report   render a stored RunResult artifact
-    repro inspect  artifact provenance / telemetry / event logs / env overlay
-    repro profile  per-stage wall attribution (+ the obs overhead gate)
-    repro tail     follow a live service's event stream (DESIGN.md §13)
-    repro serve    cluster host (Unix socket and/or TCP): shards in, verified out
+    repro inspect  the one reader: artifacts, the result lake, event logs
+                   (optionally followed), or the environment overlay
+    repro profile  per-stage wall attribution and KIPS per benchmark
+                   (+ the obs overhead gate)
+    repro serve    cluster host on TCP: shards in, verified out
 
 Every run subcommand builds an :class:`~repro.api.spec.ExperimentSpec`
 through the one environment overlay (explicit flag beats ``REPRO_*``
@@ -221,75 +220,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _window(args) -> WindowSpec:
-    """The environment's window with ``--warmup``/``--measure`` over it."""
+    """The environment's window with ``--warmup``/``--measure`` over it.
+
+    Raises ``ValueError`` on a bad window; callers turn that into their
+    one-line exit 2.
+    """
     base = WindowSpec.from_env()
     return WindowSpec(
         warmup=base.warmup if args.warmup is None else args.warmup,
         measure=base.measure if args.measure is None else args.measure,
     )
-
-
-def _cmd_perf(args) -> int:
-    import json
-
-    from repro.harness.perf import (
-        DEFAULT_BENCHMARKS,
-        measure_throughput,
-        render_report,
-        throughput_smoke,
-    )
-
-    if args.smoke:
-        ignored = [
-            flag for flag, value in (
-                ("--benchmark", args.benchmarks),
-                ("--mechanism", args.mechanisms),
-                ("--warmup", args.warmup), ("--measure", args.measure),
-                ("--seed", args.seed), ("--interval", args.interval),
-                ("--detail-ratio", args.detail_ratio),
-            ) if value is not None
-        ] + (["--sampled"] if args.sampled else [])
-        if ignored:
-            print("repro perf --smoke runs the fixed regression gate; it "
-                  f"cannot take {', '.join(ignored)}", file=sys.stderr)
-            return 2
-        return throughput_smoke(args.json or "BENCH_perf.json",
-                                repeats=args.repeats)
-    try:
-        reject_unknown_benchmarks(args.benchmarks or ())
-    except ValueError as error:
-        print(f"repro perf: {error}", file=sys.stderr)
-        return 2
-    from dataclasses import replace
-
-    from repro.sampling import SamplingConfig
-
-    sampling = SamplingConfig()
-    if args.sampled:
-        sampling = replace(api_env.sampling_from_env(), enabled=True)
-        if args.interval is not None:
-            sampling = replace(sampling, interval=args.interval)
-        if args.detail_ratio is not None:
-            sampling = replace(sampling, detail_ratio=args.detail_ratio)
-    window = _window(args)
-    report = measure_throughput(
-        benchmarks=tuple(args.benchmarks or DEFAULT_BENCHMARKS),
-        mechanisms=_mechanisms_from_args(args.mechanisms),
-        warmup=window.warmup,
-        measure=window.measure,
-        seed=1 if args.seed is None else args.seed,
-        repeats=args.repeats,
-        sampling=sampling,
-    )
-    print(render_report(report))
-    if args.json == "-":
-        json.dump(report.to_dict(), sys.stdout, indent=1)
-        print()
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"\nwrote {args.json}")
-    return 0
 
 
 def _cmd_figures(args) -> int:
@@ -302,12 +242,12 @@ def _cmd_figures(args) -> int:
     try:
         # fig1 runs without a spec, so it needs the spec's check here.
         reject_unknown_benchmarks(args.benchmarks or ())
+        window = None
+        if args.warmup is not None or args.measure is not None:
+            window = _window(args)
     except ValueError as error:
         print(f"repro figures: {error}", file=sys.stderr)
         return 2
-    window = None
-    if args.warmup is not None or args.measure is not None:
-        window = _window(args)
     # The sweep figures run first, as one batch, so forked workers start
     # from a parent that has not yet run fig1's functional analysis.
     results, holes = {}, ()
@@ -347,121 +287,9 @@ def _cmd_figures(args) -> int:
     return 1 if holes else 0
 
 
-def _lake_store_from_arg(path_arg: str):
-    """Resolve a ``--lake [DIR]`` argument to a ``TraceStore``.
-
-    An empty argument (bare ``--lake``) means the environment's store
-    root; returns ``None`` when that resolves to persistence-disabled.
-    """
-    from repro.workloads.store import TraceStore
-
-    if path_arg:
-        return TraceStore(path_arg)
-    root = api_env.store_root_from_env()
-    return TraceStore(root) if root is not None else None
-
-
-def _cell_ipc(payload: dict) -> float | None:
-    stats = payload["stats"]
-    cycles = stats.get("cycles")
-    if not cycles:
-        return None
-    return stats.get("committed", 0) / cycles
-
-
-def _report_lake(path_arg: str) -> int:
-    """``repro report --lake``: query across every cached cell.
-
-    Groups cells by (mechanism, window, sampling) configuration with
-    harmonic-mean IPC per group, then renders the per-mechanism ×
-    per-benchmark trend — the cross-run view no single ``RunResult``
-    artifact has.
-    """
-    store = _lake_store_from_arg(path_arg)
-    if store is None:
-        print("repro report --lake: the trace store is disabled "
-              "(REPRO_TRACE_STORE=off); pass --lake DIR", file=sys.stderr)
-        return 2
-    groups: dict[tuple, list] = {}
-    total = unreadable = 0
-    for _, payload in store.iter_cells():
-        total += 1
-        if payload is None:
-            unreadable += 1
-            continue
-        meta = payload.get("meta") or {}
-        key = (
-            str(meta.get("mechanism", "?")),
-            f"{meta.get('warmup', '?')}+{meta.get('measure', '?')}",
-            str(meta.get("sampling", "?"))[:12],
-        )
-        groups.setdefault(key, []).append(payload)
-    print(f"# result lake at {store.root}")
-    print(f"{total} cell artifact(s), {unreadable} unreadable/tampered "
-          "(these serve as misses and are overwritten on re-simulation)")
-    if not groups:
-        return 0
-    table = Table(["mechanism", "window", "sampling", "cells",
-                   "benchmarks", "hmean IPC"])
-    for (mechanism, window, sampling), cells in sorted(groups.items()):
-        ipcs = [ipc for ipc in map(_cell_ipc, cells) if ipc is not None]
-        benchmarks = {str(c.get("benchmark", "?")) for c in cells}
-        table.add_row(
-            mechanism, window, sampling, str(len(cells)),
-            str(len(benchmarks)),
-            f"{harmonic_mean(ipcs):.3f}" if ipcs else "-",
-        )
-    print()
-    print(table.render())
-    by_mb: dict[tuple[str, str], list] = {}
-    for (mechanism, _, _), cells in groups.items():
-        for cell in cells:
-            key = (mechanism, str(cell.get("benchmark", "?")))
-            by_mb.setdefault(key, []).append(cell)
-    trend = Table(["mechanism", "benchmark", "cells", "hmean IPC"])
-    for (mechanism, benchmark), cells in sorted(by_mb.items()):
-        ipcs = [ipc for ipc in map(_cell_ipc, cells) if ipc is not None]
-        trend.add_row(
-            mechanism, benchmark, str(len(cells)),
-            f"{harmonic_mean(ipcs):.3f}" if ipcs else "-",
-        )
-    print()
-    print(trend.render())
-    return 0
-
-
-def _cmd_report(args) -> int:
-    if args.lake is not None:
-        if args.artifacts or args.figure:
-            print("repro report --lake queries the lake; it cannot take "
-                  "artifacts or --figure", file=sys.stderr)
-            return 2
-        return _report_lake(args.lake)
-    if not args.artifacts:
-        print("repro report: give artifact path(s), or --lake [DIR] to "
-              "query the result lake", file=sys.stderr)
-        return 2
-    status = 0
-    for path in args.artifacts:
-        try:
-            result = RunResult.load(path)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"{path}: unreadable artifact: {error}", file=sys.stderr)
-            status = 1
-            continue
-        print(f"# {path}")
-        print(f"fingerprint {result.fingerprint}  digest {result.digest()}  "
-              f"format {result.format}")
-        print(_render_result(result))
-        if args.figure:
-            try:
-                print(render_figure(args.figure, result))
-            except KeyError as error:
-                print(f"{path}: cannot render as {args.figure}: the "
-                      f"artifact has no cell for {error}", file=sys.stderr)
-                status = 1
-        print()
-    return status
+# ---------------------------------------------------------------------------
+# repro inspect: the one reader
+# ---------------------------------------------------------------------------
 
 
 def _render_telemetry(payload: dict, detail: bool) -> str:
@@ -505,16 +333,196 @@ def _render_telemetry(payload: dict, detail: bool) -> str:
     return "\n".join(lines)
 
 
-def _inspect_events(path: str) -> int:
-    """``repro inspect --events``: summarise one event JSONL file."""
-    from repro.obs import format_record, read_events
+def _list_raw_sections(path: str) -> None:
+    """What an unloadable artifact holds, section by section: a
+    future-format file should still say *what it is*."""
+    import json
+
+    from repro.api.result import KNOWN_SECTIONS
 
     try:
-        records, dropped = read_events(path)
-    except OSError as error:
-        print(f"{path}: unreadable event log: {error}", file=sys.stderr)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return
+    if isinstance(payload, dict):
+        print(f"# {path} (raw section listing)")
+        for key in sorted(payload):
+            label = ("known" if key in KNOWN_SECTIONS
+                     else "not understood by this build")
+            print(f"section {key:<12}: {label}")
+
+
+def _inspect_artifact(path: str, figure: str | None, metrics: bool) -> int:
+    """Provenance, the IPC table, telemetry and (with *figure*) a figure
+    rendering of one artifact."""
+    try:
+        result = RunResult.load(path)
+    except (OSError, ValueError, KeyError) as error:
+        print(f"{path}: unreadable artifact: {error}", file=sys.stderr)
+        _list_raw_sections(path)
         return 1
     print(f"# {path}")
+    print(f"format      : {result.format}")
+    print(f"digest      : {result.digest()}")
+    print(_spec_summary(result.spec))
+    for key, value in sorted(result.meta.items()):
+        print(f"meta.{key:<12}: {value}")
+    if result.telemetry is not None:
+        print(_render_telemetry(result.telemetry, detail=metrics))
+    elif metrics:
+        print("telemetry   : none recorded (run with REPRO_OBS=1 "
+              "or ObsSpec(enabled=True))")
+    for key in sorted(result.extra_sections):
+        print(f"section {key:<12}: not understood by this build; "
+              "preserved verbatim and re-emitted on save")
+    print()
+    print(_render_result(result))
+    status = 0
+    if figure:
+        try:
+            print(render_figure(figure, result))
+        except KeyError as error:
+            print(f"{path}: cannot render as {figure}: the artifact has "
+                  f"no cell for {error}", file=sys.stderr)
+            status = 1
+    print()
+    return status
+
+
+def _lake_store_from_arg(path_arg: str):
+    """Resolve a ``--lake [DIR]`` argument to a ``TraceStore``.
+
+    An empty argument (bare ``--lake``) means the environment's store
+    root; returns ``None`` when that resolves to persistence-disabled.
+    """
+    from repro.workloads.store import TraceStore
+
+    if path_arg:
+        return TraceStore(path_arg)
+    root = api_env.store_root_from_env()
+    return TraceStore(root) if root is not None else None
+
+
+def _hmean_ipc(cells: list[dict]) -> str:
+    ipcs = [
+        cell["stats"].get("committed", 0) / cell["stats"]["cycles"]
+        for cell in cells if cell["stats"].get("cycles")
+    ]
+    return f"{harmonic_mean(ipcs):.3f}" if ipcs else "-"
+
+
+def _inspect_lake(path_arg: str) -> int:
+    """``repro inspect --lake``: one walk over every cached cell.
+
+    Prints what the lake holds (cells, benchmarks, mechanisms, workload
+    versions), then the cells grouped by (mechanism, window, sampling)
+    configuration and the per-mechanism × per-benchmark trend, each with
+    harmonic-mean IPC — the cross-run view no single artifact has.
+    """
+    store = _lake_store_from_arg(path_arg)
+    if store is None:
+        print("repro inspect --lake: the trace store is disabled "
+              "(REPRO_TRACE_STORE=off); pass --lake DIR", file=sys.stderr)
+        return 2
+    total = unreadable = 0
+    versions: set[str] = set()
+    groups: dict[tuple[str, str, str], list[dict]] = {}
+    trend: dict[tuple[str, str], list[dict]] = {}
+    for _, payload in store.iter_cells():
+        total += 1
+        if payload is None:
+            unreadable += 1
+            continue
+        meta = payload.get("meta") or {}
+        mechanism = str(meta.get("mechanism", "?"))
+        benchmark = str(payload.get("benchmark", "?"))
+        versions.add(str(meta.get("workload_version", "?")))
+        groups.setdefault((
+            mechanism,
+            f"{meta.get('warmup', '?')}+{meta.get('measure', '?')}",
+            str(meta.get("sampling", "?"))[:12],
+        ), []).append(payload)
+        trend.setdefault((mechanism, benchmark), []).append(payload)
+
+    def listing(values, limit: int = 8) -> str:
+        ordered = sorted(set(values))
+        more = ", ..." if len(ordered) > limit else ""
+        return f"{len(ordered)} ({', '.join(ordered[:limit])}{more})"
+
+    print(f"# result lake at {store.root}")
+    print(f"cells       : {total} readable "
+          f"{total - unreadable}, unreadable/tampered {unreadable} "
+          "(these serve as misses and are overwritten on re-simulation)")
+    if not groups:
+        return 0
+    print(f"benchmarks  : {listing(b for _, b in trend)}")
+    print(f"mechanisms  : {listing(m for m, _ in trend)}")
+    print(f"versions    : {listing(versions)} (workload code)")
+    table = Table(["mechanism", "window", "sampling", "cells",
+                   "benchmarks", "hmean IPC"])
+    for (mechanism, window, sampling), cells in sorted(groups.items()):
+        benchmarks = {str(cell.get("benchmark", "?")) for cell in cells}
+        table.add_row(mechanism, window, sampling, str(len(cells)),
+                      str(len(benchmarks)), _hmean_ipc(cells))
+    print()
+    print(table.render())
+    table = Table(["mechanism", "benchmark", "cells", "hmean IPC"])
+    for (mechanism, benchmark), cells in sorted(trend.items()):
+        table.add_row(mechanism, benchmark, str(len(cells)),
+                      _hmean_ipc(cells))
+    print()
+    print(table.render())
+    return 0
+
+
+def _inspect_events(path_arg: str, follow: bool) -> int:
+    """``repro inspect --events [PATH]``: one event file, or every
+    ``events-*.jsonl`` under a directory (default: the environment's obs
+    dir).  Prints a per-name summary, then every record; with *follow*,
+    prints each new complete record until Ctrl-C instead."""
+    import time
+
+    from repro.obs import format_record, read_events
+    from repro.obs.config import DEFAULT_OBS_DIR
+
+    target = Path(path_arg or api_env.obs_dir_from_env() or DEFAULT_OBS_DIR)
+    printed: dict[Path, int] = {}
+
+    def read_new() -> tuple[list[dict], int]:
+        """Records not printed yet (complete lines only: a live writer's
+        in-flight line counts as dropped until its newline lands)."""
+        paths = ([target] if target.is_file()
+                 else sorted(target.glob("events-*.jsonl")))
+        fresh, dropped = [], 0
+        for path in paths:
+            try:
+                records, lost = read_events(path)
+            except OSError:  # removed or unreadable mid-walk
+                continue
+            fresh.extend(records[printed.get(path, 0):])
+            printed[path] = len(records)
+            dropped += lost
+        return fresh, dropped
+
+    if path_arg and not target.exists():
+        print(f"{target}: no such event file or directory", file=sys.stderr)
+        return 1
+    if follow:
+        print(f"repro inspect: following {target} (Ctrl-C to stop)",
+              file=sys.stderr)
+        try:
+            while True:
+                for record in read_new()[0]:
+                    print(format_record(record))
+                sys.stdout.flush()
+                time.sleep(0.5)
+        except KeyboardInterrupt:
+            return 0
+    records, dropped = read_new()
+    if not records and not dropped:
+        print(f"(no events under {target})")
+        return 0
+    print(f"# {target}")
     by_name: dict[str, int] = {}
     for record in records:
         by_name[record["name"]] = by_name.get(record["name"], 0) + 1
@@ -528,100 +536,15 @@ def _inspect_events(path: str) -> int:
     return 0
 
 
-def _inspect_lake(path_arg: str) -> int:
-    """``repro inspect --lake``: lake provenance at a glance."""
-    store = _lake_store_from_arg(path_arg)
-    if store is None:
-        print("repro inspect --lake: the trace store is disabled "
-              "(REPRO_TRACE_STORE=off); pass --lake DIR", file=sys.stderr)
-        return 2
-    total = unreadable = 0
-    benchmarks: set[str] = set()
-    mechanisms: set[str] = set()
-    versions: set[str] = set()
-    for _, payload in store.iter_cells():
-        total += 1
-        if payload is None:
-            unreadable += 1
-            continue
-        benchmarks.add(str(payload.get("benchmark", "?")))
-        meta = payload.get("meta") or {}
-        mechanisms.add(str(meta.get("mechanism", "?")))
-        versions.add(str(meta.get("workload_version", "?")))
+def _inspect_environment() -> int:
+    """The resolved environment overlay plus the variable table."""
+    import os
 
-    def listing(values: set[str], limit: int = 8) -> str:
-        ordered = sorted(values)
-        tail = ", ..." if len(ordered) > limit else ""
-        return f"{len(ordered)} ({', '.join(ordered[:limit])}{tail})"
-
-    print(f"# result lake at {store.root}")
-    print(f"cells       : {total} readable "
-          f"{total - unreadable}, unreadable/tampered {unreadable}")
-    if total - unreadable:
-        print(f"benchmarks  : {listing(benchmarks)}")
-        print(f"mechanisms  : {listing(mechanisms)}")
-        print(f"versions    : {listing(versions)} (workload code)")
-    return 0
-
-
-def _cmd_inspect(args) -> int:
-    if getattr(args, "lake", None) is not None:
-        return _inspect_lake(args.lake)
-    if getattr(args, "events", None):
-        return _inspect_events(args.events)
-    if args.artifact:
-        try:
-            result = RunResult.load(args.artifact)
-        except (OSError, ValueError, KeyError) as error:
-            # Lenient fallback: a future-format artifact should still
-            # tell the operator *what it is* rather than fail opaquely.
-            import json as _json
-
-            from repro.api.result import KNOWN_SECTIONS
-
-            try:
-                payload = _json.loads(
-                    Path(args.artifact).read_text(encoding="utf-8")
-                )
-            except (OSError, ValueError):
-                payload = None
-            print(f"{args.artifact}: unreadable artifact: {error}",
-                  file=sys.stderr)
-            if isinstance(payload, dict):
-                print(f"# {args.artifact} (raw section listing)")
-                for key in sorted(payload):
-                    label = ("known" if key in KNOWN_SECTIONS
-                             else "not understood by this build")
-                    print(f"section {key:<12}: {label}")
-            return 1
-        print(f"# {args.artifact}")
-        print(f"format      : {result.format}")
-        print(f"digest      : {result.digest()}")
-        print(_spec_summary(result.spec))
-        for key, value in sorted(result.meta.items()):
-            print(f"meta.{key:<12}: {value}")
-        if result.telemetry is not None:
-            print(_render_telemetry(result.telemetry,
-                                    detail=bool(args.metrics)))
-        elif args.metrics:
-            print("telemetry   : none recorded (run with REPRO_OBS=1 "
-                  "or ObsSpec(enabled=True))")
-        for key in sorted(result.extra_sections):
-            print(f"section {key:<12}: not understood by this build; "
-                  "preserved verbatim and re-emitted on save")
-        return 0
-    if args.metrics:
-        print("repro inspect --metrics needs an artifact path",
-              file=sys.stderr)
-        return 2
-    # Environment mode: the resolved overlay plus the migration table.
     unknown = api_env.warn_unknown_vars()
     spec = ExperimentSpec.from_env()
     print("# environment overlay (explicit field beats env beats default)")
     print(_spec_summary(spec))
     print()
-    import os
-
     table = Table(["variable", "set to", "spec field / consumer"])
     for name, (field_name, _) in sorted(api_env.KNOWN_VARS.items()):
         table.add_row(name, os.environ.get(name, "(unset)"), field_name)
@@ -631,6 +554,41 @@ def _cmd_inspect(args) -> int:
               f"{', '.join(unknown)}")
         return 1
     return 0
+
+
+def _cmd_inspect(args) -> int:
+    modes = [flag for flag, given in (
+        ("ARTIFACT", args.artifacts), ("--lake", args.lake is not None),
+        ("--events", args.events is not None),
+    ) if given]
+    if len(modes) > 1:
+        print(f"repro inspect: {' and '.join(modes)} do not combine",
+              file=sys.stderr)
+        return 2
+    for flag, given, needs in (
+        ("--figure", args.figure, "ARTIFACT"),
+        ("--metrics", args.metrics, "ARTIFACT"),
+        ("--follow", args.follow, "--events"),
+    ):
+        if given and needs not in modes:
+            print(f"repro inspect: {flag} needs {needs}", file=sys.stderr)
+            return 2
+    if args.lake is not None:
+        return _inspect_lake(args.lake)
+    if args.events is not None:
+        return _inspect_events(args.events, args.follow)
+    if not args.artifacts:
+        return _inspect_environment()
+    status = 0
+    for path in args.artifacts:
+        status = max(status,
+                     _inspect_artifact(path, args.figure, args.metrics))
+    return status
+
+
+# ---------------------------------------------------------------------------
+# repro profile and repro serve
+# ---------------------------------------------------------------------------
 
 
 def _cmd_profile(args) -> int:
@@ -664,8 +622,8 @@ def _cmd_profile(args) -> int:
         SamplingConfig() if args.full_detail
         else replace(api_env.sampling_from_env(), enabled=True)
     )
-    window = _window(args)
     try:
+        window = _window(args)
         payload = phase_profile(
             benchmarks=tuple(args.benchmarks) if args.benchmarks
             else DEFAULT_BENCHMARKS,
@@ -684,78 +642,17 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_tail(args) -> int:
-    import time
-
-    from repro.obs import decode_record, format_record
-    from repro.obs.config import DEFAULT_OBS_DIR
-
-    directory = Path(
-        args.dir or api_env.obs_dir_from_env() or DEFAULT_OBS_DIR
-    )
-    offsets: dict[Path, int] = {}
-
-    def drain() -> int:
-        emitted = 0
-        for path in sorted(directory.glob("events-*.jsonl")):
-            start = offsets.get(path, 0)
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(start)
-                    chunk = handle.read()
-            except OSError:
-                continue
-            # Consume complete lines only: a live writer's in-flight
-            # line stays buffered until its newline lands.
-            end = chunk.rfind(b"\n")
-            if end < 0:
-                continue
-            offsets[path] = start + end + 1
-            for raw in chunk[:end].split(b"\n"):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = decode_record(raw.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    continue
-                print(format_record(record), flush=False)
-                emitted += 1
-        sys.stdout.flush()
-        return emitted
-
-    if not args.follow:
-        if drain() == 0:
-            print(f"(no events under {directory})")
-        return 0
-    print(f"repro tail: following {directory} (Ctrl-C to stop)",
-          file=sys.stderr)
-    try:
-        while True:
-            drain()
-            time.sleep(args.poll)
-    except KeyboardInterrupt:
-        return 0
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
+    from repro.cluster.hosts import HostSpec
     from repro.service.server import SweepServer
 
-    tcp = None
-    if args.tcp is not None:
-        from repro.cluster.hosts import HostSpec
-
-        try:
-            tcp = HostSpec.parse(args.tcp).address
-        except ValueError as error:
-            print(f"repro serve: {error}", file=sys.stderr)
-            return 2
-    server = SweepServer(
-        None if args.tcp is not None and args.no_socket else args.socket,
-        tcp=tcp,
-    )
+    try:
+        server = SweepServer(HostSpec.parse(args.tcp).address)
+    except ValueError as error:
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
 
     async def _serve() -> None:
         task = asyncio.ensure_future(server.serve(once=args.once))
@@ -763,12 +660,8 @@ def _cmd_serve(args) -> int:
         # The tcp= line is machine-readable on purpose: with port 0 it
         # is how a parent (the loopback cluster smoke) learns the real
         # ephemeral port.
-        if server.bound_address is not None:
-            host, port = server.bound_address
-            print(f"repro serve: tcp={host}:{port}", flush=True)
-        if server.socket_path is not None:
-            print(f"repro serve: listening on {server.socket_path}",
-                  flush=True)
+        host, port = server.bound_address
+        print(f"repro serve: tcp={host}:{port}", flush=True)
         await task
 
     print("repro serve: starting", flush=True)
@@ -837,42 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--json", metavar="PATH", default=None,
                        help="write the RunResult artifact to PATH")
 
-    perf = sub.add_parser(
-        "perf", help="simulated-KIPS throughput harness (+ CI smoke gate)"
-    )
-    perf.add_argument("--smoke", action="store_true",
-                      help="CI gate: fail on >30%% KIPS regression against "
-                      "the recorded BENCH_perf.json")
-    perf.add_argument("--benchmark", action="append", dest="benchmarks",
-                      metavar="NAME",
-                      help="benchmark to measure (repeatable; default: a "
-                      "representative mix)")
-    perf.add_argument("--mechanism", action="append", dest="mechanisms",
-                      metavar="NAME", choices=sorted(MECHANISM_PRESETS),
-                      help="mechanism preset (repeatable; default: "
-                      "baseline and rsep-realistic)")
-    perf.add_argument("--warmup", type=int, default=None,
-                      help="warm-up instructions (default: REPRO_WARMUP)")
-    perf.add_argument("--measure", type=int, default=None,
-                      help="measured instructions (default: REPRO_MEASURE)")
-    perf.add_argument("--seed", type=int, default=None,
-                      help="checkpoint seed (default: 1)")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="timing repeats per cell; best is kept")
-    perf.add_argument("--sampled", action="store_true",
-                      help="time interval-sampled runs (KIPS then counts "
-                      "the covered window: detailed + warmed)")
-    perf.add_argument("--interval", type=int, default=None,
-                      help="with --sampled: instructions per interval "
-                      "(default: REPRO_INTERVAL)")
-    perf.add_argument("--detail-ratio", type=float, default=None,
-                      help="with --sampled: measured fraction per "
-                      "interval (default: REPRO_DETAIL_RATIO)")
-    perf.add_argument("--json", metavar="PATH", default=None,
-                      help="also write the report as JSON to PATH ('-' "
-                      "for stdout); with --smoke: the recorded reference "
-                      "(default ./BENCH_perf.json)")
-
     figures = sub.add_parser(
         "figures", help="regenerate the paper's figures"
     )
@@ -887,42 +744,38 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--out", metavar="DIR", default=None,
                          help="also save one RunResult artifact per figure")
 
-    report = sub.add_parser(
-        "report", help="render stored RunResult artifacts"
-    )
-    report.add_argument("artifacts", nargs="*", metavar="ARTIFACT")
-    report.add_argument("--figure", choices=sorted(
-        name for name in FIGURE_NAMES if name != "fig1"
-    ), default=None, help="additionally render with a figure formatter")
-    report.add_argument("--lake", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="query across the result lake's cached "
-                        "cells instead of an artifact (DIR defaults to "
-                        "the environment's store root)")
-
     inspect = sub.add_parser(
-        "inspect", help="artifact provenance/telemetry, an event log, "
-        "or the environment overlay"
+        "inspect", help="read artifacts, the result lake or obs event "
+        "logs (no argument: the resolved environment overlay)"
     )
-    inspect.add_argument("artifact", nargs="?", default=None,
-                         metavar="ARTIFACT",
-                         help="artifact to inspect (default: show the "
-                         "resolved environment overlay)")
-    inspect.add_argument("--events", metavar="PATH", default=None,
-                         help="summarise and render an obs event log "
-                         "(events-<pid>.jsonl) instead of an artifact")
+    inspect.add_argument("artifacts", nargs="*", metavar="ARTIFACT",
+                         help="artifact(s): provenance, the IPC table and "
+                         "the telemetry summary")
+    inspect.add_argument("--figure", choices=sorted(
+        name for name in FIGURE_NAMES if name != "fig1"
+    ), default=None, help="with artifacts: also render with a figure "
+        "formatter")
     inspect.add_argument("--metrics", action="store_true",
-                         help="with an artifact: render the telemetry "
+                         help="with artifacts: render the telemetry "
                          "section's per-cell metric series heads")
     inspect.add_argument("--lake", nargs="?", const="", default=None,
                          metavar="DIR",
-                         help="summarise the result lake (entry counts, "
-                         "benchmarks, mechanisms, workload versions; DIR "
-                         "defaults to the environment's store root)")
+                         help="walk the result lake: what it holds, its "
+                         "cells grouped by configuration and the "
+                         "mechanism × benchmark trend (DIR defaults to "
+                         "the environment's store root)")
+    inspect.add_argument("--events", nargs="?", const="", default=None,
+                         metavar="PATH",
+                         help="render an obs event file, or every "
+                         "events-*.jsonl under a directory (default: "
+                         "REPRO_OBS_DIR, then .repro-obs)")
+    inspect.add_argument("--follow", "-f", action="store_true",
+                         help="with --events: keep printing new records "
+                         "until Ctrl-C")
 
     profile = sub.add_parser(
-        "profile", help="per-stage wall attribution (+ the obs "
-        "overhead gate)"
+        "profile", help="per-stage wall attribution and KIPS per "
+        "benchmark (+ the obs overhead gate)"
     )
     profile.add_argument("--benchmark", action="append", dest="benchmarks",
                          metavar="NAME",
@@ -950,32 +803,19 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--json", metavar="PATH", default=None,
                          help="also write the payload as JSON")
 
-    tail = sub.add_parser(
-        "tail", help="render (and optionally follow) the obs event "
-        "stream of a live or finished run"
-    )
-    tail.add_argument("--dir", metavar="DIR", default=None,
-                      help="event directory (default: REPRO_OBS_DIR, "
-                      "then .repro-obs)")
-    tail.add_argument("--follow", "-f", action="store_true",
-                      help="keep polling for new records until Ctrl-C")
-    tail.add_argument("--poll", type=float, default=0.5,
-                      help="with --follow: poll interval in seconds "
-                      "(default: 0.5)")
-
     serve = sub.add_parser(
-        "serve", help="cluster host on a local Unix socket and/or TCP "
-        "(shard JSON in, digest-verified payload out)"
+        "serve", help="cluster host on TCP (shard JSON in, "
+        "digest-verified payload out)"
     )
-    serve.add_argument("--socket", metavar="PATH", default="repro.sock",
-                       help="Unix socket path to listen on "
-                       "(default: ./repro.sock)")
-    serve.add_argument("--tcp", metavar="HOST:PORT", default=None,
-                       help="additionally listen on TCP (port 0 binds an "
-                       "ephemeral port, announced as 'tcp=HOST:PORT'); "
-                       "this is what `repro sweep --hosts` dials")
+    serve.add_argument("--tcp", metavar="HOST:PORT", required=True,
+                       help="listen on TCP (port 0 binds an ephemeral "
+                       "port, announced as 'tcp=HOST:PORT'); this is what "
+                       "`repro sweep --hosts` dials")
+    # A hidden no-op: the end-to-end benchmark starts its hosts with
+    # `--tcp 127.0.0.1:0 --no-socket` (e2ebench/run.py:190), and the
+    # benchmark's files change only together with the benchmark.
     serve.add_argument("--no-socket", action="store_true",
-                       help="with --tcp: TCP only, no Unix socket file")
+                       help=argparse.SUPPRESS)
     serve.add_argument("--once", action="store_true",
                        help="serve a single request, then exit")
     return parser
@@ -988,9 +828,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     handler = {
-        "sweep": _cmd_sweep, "perf": _cmd_perf, "figures": _cmd_figures,
-        "report": _cmd_report, "profile": _cmd_profile, "tail": _cmd_tail,
-        "serve": _cmd_serve, "inspect": _cmd_inspect,
+        "sweep": _cmd_sweep, "figures": _cmd_figures,
+        "inspect": _cmd_inspect, "profile": _cmd_profile,
+        "serve": _cmd_serve,
     }[args.command]
     with activated(ObsSpec.from_env()):
         return handler(args)

@@ -17,8 +17,9 @@ import warnings
 from pathlib import Path
 
 #: Every recognised ``REPRO_*`` variable -> (spec field / consumer, meaning).
-#: This table *is* the migration map rendered by ``repro inspect --env``
-#: and the README; keep it exhaustive or the typo guard cries wolf.
+#: This table *is* the migration map that ``repro inspect`` (with no
+#: argument) renders, and the README's; keep it exhaustive or the typo
+#: guard cries wolf.
 KNOWN_VARS: dict[str, tuple[str, str]] = {
     "REPRO_WARMUP": (
         "ExperimentSpec.window.warmup", "warm-up instructions (default 8000)"
@@ -96,10 +97,6 @@ KNOWN_VARS: dict[str, tuple[str, str]] = {
         "ExperimentSpec.obs.metrics_every",
         "pipeline-metrics sample cadence in committed instructions "
         "(default 1000; 0 = tracing only)",
-    ),
-    "REPRO_PERF_LABEL": (
-        "bench_perf_throughput CURRENT_LABEL",
-        "ad-hoc trajectory label override",
     ),
 }
 
@@ -240,7 +237,7 @@ def hosts_from_env() -> str | None:
 def connect_timeout_from_env() -> float:
     """Per-dial connect timeout in seconds (``REPRO_CONNECT_TIMEOUT``).
 
-    Bounds only the TCP/Unix *connect* — request I/O has its own, much
+    Bounds only the TCP *connect* — request I/O has its own, much
     longer deadline — so an unreachable host is detected in seconds,
     not after a full shard deadline.
     """

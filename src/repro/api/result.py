@@ -1,12 +1,12 @@
 """Versioned, JSON-round-trippable result artifacts.
 
 A :class:`RunResult` is what :meth:`Session.run` returns and what
-``repro report`` / ``repro inspect`` consume: the spec that produced it
-(embedded, so the artifact replays), its content fingerprint, one
-:class:`CellResult` per (benchmark, mechanism, seed) cell carrying the
-full :class:`~repro.pipeline.stats.Stats`, and host metadata for
-provenance.  ``FORMAT`` is bumped on any incompatible layout change;
-loaders reject artifacts from the future instead of misreading them.
+``repro inspect`` reads: the spec that produced it (embedded, so the
+artifact replays), its content fingerprint, one :class:`CellResult`
+per (benchmark, mechanism, seed) cell carrying the full
+:class:`~repro.pipeline.stats.Stats`, and host metadata for provenance.
+``FORMAT`` is bumped on any incompatible layout change; loaders reject
+artifacts from the future instead of misreading them.
 
 The accessor surface (``outcome`` / ``ipc`` / ``speedup``) groups cells
 per (benchmark, mechanism) into :class:`BenchmarkOutcome` values, which
@@ -285,7 +285,7 @@ class RunResult:
 
         An interrupted ``repro sweep --json`` / ``repro figures --out``
         can therefore never leave a half-written artifact that a later
-        ``repro report`` chokes on — the old file (or no file) survives
+        ``repro inspect`` chokes on — the old file (or no file) survives
         instead.
         """
         from repro.common.atomicio import atomic_write_text

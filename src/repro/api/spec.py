@@ -112,8 +112,8 @@ def default_mechanisms() -> tuple[MechanismConfig, ...]:
 def reject_unknown_benchmarks(benchmarks) -> None:
     """Every name must be a known workload; ``ValueError`` otherwise.
 
-    The check a spec applies, shared with the front doors that run
-    benchmarks without one (``repro perf``, fig1).
+    The check a spec applies, shared with the one front door that runs
+    benchmarks without one (``repro figures`` for fig1).
     """
     from repro.workloads.spec2006 import benchmark_names
 

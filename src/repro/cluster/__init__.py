@@ -2,8 +2,8 @@
 
 One ``repro sweep`` driving many ``repro serve --tcp`` hosts:
 
-* :mod:`repro.cluster.framing` — the newline-JSON wire protocol shared
-  by the Unix-socket and TCP listeners (length/limit enforcement,
+* :mod:`repro.cluster.framing` — the newline-JSON wire protocol of
+  the TCP listener and its clients (length/limit enforcement,
   structured frame errors);
 * :mod:`repro.cluster.client` — blocking dial/send/receive with
   connect timeouts and bounded ECONNREFUSED/EOF retry;

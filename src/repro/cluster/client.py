@@ -7,10 +7,10 @@ It owns the failure policy:
 * **connect timeout** — dialing is bounded separately from request I/O
   (``REPRO_CONNECT_TIMEOUT``); a host that cannot even accept within it
   is unreachable, not slow;
-* **bounded retry** — ``ECONNREFUSED`` / a missing socket file / EOF
-  before any response byte are what a racing server restart looks like,
-  so they retry with exponential backoff up to *retries* times instead
-  of failing the whole attempt.  Timeouts and mid-response truncation
+* **bounded retry** — ``ECONNREFUSED`` / a reset / EOF before any
+  response byte are what a racing server restart looks like, so they
+  retry with exponential backoff up to *retries* times instead of
+  failing the whole attempt.  Timeouts and mid-response truncation
   never retry here: the caller (supervisor/dispatcher) owns those
   policies per shard.
 """
@@ -24,8 +24,7 @@ from repro.cluster import framing
 from repro.cluster.framing import FrameError
 
 #: Failure classes a racing server restart produces; safe to redial.
-_RETRIABLE_OS = (ConnectionRefusedError, ConnectionResetError,
-                 FileNotFoundError)
+_RETRIABLE_OS = (ConnectionRefusedError, ConnectionResetError)
 
 
 def call(
@@ -41,7 +40,7 @@ def call(
     """Send *message* to *address* and return the decoded response.
 
     *address* is anything :func:`repro.cluster.framing.connect` accepts
-    (Unix-socket path, ``(host, port)``, :class:`HostSpec`).  Raises
+    (``(host, port)`` or a :class:`HostSpec`).  Raises
     ``OSError``/``TimeoutError`` when the server is unreachable and
     :class:`FrameError` when the response cannot be framed; with
     ``retries > 0``, connection-refused and EOF-before-response redial

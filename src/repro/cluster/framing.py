@@ -1,8 +1,8 @@
 """The service wire protocol: one newline-delimited JSON object per turn.
 
-This module is the single implementation of the framing both listeners
-(Unix socket and TCP) and both clients (the blocking sweep client and
-the async remote dispatcher) share.  The protocol itself is deliberately
+This module is the single implementation of the framing the TCP
+listener and both clients (the blocking sweep client and the async
+remote dispatcher) share.  The protocol itself is deliberately
 tiny — one request line in, one response line out, UTF-8 JSON objects —
 so everything interesting lives in the *failure* surface:
 
@@ -125,24 +125,16 @@ def connect(
     connect_timeout: float,
     timeout: float,
 ) -> socket.socket:
-    """Dial *address* and return a connected socket.
+    """Dial *address* over TCP and return a connected socket.
 
-    *address* is a Unix-socket path (``str``/``os.PathLike``) or a
-    ``(host, port)`` tuple / object with an ``address`` attribute (a
-    :class:`~repro.cluster.hosts.HostSpec`).  The connect itself is
-    bounded by *connect_timeout*; subsequent I/O by *timeout*.
+    *address* is a ``(host, port)`` tuple or an object with an
+    ``address`` attribute (a :class:`~repro.cluster.hosts.HostSpec`).
+    The connect itself is bounded by *connect_timeout*; subsequent I/O
+    by *timeout*.
     """
-    endpoint = getattr(address, "address", address)
-    if isinstance(endpoint, tuple):
-        sock = socket.create_connection(endpoint, timeout=connect_timeout)
-    else:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.settimeout(connect_timeout)
-            sock.connect(str(endpoint))
-        except BaseException:
-            sock.close()
-            raise
+    sock = socket.create_connection(
+        getattr(address, "address", address), timeout=connect_timeout
+    )
     sock.settimeout(timeout)
     return sock
 

@@ -1,6 +1,7 @@
 """Experiment harness: the sweep engine (:mod:`repro.harness.sweep`),
-throughput measurement (:mod:`repro.harness.perf`), redundancy analysis
-and reporting.  Experiments enter through :class:`repro.api.Session`."""
+redundancy analysis and reporting.  Experiments enter through
+:class:`repro.api.Session`; simulator throughput is timed per stage by
+``repro profile`` (:mod:`repro.obs.profile`)."""
 
 from repro.harness.redundancy import (
     LivePrfModel,

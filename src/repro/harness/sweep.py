@@ -159,7 +159,7 @@ class SweepEngine:
         sampling: SamplingConfig,
     ) -> dict:
         """The informational meta block lake cells carry (queryable by
-        ``repro report --lake``; never part of the self-digest)."""
+        ``repro inspect --lake``; never part of the self-digest)."""
         return {
             "mechanism": mechanism.name,
             "warmup": warmup,

@@ -30,7 +30,8 @@ RECORD_FORMAT = 1
 _KINDS = ("begin", "end", "event")
 
 #: Tag values must stay JSON scalars so every record is one flat line
-#: (greppable, `repro tail`-able) and the codec never recurses.
+#: (greppable, followable by `repro inspect --events --follow`) and the
+#: codec never recurses.
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
@@ -95,7 +96,8 @@ def read_events(path) -> tuple[list[dict], int]:
 
 
 def format_record(record: dict) -> str:
-    """One record as the human-readable line ``repro tail`` prints."""
+    """One record as the human-readable line ``repro inspect --events``
+    prints."""
     tags = record.get("tags") or {}
     rendered_tags = " ".join(
         f"{key}={value}" for key, value in sorted(tags.items())

@@ -2,20 +2,24 @@
 
 Two tools in one module:
 
-* :func:`phase_profile` runs the perf harness's protocol (trace built
-  outside the timed region, fresh pipeline per run) with every pipeline
-  stage wrapped in a wall-clock accumulator, and emits one comparable,
-  versioned JSON payload.  Stage wrapping is instance-attribute
-  shadowing — the same binding trick the generated loops use — so
-  whatever stage is installed is exactly what gets attributed.
+* :func:`phase_profile` times one fresh pipeline per benchmark, its
+  trace built (and timed as ``interp``) outside the run, with every
+  pipeline stage wrapped in a wall-clock accumulator, and emits one
+  comparable, versioned JSON payload: the stage split plus a KIPS row
+  per benchmark.  Stage wrapping is instance-attribute shadowing — the
+  same binding trick the generated loops use — so whatever stage is
+  installed is exactly what gets attributed.
 * :func:`overhead_gate` is the observability plane's own CI gate: it
   A/B-times the identical run with obs off and on (interleaved repeats,
   best-of), requires bit-identical stats and an on-plane throughput
   within tolerance (default 5%) of the off plane.
 
 Timing wrappers cost real wall (5 ``perf_counter`` pairs per cycle), so
-profiled KIPS are *not* comparable to ``repro perf`` numbers — only the
-per-stage shares are; the payload carries both so nobody has to guess.
+profiled KIPS read below an uninstrumented run's (the end-to-end
+benchmark in ``e2ebench/`` times those); compare them only with other
+profiles.  Host clocks wobble, so no gate reads them: the exact perf
+gate counts calls into this package per fixed cell
+(``tests/test_call_counts.py``).
 """
 
 from __future__ import annotations
@@ -77,8 +81,7 @@ def _profile_cells(benchmarks, mechanism, warmup: int, measure: int,
     stages = {name: 0.0 for name, _ in STAGE_ATTRS}
     stages["interp"] = 0.0
     stages["warm"] = 0.0
-    wall = 0.0
-    covered = 0
+    rows, wall = {}, 0.0
     for benchmark in benchmarks:
         start = clock()
         trace = simulator.trace_for(
@@ -103,19 +106,32 @@ def _profile_cells(benchmarks, mechanism, warmup: int, measure: int,
             warmed = run.warm_up(warmup)
             stats = run.measure(measure)
             del run.warmer.warm  # the wrapper and the warmer form a cycle
-            covered += warmed + (stats.sampled_window or stats.committed)
+            covered = warmed + (stats.sampled_window or stats.committed)
         else:
             pipeline.run(measure, warmup)
-            covered += pipeline.total_committed
-        wall += clock() - start
+            covered = pipeline.total_committed
+        elapsed = clock() - start
+        wall += elapsed
+        rows[benchmark] = _kips_row(covered, elapsed)
         pipeline.close()
+    covered = sum(row["instructions"] for row in rows.values())
     attributed = sum(stages.values()) - stages["interp"]
     return {
         "stages_seconds": {k: round(v, 4) for k, v in sorted(stages.items())},
-        "wall_seconds": round(wall, 4),
         "other_seconds": round(max(0.0, wall - attributed), 4),
-        "instructions": covered,
-        "kips_instrumented": round(covered / wall / 1000.0, 1) if wall else 0.0,
+        "benchmarks": rows,
+        **_kips_row(covered, wall),
+    }
+
+
+def _kips_row(instructions: int, wall: float) -> dict:
+    """Covered instructions, run wall and their instrumented KIPS."""
+    return {
+        "instructions": instructions,
+        "wall_seconds": round(wall, 4),
+        "kips_instrumented": (
+            round(instructions / wall / 1000.0, 1) if wall else 0.0
+        ),
     }
 
 
@@ -182,6 +198,13 @@ def render_profile(payload: dict) -> str:
         f"  {'other':<8} {result['other_seconds']:>8.3f}s  "
         f"{100.0 * result['other_seconds'] / wall:5.1f}%"
     )
+    lines.append(f"  {'benchmark':<12} {'instructions':>12} "
+                 f"{'run wall s':>10} {'KIPS':>8}")
+    for benchmark, row in result["benchmarks"].items():
+        lines.append(
+            f"  {benchmark:<12} {row['instructions']:>12} "
+            f"{row['wall_seconds']:>10.3f} {row['kips_instrumented']:>8.1f}"
+        )
     return "\n".join(lines)
 
 

@@ -3,12 +3,12 @@
 Two implementations of one API:
 
 * :class:`Tracer` appends one JSONL record per call (line-buffered, so
-  ``repro tail`` follows a live stream) with monotonic timestamps and
-  the writing pid.  Nesting is tracked per thread: ``span()`` is a
-  context manager whose parent is whatever span encloses it on the same
-  thread; ``begin()``/``end()`` are the explicit form for contexts a
-  stack would mis-nest — the shard supervisor's interleaved slot
-  coroutines own their span ids directly.
+  ``repro inspect --events --follow`` follows a live stream) with
+  monotonic timestamps and the writing pid.  Nesting is tracked per
+  thread: ``span()`` is a context manager whose parent is whatever span
+  encloses it on the same thread; ``begin()``/``end()`` are the
+  explicit form for contexts a stack would mis-nest — the shard
+  supervisor's interleaved slot coroutines own their span ids directly.
 * :data:`NULL_TRACER` is the off plane: every method is a no-op and
   ``span()`` returns one shared, reusable context manager, so code can
   trace unconditionally and pay only an attribute call when obs is off.

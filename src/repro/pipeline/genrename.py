@@ -161,7 +161,8 @@ def _rename_source(s: _Spec) -> str:
         a("                if shared_preg is not None:")
         a("                    dest_preg = shared_preg")
         a("                    op.eliminated = 'move'")
-        a("                    op.shared = True")
+        # The zero preg is never ISRB-tracked: a squash must not unshare it.
+        a(f"                    op.shared = shared_preg != {s.zero_preg}")
         a("                    needs_iq = False")
     if s.has_rsep:
         guard = (

@@ -2,11 +2,9 @@
 
 A deliberately small service speaking the newline-JSON protocol of
 :mod:`repro.cluster.framing` — one request per connection, one response
-back — on a local Unix socket, a TCP endpoint (``--tcp HOST:PORT``), or
-both at once.  Both listeners share one handler, so the framing
-hardening (oversized, truncated and malformed requests each get a
-structured ``ok: false`` answer and the server keeps serving) is a
-single code path.
+back — on one TCP endpoint (``--tcp HOST:PORT``).  Oversized, truncated
+and malformed requests each get a structured ``ok: false`` answer and
+the server keeps serving.
 
 Operations::
 
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import os
-from pathlib import Path
 
 from repro.cluster import framing
 from repro.cluster.framing import STREAM_LIMIT, FrameError
@@ -43,21 +40,14 @@ from repro.service.worker import HANG_SLEEP_SECONDS, execute_shard
 
 
 class SweepServer:
-    """Serve hello/shard requests on Unix and/or TCP listeners."""
+    """Serve hello/shard requests on one TCP listener."""
 
     def __init__(
         self,
-        socket_path: str | os.PathLike | None = None,
+        tcp: tuple[str, int],
         *,
-        tcp: tuple[str, int] | None = None,
         stream_limit: int = STREAM_LIMIT,
     ) -> None:
-        if socket_path is None and tcp is None:
-            raise ValueError("a server needs a socket path, a TCP "
-                             "endpoint, or both")
-        self.socket_path = (
-            Path(socket_path) if socket_path is not None else None
-        )
         #: ``(host, port)`` to listen on; port 0 binds an ephemeral port
         #: (the real one lands in :attr:`bound_address` once serving).
         self.tcp = tcp
@@ -94,7 +84,7 @@ class SweepServer:
         return self._engine
 
     # ------------------------------------------------------------------
-    # Request handling (shared by both listeners)
+    # Request handling
     # ------------------------------------------------------------------
 
     async def _respond(self, request: dict, serial: int) -> dict:
@@ -225,7 +215,7 @@ class SweepServer:
     # ------------------------------------------------------------------
 
     async def wait_started(self) -> None:
-        """Block until the listeners are bound (``bound_address`` is
+        """Block until the listener is bound (``bound_address`` is
         populated); for callers driving :meth:`serve` as a task."""
         if self._started is None:
             self._started = asyncio.Event()
@@ -236,47 +226,20 @@ class SweepServer:
         if self._started is None:
             self._started = asyncio.Event()
         self._once_done = asyncio.Event() if once else None
-        servers = []
+        host, port = self.tcp
+        server = await asyncio.start_server(
+            self._accept, host=host, port=port, limit=self.stream_limit,
+        )
         try:
-            if self.socket_path is not None:
-                # A stale socket file from a crashed server would make
-                # bind fail; it is dead weight by definition (connects
-                # would ECONNREFUSED).
-                try:
-                    self.socket_path.unlink()
-                except FileNotFoundError:
-                    pass
-                servers.append(await asyncio.start_unix_server(
-                    self._accept, path=str(self.socket_path),
-                    limit=self.stream_limit,
-                ))
-            if self.tcp is not None:
-                host, port = self.tcp
-                tcp_server = await asyncio.start_server(
-                    self._accept, host=host, port=port,
-                    limit=self.stream_limit,
-                )
-                self.bound_address = (
-                    tcp_server.sockets[0].getsockname()[:2]
-                )
-                servers.append(tcp_server)
+            self.bound_address = server.sockets[0].getsockname()[:2]
             self._started.set()
             if self._once_done is not None:
                 await self._once_done.wait()
             else:
-                await asyncio.gather(
-                    *(server.serve_forever() for server in servers)
-                )
+                await server.serve_forever()
         finally:
-            for server in servers:
-                server.close()
+            server.close()
             for task in self._handlers:
                 task.cancel()
             await asyncio.gather(*self._handlers, return_exceptions=True)
-            for server in servers:
-                await server.wait_closed()
-            if self.socket_path is not None:
-                try:
-                    self.socket_path.unlink()
-                except FileNotFoundError:
-                    pass
+            await server.wait_closed()

@@ -411,8 +411,7 @@ def _spawn_host(env: dict) -> tuple[subprocess.Popen, str] | None:
     """One ``repro serve --tcp 127.0.0.1:0`` child; returns (process,
     "host:port") once the ephemeral port is announced."""
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--tcp", "127.0.0.1:0", "--no-socket"],
+        [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env,
     )

@@ -407,7 +407,7 @@ class TraceStore:
         """Persist one cell's stats dict atomically; best-effort.
 
         *meta* (mechanism display name, window, fingerprints, ...) is
-        informational — it makes the lake queryable by ``repro report
+        informational — it makes the lake queryable by ``repro inspect
         --lake`` but never participates in the self-digest, exactly as
         display names stay out of cell keys.
         """
@@ -435,9 +435,8 @@ class TraceStore:
         """Yield ``(path, payload-or-None)`` for every lake entry.
 
         Unreadable or tampered entries yield ``None`` payloads so
-        queries (``repro report --lake`` / ``inspect --lake``) can count
-        them without trusting them; sorted by path for deterministic
-        rendering.
+        queries (``repro inspect --lake``) can count them without
+        trusting them; sorted by path for deterministic rendering.
         """
         for path in sorted(self.root.glob("*.cell")):
             try:

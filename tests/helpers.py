@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import threading
+import time
 
 
 def stats_dict(stats) -> dict:
@@ -26,3 +29,60 @@ def event_records(directory) -> list[dict]:
         record for path in sorted(Path(directory).glob("events-*.jsonl"))
         for record in read_events(path)[0]
     ]
+
+
+class ServerThread:
+    """A ``SweepServer`` on 127.0.0.1, port 0, on a background thread."""
+
+    def __init__(self, stream_limit: int | None = None):
+        from repro.cluster.framing import STREAM_LIMIT
+        from repro.service.server import SweepServer
+
+        self.server = SweepServer(
+            ("127.0.0.1", 0), stream_limit=stream_limit or STREAM_LIMIT,
+        )
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self):
+        asyncio.set_event_loop(self.loop)
+        try:
+            self.loop.run_until_complete(self.server.serve())
+        except asyncio.CancelledError:
+            pass
+        finally:
+            self.loop.close()
+
+    def __enter__(self):
+        self.thread.start()
+        deadline = time.monotonic() + 10.0
+        while self.server.bound_address is None:
+            if time.monotonic() > deadline:
+                raise RuntimeError("server never bound its listener")
+            time.sleep(0.01)
+        return self
+
+    def __exit__(self, *exc_info):
+        def cancel_all():
+            for task in asyncio.all_tasks(self.loop):
+                task.cancel()
+        self.loop.call_soon_threadsafe(cancel_all)
+        self.thread.join(timeout=10.0)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server.bound_address
+
+    @property
+    def host_list(self) -> str:
+        host, port = self.address
+        return f"{host}:{port}"
+
+    def shard(self, shard, fault: str | None = None) -> dict:
+        """One ``shard`` op round trip; returns the raw reply."""
+        from repro.cluster import client
+
+        message = {"op": "shard", "shard": shard.to_dict()}
+        if fault is not None:
+            message["fault"] = fault
+        return client.call(self.address, message, timeout=60.0)

@@ -336,10 +336,10 @@ class TestTypoGuard:
             "REPRO_RESULT_LAKE", "REPRO_SHARDS", "REPRO_FULL",
         ):
             assert name in api_env.KNOWN_VARS
-        assert len(api_env.KNOWN_VARS) == 20
+        assert len(api_env.KNOWN_VARS) == 19
         for retired in (
             "REPRO_COLUMNAR", "REPRO_GENRENAME", "REPRO_VECWARM",
-            "REPRO_WORKERS",
+            "REPRO_WORKERS", "REPRO_PERF_LABEL",
         ):
             assert retired not in api_env.KNOWN_VARS
 
@@ -422,7 +422,6 @@ class TestSessionAndResult:
             restored = RunResult.load(path)
             assert restored.digest() == result.digest()
             assert restored.spec == result.spec
-            assert main(["report", str(path)]) == 0
             assert main(["inspect", str(path)]) == 0
             capsys.readouterr()
             # Any other unknown field is still an error.
@@ -783,48 +782,6 @@ class TestCliSweep:
 
         assert main(["sweep", "--smoke", "--benchmark", "mcf"]) == 2
         assert "--benchmark" in capsys.readouterr().err
-        assert main(["perf", "--smoke", "--benchmark", "mcf"]) == 2
-        assert "cannot take" in capsys.readouterr().err
-
-
-class TestCliPerf:
-    def test_forwards_to_the_perf_harness(self, capsys):
-        from repro.api.cli import main
-
-        code = main([
-            "perf", "--benchmark", "mcf", "--mechanism", "baseline",
-            "--warmup", "256", "--measure", "1024", "--repeats", "1",
-        ])
-        assert code == 0
-        assert "aggregate" in capsys.readouterr().out
-
-    def test_smoke_gate_reads_the_recorded_reference(self, tmp_path, capsys):
-        from repro.api.cli import main
-
-        reference = {
-            "smoke": {
-                "benchmark": "mcf", "warmup": 256, "measure": 1024,
-                "tolerance": 0.70,
-                # Impossible-to-miss floor: this smoke test checks the
-                # gate's plumbing, not the host's speed (CI runs the
-                # real gate against the committed BENCH_perf.json).
-                "aggregate_kips": {"baseline": 0.001},
-            }
-        }
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps(reference), encoding="utf-8")
-        code = main([
-            "perf", "--smoke", "--json", str(path), "--repeats", "1"
-        ])
-        assert code == 0
-        assert "-> ok" in capsys.readouterr().out
-
-    def test_smoke_gate_fails_without_a_reference(self, tmp_path):
-        from repro.api.cli import main
-
-        assert main([
-            "perf", "--smoke", "--json", str(tmp_path / "missing.json"),
-        ]) == 2
 
 
 class TestCliReportInspect:
@@ -837,7 +794,7 @@ class TestCliReportInspect:
     def test_report_renders_artifacts(self, artifact, capsys):
         from repro.api.cli import main
 
-        assert main(["report", str(artifact)]) == 0
+        assert main(["inspect", str(artifact)]) == 0
         out = capsys.readouterr().out
         assert "fingerprint" in out and "rsep-realistic" in out
 
@@ -848,17 +805,17 @@ class TestCliReportInspect:
         private_session().run(
             figure_spec("fig7", benchmarks=["mcf"], window=TINY)
         ).save(path)
-        assert main(["report", "--figure", "fig7", str(path)]) == 0
+        assert main(["inspect", "--figure", "fig7", str(path)]) == 0
         assert "Figure 7" in capsys.readouterr().out
 
     def test_report_figure_mismatch_is_an_error_not_a_crash(
         self, artifact, capsys
     ):
         # The tiny artifact has baseline + rsep-realistic only; fig4
-        # needs the full mechanism list — report must fail cleanly.
+        # needs the full mechanism list — inspect must fail cleanly.
         from repro.api.cli import main
 
-        assert main(["report", "--figure", "fig4", str(artifact)]) == 1
+        assert main(["inspect", "--figure", "fig4", str(artifact)]) == 1
         assert "cannot render as fig4" in capsys.readouterr().err
 
     def test_figures_rejects_unknown_names(self, capsys):
@@ -897,7 +854,7 @@ class TestCliReportInspect:
 
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")
-        assert main(["report", str(bad)]) == 1
+        assert main(["inspect", str(bad)]) == 1
         assert "unreadable" in capsys.readouterr().err
 
     def test_inspect_artifact(self, artifact, capsys):
@@ -906,6 +863,69 @@ class TestCliReportInspect:
         assert main(["inspect", str(artifact)]) == 0
         out = capsys.readouterr().out
         assert "digest" in out and "meta.python" in out
+
+    def test_inspect_reads_several_artifacts(self, artifact, tmp_path,
+                                             capsys):
+        from repro.api.cli import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}", encoding="utf-8")
+        assert main(["inspect", str(artifact), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert f"# {artifact}" in captured.out
+        assert "rsep-realistic" in captured.out
+        assert f"{bad}: unreadable artifact" in captured.err
+
+    def test_inspect_lake_walks_summary_groups_and_trend(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Four cells on a private lake, then dealII × rsep-realistic
+        # tampered: the one walk counts it as unreadable and leaves it
+        # out of the summary, the group table and the trend table.
+        from repro.api.cli import main
+        from repro.harness.reporting import harmonic_mean
+
+        spec = tiny_spec(
+            benchmarks=("dealII", "mcf"),
+            store=StoreSpec(path=str(tmp_path), result_lake=True),
+        )
+        result = Session(store=spec.store).run(spec)
+        for path in tmp_path.glob("*.cell"):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if (payload["benchmark"], payload["meta"]["mechanism"]) == (
+                "dealII", "rsep-realistic"
+            ):
+                payload["stats"]["committed"] += 1
+                path.write_text(json.dumps(payload), encoding="utf-8")
+        ipc = {(cell.benchmark, cell.mechanism): cell.stats.ipc
+               for cell in result.cells}
+
+        assert main(["inspect", "--lake", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "cells       : 4 readable 3, unreadable/tampered 1" in out
+        assert "benchmarks  : 2 (dealII, mcf)" in out
+        assert "mechanisms  : 2 (baseline, rsep-realistic)" in out
+        rows = [line.split() for line in out.splitlines()]
+        window = f"{TINY.warmup}+{TINY.measure}"
+        sampling = SamplingSpec().fingerprint()[:12]
+        baseline = harmonic_mean([ipc["dealII", "baseline"],
+                                  ipc["mcf", "baseline"]])
+        assert ["baseline", window, sampling, "2", "2",
+                f"{baseline:.3f}"] in rows
+        assert ["rsep-realistic", window, sampling, "1", "1",
+                f"{ipc['mcf', 'rsep-realistic']:.3f}"] in rows
+        trend = [row for row in rows if len(row) == 4
+                 and row[0] in ("baseline", "rsep-realistic")]
+        assert trend == [
+            ["baseline", "dealII", "1", f"{ipc['dealII', 'baseline']:.3f}"],
+            ["baseline", "mcf", "1", f"{ipc['mcf', 'baseline']:.3f}"],
+            ["rsep-realistic", "mcf", "1",
+             f"{ipc['mcf', 'rsep-realistic']:.3f}"],
+        ]
+        # A bare --lake means the environment's store, and off is refused.
+        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+        assert main(["inspect", "--lake"]) == 2
+        assert "trace store is disabled" in capsys.readouterr().err
 
     def test_inspect_environment_mode(self, capsys, monkeypatch):
         from repro.api.cli import main

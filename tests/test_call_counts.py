@@ -1,0 +1,128 @@
+"""The exact perf gate: calls into this package per fixed cell.
+
+A wall-clock floor follows the host, not the program: on a 2-core
+host, three back-to-back KIPS readings of one unchanged build spread by
+38-44%.  The number of Python calls a fixed cell makes into this
+package repeats exactly, and it tracks what caps the windows the figures
+can afford (DESIGN.md §4): a stage that does more work per instruction
+makes more calls.  So this gate runs a fixed set of cells in a fresh
+interpreter and requires each cell's count to equal its pin.
+
+What counts: calls to functions whose code lives in ``src/repro`` or was
+compiled from a string by it (the generated rename and issue loops, the
+generated predictor lookups, dataclass methods).  Builtins and the
+standard library do not count, so nothing else the process ran (imports,
+caches warmed by an earlier cell) can move a count.  Only simulation is
+profiled: the trace is built and the pipeline constructed first, since
+construction compiles each configuration's generated stages once per
+process.
+
+The child's environment is built from scratch, so no ``REPRO_*``
+variable and no coverage hook reaches it.  Counts are exact within one
+Python version only: the gate runs on CPython 3.11, CI's version, and
+skips elsewhere.  A change that moves a count on purpose re-pins it
+here and records the old and new counts in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: (benchmark, mechanism preset, warmup, measure, sampled) -> calls into
+#: this package, pinned on CPython 3.11.
+PINS = {
+    ("mcf", "baseline", 1000, 4000, False): 77_959,
+    ("mcf", "rsep-realistic", 1000, 4000, False): 98_857,
+    ("mcf", "rsep-realistic", 2000, 40000, True): 240_264,
+}
+
+CHILD = r"""
+import cProfile
+import json
+import os
+import sys
+import types
+
+import repro
+from repro.pipeline.config import MechanismConfig
+from repro.pipeline.core import Pipeline
+from repro.pipeline.simulator import _TRACE_SLACK, Simulator
+from repro.sampling import SampledRun, SamplingConfig
+
+PACKAGE = os.path.dirname(repro.__file__) + os.sep
+
+
+def ours(code) -> bool:
+    if not isinstance(code, types.CodeType):
+        return False  # a builtin
+    name = code.co_filename
+    return name.startswith(PACKAGE) or (
+        name.startswith("<") and not name.startswith("<frozen")
+    )
+
+
+simulator = Simulator(trace_store=None)
+counts = []
+for benchmark, mechanism, warmup, measure, sampled in json.load(sys.stdin):
+    trace = simulator.trace_for(benchmark, 1, warmup + measure + _TRACE_SLACK)
+    pipeline = Pipeline(trace, simulator.core_config,
+                        MechanismConfig.preset(mechanism), 1)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    if sampled:
+        run = SampledRun(pipeline, SamplingConfig(enabled=True))
+        run.warm_up(warmup)
+        run.measure(measure)
+    else:
+        pipeline.run(measure, warmup)
+    profiler.disable()
+    pipeline.close()
+    counts.append(sum(entry.callcount for entry in profiler.getstats()
+                      if ours(entry.code)))
+print(json.dumps(counts))
+"""
+
+
+def count_calls(cells, src=SRC) -> dict:
+    """Run *cells* in one fresh interpreter on the package under *src*;
+    returns each cell's count of calls into the package."""
+    env = {
+        "PATH": os.environ.get("PATH", os.defpath),
+        "PYTHONPATH": str(src),
+        "REPRO_TRACE_STORE": "off",
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD], input=json.dumps(list(cells)),
+        env=env, cwd=src, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return dict(zip(cells, json.loads(done.stdout)))
+
+
+@pytest.fixture(scope="module")
+def counted() -> dict:
+    return count_calls(list(PINS))
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython"
+    or sys.version_info[:2] != (3, 11),
+    reason="call counts are pinned on CPython 3.11",
+)
+@pytest.mark.parametrize("cell", list(PINS), ids=[
+    f"{bench}-{mechanism}-{'sampled' if sampled else 'full-detail'}"
+    for bench, mechanism, _, _, sampled in PINS
+])
+def test_calls_match_the_pin(counted, cell):
+    assert counted[cell] == PINS[cell], (
+        f"{cell}: {counted[cell]} calls into repro, pinned {PINS[cell]}"
+    )

@@ -12,7 +12,6 @@ remaining subcommands are covered in ``tests/test_api.py``.)
 from __future__ import annotations
 
 import importlib
-import json
 import re
 import shlex
 from pathlib import Path
@@ -40,47 +39,6 @@ class TestConsoleScriptDeclarations:
             assert callable(target), name
 
 
-class TestPerfCli:
-    def test_tiny_cell_writes_json(self, capsys, tmp_path):
-        out = tmp_path / "perf.json"
-        code = main([
-            "perf", "--benchmark", "mcf", "--mechanism", "baseline",
-            "--warmup", "256", "--measure", "1024",
-            "--repeats", "1", "--json", str(out),
-        ])
-        assert code == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["warmup"] == 256 and report["measure"] == 1024
-        assert "baseline" in report["aggregate_kips"]
-        assert report["aggregate_kips"]["baseline"] > 0
-        samples = report["samples"]
-        assert [s["benchmark"] for s in samples] == ["mcf"]
-        rendered = capsys.readouterr().out
-        assert "mcf" in rendered and "baseline" in rendered
-
-    def test_sampled_flag_times_sampled_runs(self, capsys):
-        code = main([
-            "perf", "--benchmark", "mcf", "--mechanism", "rsep-realistic",
-            "--warmup", "512", "--measure", "2000", "--repeats", "1",
-            "--sampled", "--interval", "1000", "--detail-ratio", "0.25",
-            "--json", "-",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
-        assert payload["aggregate_kips"]["rsep-realistic"] > 0
-
-    def test_unknown_mechanism_is_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["perf", "--mechanism", "definitely-not-a-preset"])
-
-    def test_unknown_benchmark_exits_2_without_a_traceback(self, capsys):
-        assert main(["perf", "--benchmark", "nosuch", "--repeats", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "repro perf: unknown benchmark(s): nosuch" in err
-        assert "Traceback" not in err
-
-
 class TestShardsFromEnvironment:
     """``REPRO_SHARDS=-3`` is rejected like ``--shards -3``, not read as
     0 (in process)."""
@@ -95,13 +53,37 @@ class TestShardsFromEnvironment:
         assert "shards must be >= 0" in capsys.readouterr().err
 
 
+class TestBadWindow:
+    """A bad ``--warmup``/``--measure`` is a one-line exit 2, as in
+    ``repro sweep``, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["profile", "--full-detail"],
+        ["figures", "fig4", "--benchmark", "mcf"],
+    ], ids=["profile", "figures"])
+    @pytest.mark.parametrize("window,message", [
+        (["--warmup", "-5", "--measure", "100"],
+         "warmup must be non-negative"),
+        (["--measure", "0"], "measure must be positive"),
+    ], ids=["negative-warmup", "zero-measure"])
+    def test_exits_2_with_one_line(self, capsys, command, window, message):
+        assert main([*command, *window]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro {command[0]}: {message}\n"
+
+
 class TestSweepCli:
     def test_no_arguments_prints_help(self, capsys):
         assert main([]) == 2
         listed = capsys.readouterr().out
-        for command in ("sweep", "perf", "figures", "report", "inspect",
-                        "profile", "tail", "serve"):
-            assert command in listed
+        choices = re.search(r"\{([\w,]+)\}", listed).group(1).split(",")
+        assert choices == ["sweep", "figures", "inspect", "profile", "serve"]
+        for retired in ("perf", "report", "tail"):
+            assert retired not in choices
+            with pytest.raises(SystemExit) as exit_info:
+                main([retired])
+            assert exit_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_smoke_gate_passes(self, capsys):
         # The actual CI gate: cold == memoised == warm-store over a
@@ -144,11 +126,11 @@ def documented_commands(text: str) -> list[tuple[str, list[str]]]:
 class TestDocumentedCommands:
     def test_extractor_handles_shell_syntax(self):
         text = ("$ python -m repro serve --tcp 0.0.0.0:9091 &  # note\n"
-                "  python -m repro.harness.perf \\\n    --repeats 1\n"
+                "  python -m repro.harness.sweep \\\n    --repeats 1\n"
                 "run: python -m repro figures $args --out out\n")
         assert documented_commands(text) == [
             ("repro", ["serve", "--tcp", "0.0.0.0:9091"]),
-            ("repro.harness.perf", ["--repeats", "1"]),
+            ("repro.harness.sweep", ["--repeats", "1"]),
             ("repro", ["figures", "--out", "out"]),
         ]
 

@@ -1,18 +1,17 @@
 """Fault matrix for the cross-host sweep cluster (DESIGN.md §15).
 
-The wire protocol's failure surface (oversized, truncated, malformed —
-over both the Unix and TCP listeners, same code path); client dial
-retry; the capability handshake rejecting incompatible hosts; dead-host
-detection with shard reassignment; duplicate results from slow hosts;
-graceful inline degradation with no healthy hosts; and the coordinator
-owning the cell caches — it serves its memo and lake before dispatching
-anything, hosts only simulate, and the lake the coordinator files warms
-a fresh coordinator process to zero simulations.
+The wire protocol's failure surface (oversized, truncated, malformed);
+client dial retry; the capability handshake rejecting incompatible
+hosts; dead-host detection with shard reassignment; duplicate results
+from slow hosts; graceful inline degradation with no healthy hosts; and
+the coordinator owning the cell caches — it serves its memo and lake
+before dispatching anything, hosts only simulate, and the lake the
+coordinator files warms a fresh coordinator process to zero
+simulations.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import os
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import event_records
+from helpers import ServerThread, event_records
 from repro.api import env as api_env
 from repro.api.result import RunResult
 from repro.api.session import Session
@@ -47,7 +46,6 @@ from repro.cluster.hosts import (
 )
 from repro.cluster.pool import HostPool
 from repro.obs import ObsSpec
-from repro.service.server import SweepServer
 from repro.service.shards import (
     merge_shards,
     plan_shards,
@@ -80,56 +78,6 @@ def reference() -> RunResult:
     """The unfaulted in-process artifact every clustered run must match."""
     spec = tiny_spec()
     return Session.for_spec(spec).run(spec)
-
-
-class ServerThread:
-    """A SweepServer on a background thread, TCP and/or Unix."""
-
-    def __init__(self, socket_path=None, tcp=("127.0.0.1", 0),
-                 stream_limit=framing.STREAM_LIMIT):
-        self.server = SweepServer(
-            socket_path, tcp=tcp, stream_limit=stream_limit,
-        )
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        try:
-            self.loop.run_until_complete(self.server.serve())
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self.loop.close()
-
-    def __enter__(self):
-        self.thread.start()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            tcp_ready = self.server.tcp is None \
-                or self.server.bound_address is not None
-            unix_ready = self.server.socket_path is None \
-                or self.server.socket_path.exists()
-            if tcp_ready and unix_ready:
-                return self
-            time.sleep(0.01)
-        raise RuntimeError("server never bound its listeners")
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server.bound_address
-
-    @property
-    def host_list(self) -> str:
-        host, port = self.address
-        return f"{host}:{port}"
-
-    def __exit__(self, *exc_info):
-        def cancel_all():
-            for task in asyncio.all_tasks(self.loop):
-                task.cancel()
-        self.loop.call_soon_threadsafe(cancel_all)
-        self.thread.join(timeout=10.0)
 
 
 class ScriptedHost:
@@ -301,7 +249,7 @@ class TestFraming:
 
 
 # ---------------------------------------------------------------------------
-# Server hardening: both listeners, one failure surface
+# Server hardening: one failure surface
 # ---------------------------------------------------------------------------
 
 
@@ -319,36 +267,25 @@ def _raw_exchange(address, payload: bytes, shutdown=False) -> dict:
 
 class TestServerHardening:
     @pytest.fixture()
-    def served(self, tmp_path):
-        with ServerThread(
-            socket_path=tmp_path / "repro.sock", stream_limit=4096
-        ) as served:
+    def served(self):
+        with ServerThread(stream_limit=4096) as served:
             yield served
 
-    def addresses(self, served):
-        # The same handler serves both listeners; prove it on each.
-        return [served.address, served.server.socket_path]
-
     def test_malformed_rejected_structured(self, served):
-        for address in self.addresses(served):
-            reply = _raw_exchange(address, b"this is not json\n")
-            assert reply["ok"] is False
-            assert reply["kind"] == "malformed"
+        reply = _raw_exchange(served.address, b"this is not json\n")
+        assert reply["ok"] is False
+        assert reply["kind"] == "malformed"
 
     def test_truncated_rejected_structured(self, served):
-        for address in self.addresses(served):
-            reply = _raw_exchange(
-                address, b'{"op": "hel', shutdown=True
-            )
-            assert reply["ok"] is False
-            assert reply["kind"] == "truncated"
+        reply = _raw_exchange(served.address, b'{"op": "hel', shutdown=True)
+        assert reply["ok"] is False
+        assert reply["kind"] == "truncated"
 
     def test_oversized_rejected_structured(self, served):
         filler = b'{"op": "' + b"x" * 8192 + b'"}\n'
-        for address in self.addresses(served):
-            reply = _raw_exchange(address, filler)
-            assert reply["ok"] is False
-            assert reply["kind"] == "oversized"
+        reply = _raw_exchange(served.address, filler)
+        assert reply["ok"] is False
+        assert reply["kind"] == "oversized"
 
     def test_unknown_op_rejected(self, served):
         reply = client.call(served.address, {"op": "launch-missiles"})
@@ -356,13 +293,12 @@ class TestServerHardening:
         assert "unknown op" in reply["error"]
 
     def test_server_keeps_serving_after_abuse(self, served):
-        for address in self.addresses(served):
-            _raw_exchange(address, b"garbage\n")
-            _raw_exchange(address, b'{"torn', shutdown=True)
-            reply = client.call(address, {"op": "hello"})
-            assert reply["ok"] is True
-            assert capability_mismatch(reply["hello"]) is None
-        assert served.server.requests_served >= 6
+        _raw_exchange(served.address, b"garbage\n")
+        _raw_exchange(served.address, b'{"torn', shutdown=True)
+        reply = client.call(served.address, {"op": "hello"})
+        assert reply["ok"] is True
+        assert capability_mismatch(reply["hello"]) is None
+        assert served.server.requests_served == 3
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +640,7 @@ class TestCli:
             "REPRO_OBS": "1", "REPRO_OBS_DIR": str(events),
         }
         server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--tcp", "127.0.0.1:0", "--no-socket"],
+            [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env,
         )

@@ -604,15 +604,25 @@ class TestProfiler:
 
     def test_profile_cli(self, tmp_path, capsys):
         out_path = tmp_path / "profile.json"
-        assert cli_main(["profile", "--benchmark", "mcf", "--warmup", "200",
-                         "--measure", "1000",
+        assert cli_main(["profile", "--benchmark", "mcf", "--benchmark",
+                         "bzip2", "--warmup", "200", "--measure", "1000",
                          "--json", str(out_path)]) == 0
-        assert "phase profile" in capsys.readouterr().out
-        assert json.loads(out_path.read_text())["format"] == 1
+        out = capsys.readouterr().out
+        assert "phase profile" in out
+        payload = json.loads(out_path.read_text())
+        assert payload["format"] == 1
+        # One KIPS row per profiled benchmark.
+        rows = payload["combos"]["current"]["benchmarks"]
+        assert sorted(rows) == ["bzip2", "mcf"]
+        for benchmark, row in rows.items():
+            assert row["instructions"] > 0 and row["kips_instrumented"] > 0
+            assert (f"  {benchmark:<12} {row['instructions']:>12} "
+                    f"{row['wall_seconds']:>10.3f} "
+                    f"{row['kips_instrumented']:>8.1f}") in out
 
 
 # ---------------------------------------------------------------------------
-# CLI: tail and events
+# CLI: inspect --events, one file or a directory, optionally followed
 # ---------------------------------------------------------------------------
 
 
@@ -629,14 +639,44 @@ class TestEventCli:
         path = tmp_path / f"events-{os.getpid()}.jsonl"
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"v": 1, "t": 9')
-        assert cli_main(["tail", "--dir", str(tmp_path)]) == 0
+        assert cli_main(["inspect", "--events", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "sweep.cell" in out and "sample.point" in out
         assert '"t": 9' not in out
 
     def test_tail_empty_dir(self, tmp_path, capsys):
-        assert cli_main(["tail", "--dir", str(tmp_path)]) == 0
+        assert cli_main(["inspect", "--events", str(tmp_path)]) == 0
         assert "no events" in capsys.readouterr().out
+
+    def test_follow_prints_each_record_once_as_it_lands(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import time
+
+        self._write_events(tmp_path)
+        path = tmp_path / f"events-{os.getpid()}.jsonl"
+        late = ('{"v": 1, "t": 9.5, "pid": 1, "kind": "event", '
+                '"name": "late.point", "id": 9, "parent": null, '
+                '"tags": {}}\n')
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(late[:20])  # a live writer's in-flight line
+        polls = []
+
+        def poll(seconds):
+            polls.append(seconds)
+            if len(polls) == 1:
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write(late[20:])
+            else:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", poll)
+        assert cli_main(["inspect", "--events", str(tmp_path),
+                         "--follow"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("sweep.cell") == 2  # its begin and end records
+        assert out.count("sample.point") == 1
+        assert out.count("late.point") == 1
 
     def test_inspect_events(self, tmp_path, capsys):
         self._write_events(tmp_path)

@@ -13,9 +13,13 @@ Instead every run below carries the invariant auditor (``auditor.py``):
   share1`` and ``share1 != share2``: a value loaded again a few
   producers later (equal), and one static instruction that equals it on
   most iterations and is one bit off on a data-dependent subset (a
-  near-miss RSEP, the zero predictor and the value predictor all take);
+  near-miss RSEP, the zero predictor and the value predictor all take).
+  Its equal pair through a share of zero is this repo's zero register:
+  moves fed by a zero idiom and by a zero-predicted value;
 * a fixed anchor program shows the near-misses really are predicted and
-  caught, so the fuzzer cannot pass by never speculating;
+  caught, so the fuzzer cannot pass by never speculating, and a zero
+  idiom feeding a move shows the zero register is moved without the
+  ISRB;
 * the auditor itself raises on planted faults.
 """
 
@@ -38,6 +42,7 @@ from repro.isa.registers import RegClass
 from repro.pipeline.config import MECHANISM_PRESETS, MechanismConfig
 from repro.pipeline.core import Pipeline
 from repro.pipeline.simulator import Simulator
+from repro.rename.move_elim import MoveEliminator
 from repro.sampling import SamplingConfig
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.store import cell_stats_digest
@@ -63,6 +68,10 @@ MECHANISMS = {
     "rsep-val-sampled": lambda: MechanismConfig.rsep_validation(
         ValidationMode.REISSUE_ANY_FU, sampling=True,
         start_train_threshold=15,
+    ),
+    # Zero-predicted values feeding moves: no preset has both.
+    "zero_pred+move_elim": lambda: MechanismConfig(
+        name="zero_pred+move_elim", zero_pred=True, move_elim=True,
     ),
 }
 
@@ -118,7 +127,8 @@ class TestAuditedGoldens:
 
 
 def planted_trace(seed: int, slots: int, misses, gaps, move: bool,
-                  store: bool, instructions: int = 3000):
+                  store: bool, zero: bool = False,
+                  instructions: int = 3000):
     """A loop over *slots* random words that plants equal pairs and
     near-misses.
 
@@ -129,7 +139,10 @@ def planted_trace(seed: int, slots: int, misses, gaps, move: bool,
     equal pair at a distance), and ``c = w ^ m`` -- one static
     instruction that equals ``v`` unless the slot is a near-miss.
     Optionally ``c`` is moved (move elimination) and stored and
-    reloaded through a scratch slot (store-to-load forwarding).
+    reloaded through a scratch slot (store-to-load forwarding).  With
+    *zero*, moves copy the zero register: the result of a zero idiom
+    (``w ^ w``) and ``m``, which is 0 on most slots, so the zero
+    predictor learns to predict it.
     """
     rng = XorShift64(seed + 1)
     b = ProgramBuilder("planted")
@@ -140,6 +153,8 @@ def planted_trace(seed: int, slots: int, misses, gaps, move: bool,
     scratch = b.data.alloc_words([0] * slots)
     i, limit, values_reg, flags_reg, scratch_reg, t, v_addr, m_addr, \
         s_addr, v, m, strided, acc = b.regs.int_regs(13)
+    if zero:
+        zeroed, zero_copy, flag_copy = b.regs.int_regs(3)
     b.movz(i, 0)
     b.load_imm64(limit, 1 << 40)
     b.load_imm64(values_reg, values)
@@ -166,6 +181,10 @@ def planted_trace(seed: int, slots: int, misses, gaps, move: bool,
             b.add(s_addr, scratch_reg, t)
             b.str_(c, s_addr)
             b.ldr(b.regs.int_reg(), s_addr)
+        if zero:
+            b.eor(zeroed, w, w)
+            b.mov(zero_copy, zeroed)
+            b.mov(flag_copy, m)
     b.addi(i, i, 1)
     b.blt(i, limit, loop)
     b.halt()
@@ -183,7 +202,8 @@ def run_audited(trace, mechanism, warmup: int = 500):
 
 
 #: Programs from a small space: a few pairs, up to a squash storm of
-#: near-misses (a third of the slots), with or without moves and stores.
+#: near-misses (a third of the slots), with or without moves, stores and
+#: moves of the zero register.
 PROGRAMS = st.fixed_dictionaries({
     "seed": st.integers(0, 1 << 16),
     "slots": st.sampled_from([16, 64, 128]),
@@ -191,6 +211,7 @@ PROGRAMS = st.fixed_dictionaries({
     "gaps": st.lists(st.integers(0, 6), min_size=1, max_size=3),
     "move": st.booleans(),
     "store": st.booleans(),
+    "zero": st.booleans(),
 })
 
 
@@ -224,6 +245,58 @@ class TestAnchorProgram:
         assert vp.value_pred > 0 and vp.vp_mispredicts > 0
         moves, _ = run_audited(trace, MechanismConfig.move_elimination())
         assert moves.move_elim > 0
+
+
+def zero_move_trace(instructions: int = 3000):
+    """The loop ``eor x5,x5,x5; mov x6,x5``: every move copies the zero
+    register."""
+    b = ProgramBuilder("zero-move")
+    i, limit, zeroed, copy = b.regs.int_regs(4)
+    b.movz(i, 0)
+    b.load_imm64(limit, 1 << 40)
+    loop = b.label(b.fresh_label("loop"))
+    b.eor(zeroed, zeroed, zeroed)
+    b.mov(copy, zeroed)
+    b.addi(i, i, 1)
+    b.blt(i, limit, loop)
+    b.halt()
+    return execute(b.build(), instructions, Machine(dict(b.data.image)))
+
+
+class TestZeroRegisterMoves:
+    @pytest.mark.parametrize("mechanism", ["move_elim", "rsep"])
+    def test_moves_of_the_zero_register_skip_the_isrb(self, mechanism):
+        # Sharing the zero preg through the ISRB would pin an entry no
+        # commit ever frees, until its counter saturates and every later
+        # move is refused.
+        pipeline = Pipeline(zero_move_trace(),
+                            mechanisms=MECHANISMS[mechanism](), seed=1)
+        auditor = Auditor(pipeline)
+        stats = pipeline.run(2500, 500)
+        assert auditor.commits == 3000
+        assert stats.move_elim == 624  # every move of the window
+        assert pipeline.move_eliminator.rejected == 0
+        assert pipeline.isrb.occupancy == 0
+        pipeline.close()
+
+    def test_zero_predicted_values_feed_moves(self, monkeypatch):
+        # Without near-misses the zero predictor learns ``m``, so the
+        # move of ``m`` copies the zero register like the zero idiom's.
+        eliminate = MoveEliminator.try_eliminate
+        zero_moves = set()
+
+        def recording(self, op):
+            preg = eliminate(self, op)
+            if preg == self._zero_preg:
+                zero_moves.add(op.pc)
+            return preg
+
+        monkeypatch.setattr(MoveEliminator, "try_eliminate", recording)
+        program = {**ANCHOR, "misses": set(), "zero": True}
+        stats, _ = run_audited(planted_trace(**program),
+                               MECHANISMS["zero_pred+move_elim"]())
+        assert stats.zero_pred > 0
+        assert len(zero_moves) == 2  # the zero idiom's move and m's
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import weakref
 import pytest
 
 from repro.api.figures import FIGURES
-from repro.harness.perf import measure_throughput
 from repro.harness.sweep import SweepEngine
 from repro.obs.profile import phase_profile
 from repro.pipeline.config import MechanismConfig
@@ -126,15 +125,6 @@ class TestFreedWhenTheCellEnds:
         engine.run_cell("mcf", baseline, 1, sampling=SAMPLED, **WINDOW)
         assert store.checkpoint_hits == 1  # loaded, then refused
         assert len(built) == 3 and _live(built) == 0
-
-    @pytest.mark.parametrize("sampling", [SamplingConfig(), SAMPLED],
-                             ids=["full-detail", "sampled"])
-    def test_measure_throughput(self, built, sampling):
-        measure_throughput(
-            ["mcf"], [MechanismConfig.baseline()], repeats=2,
-            sampling=sampling, **WINDOW,
-        )
-        assert len(built) == 2 and _live(built) == 0
 
     @pytest.mark.parametrize("sampling", [SamplingConfig(), SAMPLED],
                              ids=["full-detail", "sampled"])

@@ -168,6 +168,18 @@ class TestEliminations:
         assert eliminator.try_eliminate(move) is None
         assert eliminator.rejected == 1
 
+    def test_move_of_the_zero_register_skips_the_isrb(self):
+        fl = FreeList(235, 235)
+        rename_map = RenameMap(fl)
+        isrb = Isrb()
+        eliminator = MoveEliminator(rename_map, isrb)
+        rename_map.rename_dest(x(1), fl.zero_preg)  # a zero idiom's result
+        move = DynInst(0, 0x1000, Opcode.MOV, dest=x(2), src1=x(1),
+                       result=0, move=True)
+        assert eliminator.try_eliminate(move) == fl.zero_preg
+        assert isrb.occupancy == 0 and isrb.shares == 0
+        assert eliminator.eliminated == 1
+
     def test_zero_idiom_elimination(self):
         eliminator = ZeroIdiomEliminator(zero_preg=470)
         idiom = DynInst(0, 0x1000, Opcode.EOR, dest=x(1), src1=x(2),

@@ -9,7 +9,6 @@ digest *identical* to the unfaulted in-process run.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import threading
@@ -18,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import event_records
+from helpers import ServerThread, event_records
 from repro.api.result import CellResult, RunResult
 from repro.api.session import Session
 from repro.api.spec import (
@@ -31,7 +30,6 @@ from repro.cluster import client
 from repro.cluster.hosts import local_capabilities
 from repro.obs import ObsSpec
 from repro.service.faults import Fault, FaultPlan, FaultPlanError
-from repro.service.server import SweepServer
 from repro.service.shards import (
     ShardResult,
     ShardSpec,
@@ -602,52 +600,10 @@ class TestWorkerEntry:
 # ---------------------------------------------------------------------------
 
 
-class ServerThread:
-    """A SweepServer on a background thread, for client round trips."""
-
-    def __init__(self, socket_path):
-        self.socket_path = socket_path
-        self.server = SweepServer(socket_path)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        try:
-            self.loop.run_until_complete(self.server.serve())
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self.loop.close()
-
-    def __enter__(self):
-        self.thread.start()
-        deadline = time.monotonic() + 10.0
-        while not self.socket_path.exists():
-            if time.monotonic() > deadline:
-                raise RuntimeError("server socket never appeared")
-            time.sleep(0.01)
-        return self
-
-    def __exit__(self, *exc_info):
-        def cancel_all():
-            for task in asyncio.all_tasks(self.loop):
-                task.cancel()
-        self.loop.call_soon_threadsafe(cancel_all)
-        self.thread.join(timeout=10.0)
-
-    def shard(self, shard: ShardSpec, fault: str | None = None) -> dict:
-        """One ``shard`` op round trip; returns the raw reply."""
-        message = {"op": "shard", "shard": shard.to_dict()}
-        if fault is not None:
-            message["fault"] = fault
-        return client.call(self.socket_path, message, timeout=60.0)
-
-
 class TestServer:
     def test_served_sweep_matches_in_process(self, tmp_path, reference):
         spec = tiny_spec()
-        with ServerThread(tmp_path / "repro.sock") as served:
+        with ServerThread() as served:
             results = []
             for shard in plan_shards(spec, 2):
                 reply = served.shard(shard)
@@ -660,7 +616,7 @@ class TestServer:
 
     def test_served_faults_survive(self, tmp_path):
         shard = plan_shards(tiny_spec(), 2)[0]
-        with ServerThread(tmp_path / "repro.sock") as served:
+        with ServerThread() as served:
             # A faulted payload comes back under a stale digest: the
             # coordinator-side load check rejects it ...
             for fault in ("corrupt", "tamper"):
@@ -673,18 +629,18 @@ class TestServer:
             assert clean.index == shard.index
 
     def test_malformed_request_gets_error_not_crash(self, tmp_path):
-        with ServerThread(tmp_path / "repro.sock") as served:
-            reply = client.call(served.socket_path, {"not an op": True})
+        with ServerThread() as served:
+            reply = client.call(served.address, {"not an op": True})
             assert reply["ok"] is False
             assert "op" in reply["error"]
             # The server survived: a good request still works.
-            hello = client.call(served.socket_path, {"op": "hello"})
+            hello = client.call(served.address, {"op": "hello"})
             assert hello["ok"] is True
 
     def test_undecodable_shard_gets_error(self, tmp_path):
-        with ServerThread(tmp_path / "repro.sock") as served:
+        with ServerThread() as served:
             reply = client.call(
-                served.socket_path,
+                served.address,
                 {"op": "shard", "shard": {"not": "a shard"}},
             )
             assert reply["ok"] is False
@@ -841,27 +797,41 @@ class TestServiceCli:
             run_figure("fig7", benchmarks=["mcf", "hmmer"],
                        window=WindowSpec(warmup=256, measure=1024))
 
-    def test_serve_once_round_trip(self, tmp_path):
+    def test_serve_once_round_trip(self, monkeypatch, capsys):
         from repro.api.cli import main
+        from repro.service import server as server_module
 
-        socket_path = tmp_path / "serve.sock"
+        started = []
+
+        class Recorded(server_module.SweepServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(server_module, "SweepServer", Recorded)
         reply_box = {}
 
         def hello():
             deadline = time.monotonic() + 30.0
-            while not socket_path.exists():
+            while not (started and started[0].bound_address):
                 if time.monotonic() > deadline:
                     return
                 time.sleep(0.01)
-            reply_box["reply"] = client.call(socket_path, {"op": "hello"})
+            reply_box["address"] = started[0].bound_address
+            reply_box["reply"] = client.call(
+                reply_box["address"], {"op": "hello"}
+            )
 
         thread = threading.Thread(target=hello, daemon=True)
         thread.start()
-        assert main(["serve", "--socket", str(socket_path), "--once"]) == 0
+        assert main(["serve", "--tcp", "127.0.0.1:0", "--once"]) == 0
         thread.join(timeout=30.0)
         assert reply_box["reply"]["ok"] is True
         assert reply_box["reply"]["hello"] == local_capabilities()
-        assert not socket_path.exists()  # socket cleaned up on exit
+        host, port = reply_box["address"]
+        out = capsys.readouterr().out
+        assert f"repro serve: tcp={host}:{port}" in out
+        assert "repro serve: 1 request(s) served" in out
 
 
 # ---------------------------------------------------------------------------
