@@ -656,7 +656,12 @@ def _cmd_serve(args) -> int:
 
     async def _serve() -> None:
         task = asyncio.ensure_future(server.serve(once=args.once))
-        await server.wait_started()
+        started = asyncio.ensure_future(server.wait_started())
+        await asyncio.wait((task, started),
+                           return_when=asyncio.FIRST_COMPLETED)
+        if not started.done():
+            started.cancel()
+            task.result()  # serve() ended before binding: raise why
         # The tcp= line is machine-readable on purpose: with port 0 it
         # is how a parent (the loopback cluster smoke) learns the real
         # ephemeral port.
@@ -669,6 +674,13 @@ def _cmd_serve(args) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("repro serve: interrupted, shutting down")
+    except OSError as error:
+        if server.bound_address is not None:
+            raise
+        host, port = server.tcp
+        print(f"repro serve: cannot listen on {host}:{port}: {error}",
+              file=sys.stderr)
+        return 1
     print(f"repro serve: {server.requests_served} request(s) served")
     return 0
 

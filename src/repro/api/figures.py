@@ -13,7 +13,9 @@ back into one artifact per figure.
 
 Figure 1 is the odd one out — a functional redundancy analysis with no
 timing sweep — so it runs through its own analysis path and has no
-:class:`~repro.api.spec.ExperimentSpec`.
+:class:`~repro.api.spec.ExperimentSpec`.  It reads its traces the way a
+simulated cell does: from the engine's trace store, else from the
+interpreter, which writes the store.
 """
 
 from __future__ import annotations
@@ -249,24 +251,35 @@ def render_figure(name: str, result: RunResult) -> str:
     return FIGURES[name].format(result)
 
 
-def run_fig1(instructions: int = 20000, benchmarks=None):
+def run_fig1(instructions: int | None = None, benchmarks=None,
+             session=None):
     """Figure 1 (functional redundancy): returns (profiles, text).
 
-    Defaults to all 29 benchmarks at 20000 instructions (it needs no
-    timing model, so the full suite is cheap); both are overridable so
-    the CLI's ``--benchmark``/``--measure`` flags mean the same thing
-    here as for the sweep figures.
+    Defaults to all 29 benchmarks (it needs no timing model, so the full
+    suite is cheap) over the environment window's measured length,
+    20000 instructions unless ``REPRO_MEASURE``/``REPRO_SCALE`` say
+    otherwise; both are overridable so the CLI's ``--benchmark``/
+    ``--measure`` flags mean the same thing here as for the sweep
+    figures.  Traces come from the trace store of *session*'s engine
+    (the shared engine by default), one at a time.
     """
     from repro.harness.redundancy import analyze_benchmark
+    from repro.harness.sweep import shared_engine
     from repro.workloads.spec2006 import benchmark_names
 
+    if instructions is None:
+        instructions = WindowSpec.from_env().measure
+    engine = session.engine if session is not None else shared_engine()
+    store = engine.simulator.trace_store
     table = Table([
         "benchmark", "zero(ld)%", "zero(other)%",
         "inPRF(ld)%", "inPRF(other)%", "total%",
     ])
     profiles = []
     for name in benchmarks or benchmark_names():
-        profile = analyze_benchmark(name, instructions=instructions)
+        profile = analyze_benchmark(
+            name, instructions=instructions, store=store
+        )
         profiles.append(profile)
         table.add_row(
             name,
@@ -372,8 +385,8 @@ def run_figure(
     """
     if name == "fig1":
         return run_fig1(
-            instructions=window.measure if window is not None else 20000,
-            benchmarks=benchmarks,
+            instructions=window.measure if window is not None else None,
+            benchmarks=benchmarks, session=session,
         )
     results, outcome = run_figures(
         [name], benchmarks=benchmarks, window=window, seeds=seeds,

@@ -5,20 +5,27 @@ For each committed instruction the paper asks two questions (§III/§IV):
 * is the result zero (and the instruction not a decode-visible zero idiom)?
 * is the result *already in the physical register file* at commit time?
 
-This is a purely functional analysis over the trace.  PRF occupancy is
-modelled as the architectural values plus the results of the most recent
-``inflight_window`` committed producers — the registers a 192-entry-ROB
-machine with 235+235 physical registers would still hold live.
+This is a purely functional analysis over the trace's ``dests``,
+``results``, ``kinds`` and ``flags`` columns; it builds no ``DynInst``.
+PRF occupancy is modelled as the architectural values plus the results
+of the most recent ``inflight_window`` committed producers — the
+registers a 192-entry-ROB machine with 235+235 physical registers would
+still hold live.  Traces come the way a simulated cell's do: from the
+trace store, else from the interpreter, which writes the store
+(:func:`~repro.pipeline.simulator.load_or_interpret`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
-from repro.isa.instruction import DynInst
-from repro.isa.registers import NUM_ARCH_REGS
-from repro.workloads.trace import Trace
+from repro.isa.instruction import NO_REG
+from repro.isa.registers import NUM_ARCH_REGS, XZR
+from repro.pipeline.simulator import load_or_interpret
+from repro.workloads.columnar import KIND_LOAD, ZERO_IDIOM, ColumnarTrace
+from repro.workloads.store import TraceStore, workload_code_version
 
 
 @dataclass
@@ -87,31 +94,35 @@ class LivePrfModel:
         self._add(value)
 
 
-def analyze_trace(trace: Trace, inflight_window: int = 140) -> RedundancyProfile:
-    """Compute the Fig. 1 profile for one trace."""
-    profile = RedundancyProfile(trace.name)
+def analyze_trace(
+    trace: ColumnarTrace,
+    inflight_window: int = 140,
+    instructions: int | None = None,
+) -> RedundancyProfile:
+    """Compute the Fig. 1 profile over the first *instructions* of
+    *trace* (all of it by default)."""
+    if instructions is None or instructions > len(trace):
+        instructions = len(trace)
+    profile = RedundancyProfile(trace.name, committed=instructions)
     prf = LivePrfModel(inflight_window)
-    for instruction in trace:
-        profile.committed += 1
-        if not instruction.produces_result():
+    columns = zip(trace.dests, trace.results, trace.kinds, trace.flags)
+    for dest, value, kind, flag in islice(columns, instructions):
+        if dest == NO_REG or dest == XZR:
             continue
         profile.producers += 1
-        if instruction.zero_idiom:
+        if flag & ZERO_IDIOM:
             profile.zero_idioms += 1
-            prf.commit(instruction.dest, instruction.result)
-            continue
-        value = instruction.result
-        if value == 0:
-            if instruction.is_load:
+        elif value == 0:
+            if kind & KIND_LOAD:
                 profile.zero_load += 1
             else:
                 profile.zero_other += 1
         elif prf.contains(value):
-            if instruction.is_load:
+            if kind & KIND_LOAD:
                 profile.in_prf_load += 1
             else:
                 profile.in_prf_other += 1
-        prf.commit(instruction.dest, instruction.result)
+        prf.commit(dest, value)
     return profile
 
 
@@ -120,10 +131,15 @@ def analyze_benchmark(
     instructions: int = 30000,
     seed: int = 1,
     inflight_window: int = 140,
+    store: TraceStore | None = None,
 ) -> RedundancyProfile:
-    """Generate a trace for *name* and analyse it."""
-    from repro.workloads.spec2006 import generate_trace
+    """Analyse the first *instructions* of *name*'s trace.
 
-    return analyze_trace(
-        generate_trace(name, instructions, seed), inflight_window
+    The trace comes from *store* when one covers the request, else from
+    the interpreter (which then writes *store*); nothing keeps it after
+    the analysis.
+    """
+    trace, _ = load_or_interpret(
+        store, name, seed, instructions, workload_code_version()
     )
+    return analyze_trace(trace, inflight_window, instructions)

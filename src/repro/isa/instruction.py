@@ -1,10 +1,11 @@
 """Static and dynamic instruction representations.
 
 :class:`Instr` is a *static* instruction as it appears in a program.
-:class:`DynInst` is one *dynamic* execution of a static instruction as
-recorded by the functional interpreter — it carries the actual result value,
-effective address and branch outcome, which is what allows the timing model
-to resolve every speculation against ground truth.
+:class:`DynInst` is one *dynamic* execution of a static instruction, a row
+of the committed-path trace the functional interpreter writes — it carries
+the actual result value, effective address and branch outcome, which is
+what allows the timing model to resolve every speculation against ground
+truth.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ class Instr:
 class DynInst:
     """One dynamic instance of a static instruction.
 
-    Produced by the functional interpreter; consumed by redundancy analysis
-    and by the timing model.  All speculative mechanisms are validated
-    against ``result`` (the architecturally correct value).
+    Materialised lazily from a trace's columns
+    (:meth:`~repro.workloads.columnar.ColumnarTrace.row`); consumed by the
+    timing model.  All speculative mechanisms are validated against
+    ``result`` (the architecturally correct value).
     """
 
     __slots__ = (

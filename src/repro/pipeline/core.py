@@ -34,10 +34,11 @@ unchanged, which is what keeps statistics bit-identical.
 Every stage has one implementation.  Fetch, commit, squash and the idle
 fast-forward live here; the rename and issue loops are generated per
 configuration (:mod:`repro.pipeline.genrename`) and bound on each
-pipeline.  Fetch reads a :class:`~repro.workloads.columnar.ColumnarTrace`;
-an object trace is packed into one at construction.  What checks them is
-not a second implementation but the golden digests and a test-side
-invariant auditor run over planted-pair programs (DESIGN.md §3).
+pipeline.  Fetch reads the columns of a
+:class:`~repro.workloads.columnar.ColumnarTrace`, the one trace form.
+What checks them is not a second implementation but the golden digests
+and a test-side invariant auditor run over planted-pair programs
+(DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -70,12 +71,7 @@ from repro.rename.isrb import Isrb
 from repro.rename.map_table import RenameMap
 from repro.rename.move_elim import MoveEliminator
 from repro.rename.zero_idiom import ZeroIdiomEliminator
-from repro.workloads.columnar import (
-    KIND_BRANCH,
-    ColumnarTrace,
-    columnar_from_trace,
-)
-from repro.workloads.trace import Trace
+from repro.workloads.columnar import KIND_BRANCH, ColumnarTrace
 
 _INF = 1 << 60
 
@@ -135,15 +131,11 @@ class Pipeline:
 
     def __init__(
         self,
-        trace: Trace | ColumnarTrace,
+        trace: ColumnarTrace,
         config: CoreConfig | None = None,
         mechanisms: MechanismConfig | None = None,
         seed: int = 1,
     ) -> None:
-        if not isinstance(trace, ColumnarTrace):
-            # One trace form (DESIGN.md §9): an object trace is packed
-            # once, and fetch and the warmer read the columns.
-            trace = columnar_from_trace(trace, len(trace))[0]
         self.trace = trace
         self.config = config or CoreConfig()
         self.mechanisms = mechanisms or MechanismConfig.baseline()

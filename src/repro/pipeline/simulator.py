@@ -23,7 +23,7 @@ from repro.sampling import (
     restore_checkpoint,
 )
 from repro.sampling.checkpoint import CHECKPOINT_FORMAT
-from repro.workloads.columnar import ColumnarTrace, columnar_from_trace
+from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.spec2006 import build_benchmark
 from repro.workloads.store import TraceStore, workload_code_version
 from repro.workloads.trace import execute
@@ -33,6 +33,35 @@ _TRACE_SLACK = 4096
 
 #: Sentinel: "use the environment-configured default store".
 _DEFAULT_STORE = object()
+
+
+def load_or_interpret(
+    store: TraceStore | None, benchmark: str, seed: int, instructions: int,
+    version: str,
+) -> tuple[ColumnarTrace, int]:
+    """One checkpoint's trace from *store*, else from the interpreter.
+
+    Returns ``(trace, budget)``.  A stored trace serves every request it
+    covers (:meth:`TraceStore.load`); otherwise the benchmark is
+    interpreted for *instructions* under a ``trace.interp`` span and the
+    result is written to the store.  :meth:`Simulator.trace_for` and the
+    Fig. 1 analysis both get their traces here.
+    """
+    if store is not None:
+        stored = store.load(benchmark, seed, instructions, version)
+        if stored is not None:
+            return stored
+    built = build_benchmark(benchmark, seed)
+    with obs_tracer().span(
+        "trace.interp", benchmark=benchmark, seed=seed,
+        instructions=instructions,
+    ):
+        trace = execute(built.program, instructions, built.machine())
+    if store is not None:
+        store.save_payload(
+            trace.to_payload(instructions), benchmark, seed, version
+        )
+    return trace, instructions
 
 
 @dataclass
@@ -88,13 +117,9 @@ class Simulator:
         trace that ended at ``HALT`` before reaching its requested length
         is the complete execution and covers any request.
 
-        Lookup order: in-memory cache, then the on-disk store, then
-        interpretation (which also populates the store).  The cached
-        value is a :class:`ColumnarTrace` (DESIGN.md §9): cold
-        interpretation packs the fresh trace once
-        (:func:`~repro.workloads.columnar.columnar_from_trace`, the
-        helper a ``Pipeline`` built on an object trace uses) and both the
-        store write and the runtime view share that payload.
+        Lookup order: in-memory cache, then :func:`load_or_interpret`
+        (the on-disk store, then interpretation, which writes the
+        store).
         """
         version = workload_code_version()
         key = (benchmark, seed, version)
@@ -103,25 +128,11 @@ class Simulator:
             trace, covered = entry
             if instructions <= covered or len(trace) < covered:
                 return trace
-        store = self.trace_store
-        if store is not None:
-            stored = store.load(benchmark, seed, instructions, version)
-            if stored is not None:
-                self._trace_cache[key] = stored
-                return stored[0]
-        built = build_benchmark(benchmark, seed)
-        with obs_tracer().span(
-            "trace.interp", benchmark=benchmark, seed=seed,
-            instructions=instructions,
-        ):
-            interpreted = execute(
-                built.program, instructions, built.machine()
-            )
-        trace, payload = columnar_from_trace(interpreted, instructions)
-        if store is not None:
-            store.save_payload(payload, benchmark, seed, version)
-        self._trace_cache[key] = (trace, instructions)
-        return trace
+        entry = load_or_interpret(
+            self.trace_store, benchmark, seed, instructions, version
+        )
+        self._trace_cache[key] = entry
+        return entry[0]
 
     def run_benchmark(
         self,

@@ -12,7 +12,6 @@ from repro.workloads.spec2006 import (
 )
 from repro.workloads.trace import (
     Machine,
-    Trace,
     bits_to_float,
     execute,
     float_to_bits,
@@ -27,7 +26,6 @@ __all__ = [
     "Machine",
     "ProgramBuilder",
     "RegAllocator",
-    "Trace",
     "benchmark_names",
     "bits_to_float",
     "build_benchmark",

@@ -8,6 +8,7 @@ way.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.common.bitops import mask64
@@ -51,16 +52,63 @@ class RegAllocator:
         return [self.fp_reg() for _ in range(count)]
 
 
+class MemoryImage:
+    """A data segment's initial memory, packed: the 64-bit words from
+    word address *base* up in one ``array('Q')``; every other word reads
+    as zero.
+
+    Indexed by word address (byte address >> 3).  Packed because a dict
+    entry and its two ints take about 100 bytes a word against 8 here,
+    and the largest benchmark images hold about 70k words.  A
+    :class:`~repro.workloads.trace.Machine` reads the image lazily and
+    never writes it, so one image serves any number of machines;
+    ``dict(image)`` gives the word-by-word mapping.
+    """
+
+    __slots__ = ("base", "words")
+
+    def __init__(self, base: int) -> None:
+        self.base = base
+        self.words = array("Q")
+
+    def keys(self) -> range:
+        return range(self.base, self.base + len(self.words))
+
+    def get(self, word: int, default: int = 0) -> int:
+        index = word - self.base
+        if 0 <= index < len(self.words):
+            return self.words[index]
+        return default
+
+    def __getitem__(self, word: int) -> int:
+        return self.get(word)
+
+    def __setitem__(self, word: int, value: int) -> None:
+        self.write(word, array("Q", (value,)))
+
+    def write(self, word: int, words: array) -> None:
+        """Store *words* from word address *word* on, growing the image."""
+        index = word - self.base
+        if index < 0:
+            raise ValueError(f"word {word:#x} is below the data segment")
+        end = index + len(words)
+        if end > len(self.words):
+            self.words.frombytes(bytes(8 * (end - len(self.words))))
+        self.words[index:end] = words
+
+
 @dataclass
 class DataSegment:
     """Bump allocator for the data segment plus its initial memory image.
 
-    The image maps *word addresses* (byte address >> 3) to 64-bit values;
-    untouched memory reads as zero.
+    The image (:class:`MemoryImage`) maps *word addresses* (byte address
+    >> 3) to 64-bit values; untouched memory reads as zero.
     """
 
     next_addr: int = DATA_BASE
-    image: dict[int, int] = field(default_factory=dict)
+    image: MemoryImage = field(
+        default_factory=lambda: MemoryImage(DATA_BASE >> 3)
+    )
 
     def alloc(self, num_bytes: int, align: int = 8) -> int:
         """Reserve *num_bytes* and return the base byte address."""
@@ -72,18 +120,19 @@ class DataSegment:
 
     def alloc_words(self, values: list[int]) -> int:
         """Reserve and initialise an array of 64-bit words."""
-        base = self.alloc(len(values) * 8)
-        for offset, value in enumerate(values):
-            self.image[(base >> 3) + offset] = mask64(value)
+        words = array("Q", map(mask64, values))
+        base = self.alloc(len(words) * 8)
+        self.image.write(base >> 3, words)
         return base
 
     def alloc_bytes(self, data: bytes) -> int:
         """Reserve and initialise a byte buffer (zero-padded to words)."""
         base = self.alloc(max(len(data), 1))
         padded = data + b"\x00" * (-len(data) % 8)
-        for offset in range(0, len(padded), 8):
-            word = int.from_bytes(padded[offset:offset + 8], "little")
-            self.image[(base >> 3) + (offset >> 3)] = word
+        self.image.write(base >> 3, array("Q", (
+            int.from_bytes(padded[offset:offset + 8], "little")
+            for offset in range(0, len(padded), 8)
+        )))
         return base
 
     def poke(self, addr: int, value: int) -> None:

@@ -19,8 +19,9 @@ from typing import Callable
 from repro.common.rng import XorShift64
 from repro.isa.program import Program
 from repro.workloads import kernels as K
-from repro.workloads.builder import ProgramBuilder
-from repro.workloads.trace import Machine, Trace, execute
+from repro.workloads.builder import MemoryImage, ProgramBuilder
+from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.trace import Machine, execute
 
 KernelRecipe = Callable[[ProgramBuilder, XorShift64], list[K.Kernel]]
 
@@ -42,7 +43,7 @@ class BuiltBenchmark:
     spec: BenchmarkSpec
     seed: int
     program: Program
-    memory_image: dict[int, int]
+    memory_image: MemoryImage
 
     def machine(self) -> Machine:
         return Machine(self.memory_image)
@@ -69,7 +70,7 @@ def _assemble(spec: BenchmarkSpec, seed: int) -> BuiltBenchmark:
     builder.halt()
 
     program = builder.build()
-    return BuiltBenchmark(spec, seed, program, dict(builder.data.image))
+    return BuiltBenchmark(spec, seed, program, builder.data.image)
 
 
 def build_benchmark(name: str, seed: int = 1) -> BuiltBenchmark:
@@ -79,7 +80,9 @@ def build_benchmark(name: str, seed: int = 1) -> BuiltBenchmark:
     return _assemble(SPEC2006[name], seed)
 
 
-def generate_trace(name: str, num_instructions: int, seed: int = 1) -> Trace:
+def generate_trace(
+    name: str, num_instructions: int, seed: int = 1,
+) -> ColumnarTrace:
     """Assemble and functionally execute a benchmark into a trace."""
     built = build_benchmark(name, seed)
     return execute(built.program, num_instructions, built.machine())

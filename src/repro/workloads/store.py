@@ -15,14 +15,11 @@ Three pieces:
   ``workloads/kernels.py`` (or the interpreter itself) can never serve a
   stale trace.  The hash is recomputed whenever a source file's
   stat signature changes, which keeps long-lived processes honest too.
-* the flat-array codec (:func:`pack_trace` / :func:`unpack_trace`,
-  re-exported from :mod:`repro.workloads.columnar` where it now lives).
-  Packed traces pickle ~10× smaller than ``DynInst`` lists, and since
-  PR 4 the packed columns are also the *runtime* representation: by
-  :meth:`TraceStore.load` returns a
-  :class:`~repro.workloads.columnar.ColumnarTrace` view over the
-  payload without constructing a single ``DynInst`` — rows materialise
-  lazily, per fetched instruction (DESIGN.md §9).
+* the stored form: the payload of packed ``array`` columns that
+  :meth:`~repro.workloads.columnar.ColumnarTrace.to_payload` builds and
+  :meth:`~repro.workloads.columnar.ColumnarTrace.from_payload` wraps
+  again without constructing a single ``DynInst`` (DESIGN.md §9).  Fresh
+  and loaded traces are the same type; rows materialise lazily in both.
 * :class:`TraceStore` — the on-disk cache.  One file per
   ``(benchmark, seed, version)``, atomically replaced on writes
   (temp file + ``os.replace``), with the instruction *budget* recorded in
@@ -55,13 +52,7 @@ from pathlib import Path
 
 from repro.common.atomicio import atomic_write_bytes, atomic_write_text
 
-from repro.workloads.columnar import (  # noqa: F401  (codec re-exports)
-    FORMAT,
-    ColumnarTrace,
-    pack_trace,
-    unpack_trace,
-)
-from repro.workloads.trace import Trace
+from repro.workloads.columnar import FORMAT, ColumnarTrace
 
 #: Modules whose source determines trace content.  Anything that touches
 #: program construction, initial data images or interpretation belongs
@@ -249,12 +240,12 @@ class TraceStore:
         return None
 
     def save(
-        self, trace: "Trace | ColumnarTrace", benchmark: str, seed: int,
+        self, trace: ColumnarTrace, benchmark: str, seed: int,
         budget: int, version: str,
     ) -> Path | None:
         """Persist *trace* atomically; best-effort (failures are ignored)."""
         return self.save_payload(
-            pack_trace(trace, budget), benchmark, seed, version
+            trace.to_payload(budget), benchmark, seed, version
         )
 
     def save_payload(

@@ -1,32 +1,37 @@
-"""Functional interpreter: executes programs into dynamic-instruction traces.
+"""Functional interpreter: executes programs into committed-path traces.
 
 The interpreter is the architectural reference model.  It executes a
-:class:`~repro.isa.program.Program` with real 64-bit semantics and records a
-:class:`~repro.isa.instruction.DynInst` per committed instruction — result
-values, effective addresses and branch outcomes.  The timing model replays
-this committed path and resolves all speculation against it.
+:class:`~repro.isa.program.Program` with real 64-bit semantics and
+writes each committed instruction — result value, effective address and
+branch outcome — into the columns of a
+:class:`~repro.workloads.columnar.ColumnarTrace`, the one trace form.
+The timing model replays this committed path and resolves all
+speculation against it.
 
 Dispatch is table-driven: every data-path opcode has a handler in
 ``_DISPATCH`` (indexed by opcode number), and :func:`execute` pre-resolves
 one handler per *static* instruction before the dynamic loop starts, so the
 hot loop performs one list index and one call instead of walking an opcode
-``if``/``elif`` chain.  Static per-instruction properties (source-register
-visibility, zero-idiom/move flags, PCs, conditionality) are likewise
-decoded once per static instruction; the :class:`DynInst` constructor
-additionally precomputes the flags the timing model reads every cycle
-(``is_load``/``is_store``/``is_branch``, FU class, cache-line index,
-RSEP eligibility).
+``if``/``elif`` chain.  Static per-instruction columns (PC, opcode,
+source registers masked by read visibility, zero-idiom/move flags) are
+likewise decoded once per static instruction and gathered by static
+index after the loop.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import TYPE_CHECKING, Mapping
 
 from repro.common.bitops import MASK64, mask64, to_signed64
-from repro.isa.instruction import DynInst, NO_ADDR, NO_REG
+from repro.isa.instruction import NO_ADDR, NO_REG
 from repro.isa.opcodes import OP_INFO, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_ARCH_REGS, XZR
+from repro.workloads.columnar import MOVE, TAKEN, ZERO_IDIOM, ColumnarTrace
+
+if TYPE_CHECKING:
+    from repro.workloads.builder import MemoryImage
 
 
 def float_to_bits(value: float) -> int:
@@ -68,14 +73,21 @@ def _fp_op(op, a_bits: int, b_bits: int) -> int:
 
 
 class Machine:
-    """Architectural state: unified register file plus word-grain memory."""
+    """Architectural state: unified register file plus word-grain memory.
+
+    *memory_image* is the initial memory: a
+    :class:`~repro.workloads.builder.MemoryImage` or any word-address
+    mapping with ``get``.  The machine reads it lazily and never copies
+    or writes it, so a run holds only the words it touches.
+    """
 
     __slots__ = ("regs", "memory")
 
-    def __init__(self, memory_image: dict[int, int] | None = None) -> None:
+    def __init__(self, memory_image: MemoryImage | Mapping[int, int]
+                 | None = None) -> None:
         self.regs = [0] * NUM_ARCH_REGS
         # Maps word address (byte address >> 3) -> 64-bit value.
-        self.memory = dict(memory_image) if memory_image else {}
+        self.memory = _Memory({} if memory_image is None else memory_image)
 
     def read_reg(self, reg: int) -> int:
         if reg == XZR:
@@ -87,39 +99,30 @@ class Machine:
             self.regs[reg] = mask64(value)
 
     def load_word(self, addr: int) -> int:
-        return self.memory.get(addr >> 3, 0)
+        return self.memory[addr >> 3]
 
     def load_byte(self, addr: int) -> int:
-        word = self.memory.get(addr >> 3, 0)
+        word = self.memory[addr >> 3]
         return (word >> ((addr & 7) * 8)) & 0xFF
 
     def store_word(self, addr: int, value: int) -> None:
         self.memory[addr >> 3] = mask64(value)
 
 
-class Trace:
-    """A committed-path dynamic instruction trace.
+class _Memory(dict):
+    """The words a machine has stored or read.  Any other word comes
+    from the initial image on its first read (zero outside it); a hit
+    costs one dict lookup, as a plain dict would."""
 
-    Stored as an indexable list so the timing model can rewind to any point
-    after a squash.
-    """
+    __slots__ = ("image",)
 
-    def __init__(self, name: str, instructions: list[DynInst]) -> None:
-        self.name = name
-        self.instructions = instructions
+    def __init__(self, image) -> None:
+        super().__init__()
+        self.image = image
 
-    def __len__(self) -> int:
-        return len(self.instructions)
-
-    def __getitem__(self, index: int) -> DynInst:
-        return self.instructions[index]
-
-    def __iter__(self):
-        return iter(self.instructions)
-
-    @property
-    def result_producers(self) -> int:
-        return sum(1 for d in self.instructions if d.produces_result())
+    def __missing__(self, word: int) -> int:
+        value = self[word] = self.image.get(word, 0)
+        return value
 
 
 class InterpreterError(RuntimeError):
@@ -220,12 +223,12 @@ def _ex_div(m, i):
 
 def _ex_ldr(m, i):
     addr = ((m.regs[i.rs1] + i.imm) & MASK64) & ~7
-    return i.rd, m.memory.get(addr >> 3, 0), addr
+    return i.rd, m.memory[addr >> 3], addr
 
 
 def _ex_ldrb(m, i):
     addr = (m.regs[i.rs1] + i.imm) & MASK64
-    word = m.memory.get(addr >> 3, 0)
+    word = m.memory[addr >> 3]
     return i.rd, (word >> ((addr & 7) * 8)) & 0xFF, addr
 
 
@@ -266,7 +269,7 @@ def _ex_fmovi(m, i):
 
 def _ex_fldr(m, i):
     addr = ((m.regs[i.rs1] + i.imm) & MASK64) & ~7
-    return i.rd, m.memory.get(addr >> 3, 0), addr
+    return i.rd, m.memory[addr >> 3], addr
 
 
 def _ex_fstr(m, i):
@@ -306,43 +309,52 @@ del _opcode, _handler
 def _predecode(program: Program):
     """Per-static-instruction tables resolved once per :func:`execute`.
 
-    Returns ``(handlers, pcs, statics)`` where ``statics[i]`` is
-    ``(src1, src2, zero_idiom, move, is_conditional)`` with source fields
-    already masked by the opcode's read visibility.
+    Returns ``(handlers, pcs, opcodes, src1s, src2s, flags)``, each
+    indexed by static instruction.  Sources are already masked by the
+    opcode's read visibility, and ``flags`` holds the static
+    ``ZERO_IDIOM``/``MOVE`` bits of the packed flag byte.
     """
     instructions = program.instructions
     handlers = [_DISPATCH[instr.opcode] for instr in instructions]
     pcs = [program.pc_of(index) for index in range(len(instructions))]
-    statics = []
+    opcodes = bytes(instr.opcode for instr in instructions)
+    src1s, src2s, flags = [], [], bytearray()
     for instr in instructions:
         info = OP_INFO[instr.opcode]
-        statics.append((
-            instr.rs1 if info.reads_rs1 else NO_REG,
-            instr.rs2 if info.reads_rs2 else NO_REG,
-            instr.is_zero_idiom(),
-            instr.is_move(),
-            info.is_conditional,
-        ))
-    return handlers, pcs, statics
+        src1s.append(instr.rs1 if info.reads_rs1 else NO_REG)
+        src2s.append(instr.rs2 if info.reads_rs2 else NO_REG)
+        flags.append(
+            (ZERO_IDIOM if instr.is_zero_idiom() else 0)
+            | (MOVE if instr.is_move() else 0)
+        )
+    return handlers, pcs, opcodes, src1s, src2s, bytes(flags)
 
 
 def execute(
     program: Program,
     max_instructions: int,
     machine: Machine | None = None,
-) -> Trace:
+) -> ColumnarTrace:
     """Run *program* for at most *max_instructions* dynamic instructions.
 
-    Returns the committed-path :class:`Trace`.  Execution stops early at
-    ``HALT``.  The caller may pass a pre-initialised :class:`Machine` (e.g.
-    with a data image); by default an image-less machine is used.
+    Returns the committed path as a :class:`ColumnarTrace`.  The loop
+    appends each instruction's dynamic fields to their columns; the
+    static ones (PC, opcode, sources) are gathered by static index once
+    it ends.  No ``DynInst`` is built here: rows materialise lazily, as
+    they do for a trace loaded from the store.  Execution stops early at
+    ``HALT``.  The caller may pass a pre-initialised :class:`Machine`
+    (e.g. with a data image); by default an image-less machine is used.
     """
     m = machine if machine is not None else Machine()
     regs = m.regs
     instructions = program.instructions
-    handlers, pcs, statics = _predecode(program)
-    trace: list[DynInst] = []
-    append = trace.append
+    handlers, pcs, opcodes, src1s, src2s, static_flags = _predecode(program)
+    indices: list[int] = []
+    dests: list[int] = []
+    results: list[int] = []
+    addrs: list[int] = []
+    targets: list[int] = []
+    flags = bytearray()
 
     index = 0
     seq = 0
@@ -352,9 +364,7 @@ def execute(
             raise InterpreterError(f"PC escaped program: index {index}")
         instr = instructions[index]
         handler = handlers[index]
-        src1, src2, zero_idiom, move, is_conditional = statics[index]
-
-        taken = False
+        flag = static_flags[index]
         target_pc = -1
 
         if handler is not None:
@@ -366,43 +376,39 @@ def execute(
             dest = NO_REG
             result = 0
             addr = NO_ADDR
-            next_index = index + 1
 
             if op == Opcode.HALT:
                 break
             if op == Opcode.B:
                 taken = True
                 next_index = instr.target
-                target_pc = program.pc_of(next_index)
-            elif op == Opcode.BEQ:
-                taken = regs[src1] == regs[src2]
-            elif op == Opcode.BNE:
-                taken = regs[src1] != regs[src2]
-            elif op == Opcode.BLT:
-                taken = to_signed64(regs[src1]) < to_signed64(regs[src2])
-            elif op == Opcode.BGE:
-                taken = to_signed64(regs[src1]) >= to_signed64(regs[src2])
             elif op == Opcode.BL:
                 taken = True
-                result = program.pc_of(index + 1)
+                result = pcs[index + 1]
                 dest = instr.rd
                 next_index = instr.target
-                target_pc = program.pc_of(next_index)
             elif op == Opcode.RET:
                 taken = True
-                return_pc = regs[src1]
-                next_index = program.index_of(return_pc)
-                target_pc = return_pc
-            else:  # pragma: no cover - defensive
-                raise InterpreterError(f"unimplemented opcode {op!r}")
-
-            # Conditional branches resolve their target only if taken.
-            if is_conditional:
-                if taken:
-                    next_index = instr.target
-                    target_pc = program.pc_of(next_index)
-                else:
-                    target_pc = program.pc_of(index + 1)
+                next_index = program.index_of(regs[src1s[index]])
+            else:
+                # Conditional: the target is the taken or the
+                # fall-through PC, whichever executes next.
+                a = regs[src1s[index]]
+                b = regs[src2s[index]]
+                if op == Opcode.BEQ:
+                    taken = a == b
+                elif op == Opcode.BNE:
+                    taken = a != b
+                elif op == Opcode.BLT:
+                    taken = to_signed64(a) < to_signed64(b)
+                elif op == Opcode.BGE:
+                    taken = to_signed64(a) >= to_signed64(b)
+                else:  # pragma: no cover - defensive
+                    raise InterpreterError(f"unimplemented opcode {op!r}")
+                next_index = instr.target if taken else index + 1
+            target_pc = pcs[next_index]
+            if taken:
+                flag |= TAKEN
 
         if dest != NO_REG:
             if dest != XZR:
@@ -411,23 +417,21 @@ def execute(
                 dest = NO_REG  # architectural no-op: not a result producer
                 result = 0
 
-        append(
-            DynInst(
-                seq=seq,
-                pc=pcs[index],
-                opcode=instr.opcode,
-                dest=dest,
-                src1=src1,
-                src2=src2,
-                result=result,
-                addr=addr,
-                taken=taken,
-                target_pc=target_pc,
-                zero_idiom=zero_idiom,
-                move=move,
-            )
-        )
+        indices.append(index)
+        dests.append(dest)
+        results.append(result)
+        addrs.append(addr)
+        targets.append(target_pc)
+        flags.append(flag)
         seq += 1
         index = next_index
 
-    return Trace(program.name, trace)
+    return ColumnarTrace(
+        program.name, seq,
+        list(map(pcs.__getitem__, indices)),
+        bytes(map(opcodes.__getitem__, indices)),
+        dests,
+        list(map(src1s.__getitem__, indices)),
+        list(map(src2s.__getitem__, indices)),
+        results, addrs, targets, bytes(flags),
+    )

@@ -19,6 +19,41 @@ def stats_dict(stats) -> dict:
     return data
 
 
+#: Every field a ``DynInst`` row carries (static + dynamic + derived).
+DYN_FIELDS = [
+    "seq", "pc", "opcode", "fu", "latency", "pipelined", "dest", "src1",
+    "src2", "result", "addr", "is_load", "is_store", "is_branch",
+    "is_conditional", "is_call", "is_return", "taken", "target_pc",
+    "zero_idiom", "move", "line", "eligible",
+]
+
+
+def reference_row(trace, index: int):
+    """Row *index* of *trace*, built by ``DynInst.__init__`` from its
+    columns: the independent reference ``ColumnarTrace.row`` must equal
+    field for field (it derives the static fields from its own tables)."""
+    from repro.isa.instruction import DynInst
+    from repro.isa.opcodes import Opcode
+    from repro.workloads.columnar import MOVE, TAKEN, ZERO_IDIOM
+
+    flag = trace.flags[index]
+    return DynInst(
+        seq=index, pc=trace.pcs[index], opcode=Opcode(trace.opcodes[index]),
+        dest=trace.dests[index], src1=trace.src1s[index],
+        src2=trace.src2s[index], result=trace.results[index],
+        addr=trace.addrs[index], taken=flag & TAKEN != 0,
+        target_pc=trace.targets[index], zero_idiom=flag & ZERO_IDIOM != 0,
+        move=flag & MOVE != 0,
+    )
+
+
+def assert_rows_equal(expected, actual) -> None:
+    for field_name in DYN_FIELDS:
+        assert getattr(actual, field_name) == getattr(
+            expected, field_name
+        ), (expected.seq, field_name)
+
+
 def event_records(directory) -> list[dict]:
     """Every record of every obs event stream in *directory*."""
     from pathlib import Path

@@ -997,6 +997,43 @@ class TestFigureRegistry:
         )
         assert len(subset) == 1 and subset[0].benchmark == "mcf"
 
+    def test_fig1_measures_the_environment_window(self, monkeypatch):
+        # Without a window, fig1 analyses the measured length the sweep
+        # figures resolve from the environment.
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        monkeypatch.setenv("REPRO_MEASURE", "600")
+        assert figure_spec("fig4").window.measure == 600
+        profiles, _ = run_figure("fig1", benchmarks=["mcf"])
+        assert [profile.committed for profile in profiles] == [600]
+
+    def test_fig1_reads_the_trace_store(self, tmp_path, monkeypatch):
+        """fig1 gets its traces the way the cells do, so a second
+        ``repro figures fig1 fig4`` on a warm store interprets nothing."""
+        from repro.api.cli import main
+        from repro.harness import sweep
+        from repro.pipeline import simulator
+        from repro.workloads import spec2006
+
+        for name in ("REPRO_RESULT_LAKE", "REPRO_FAULTS", "REPRO_SCALE"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
+        monkeypatch.setenv("REPRO_SHARDS", "1")
+        interpreted = []
+        for module in (simulator, spec2006):
+            def counted(program, *args, _execute=module.execute):
+                interpreted.append(program.name)
+                return _execute(program, *args)
+
+            monkeypatch.setattr(module, "execute", counted)
+        argv = ["figures", "fig1", "fig4", "--benchmark", "mcf",
+                "--benchmark", "hmmer", "--warmup", "256", "--measure", "600"]
+        assert main(argv) == 0
+        assert sorted(interpreted) == ["hmmer", "mcf"]
+        interpreted.clear()
+        monkeypatch.setattr(sweep, "_shared", None)  # as a new process
+        assert main(argv) == 0
+        assert interpreted == []
+
     def test_session_rejects_engine_plus_store(self):
         with pytest.raises(ValueError, match="not both"):
             Session(store=StoreSpec(), engine=SweepEngine(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import importlib
 import re
 import shlex
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -150,6 +150,29 @@ class TestDocumentedCommands:
             except SystemExit:
                 pytest.fail(f"{document}: `repro {shlex.join(argv)}` does "
                             f"not parse: {capsys.readouterr().err}")
+
+
+class TestTraceStoreCacheKey:
+    """CI restores the trace store under one key, and that key rolls over
+    whenever a module that re-keys stored traces is edited."""
+
+    def test_ci_cache_key_covers_the_versioned_modules(self):
+        from repro.workloads.store import _VERSIONED_MODULES
+
+        text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
+            encoding="utf-8"
+        )
+        keys = re.findall(r"^\s*key: (trace-store-.*)$", text, re.MULTILINE)
+        assert keys and len(set(keys)) == 1, keys
+        globs = re.findall(r"'([^']+)'", keys[0].split("hashFiles(", 1)[1])
+        for name in _VERSIONED_MODULES:
+            source = PurePosixPath("src", *name.split(".")).with_suffix(".py")
+            assert (REPO_ROOT / source).is_file(), source
+            assert any(
+                len(PurePosixPath(glob).parts) == len(source.parts)
+                and source.match(glob)
+                for glob in globs
+            ), f"{source} is not in the CI trace-store key {globs}"
 
 
 def readme_env_rows() -> list[str]:

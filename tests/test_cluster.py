@@ -684,6 +684,25 @@ class TestCli:
         assert "Traceback" not in stderr, stderr
         assert closed == ["closed"]  # the parked request just ended
 
+    def test_serve_exits_1_when_it_cannot_listen(self):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+        }
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "serve",
+                 "--tcp", f"127.0.0.1:{port}"],
+                capture_output=True, text=True, env=env, timeout=30.0,
+            )
+        assert done.returncode == 1
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(
+            f"repro serve: cannot listen on 127.0.0.1:{port}: "
+        ), line
+        assert "tcp=" not in done.stdout
+
     def test_sweep_smoke_hosts_accepts_only_loopback(self, capsys):
         from repro.api.cli import main
 

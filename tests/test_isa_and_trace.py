@@ -333,7 +333,7 @@ class TestDynInstClassification:
             b.beq(x(1), XZR, skip)
             b.label(skip)
         trace, _ = run_snippet(emit, image={})
-        movz, eor, store, branch = trace[:4]
+        movz, eor, store, branch = trace.instructions[:4]
         assert movz.rsep_eligible()
         assert not eor.rsep_eligible()
         assert not store.rsep_eligible()

@@ -5,8 +5,11 @@ zero-producing, …); these tests verify the advertised property holds in
 the generated trace, independent of any timing model.
 """
 
+import tracemalloc
+
 import pytest
 
+from repro.common.bitops import MASK64
 from repro.common.rng import XorShift64
 from repro.isa.program import ProgramError
 from repro.workloads import kernels as K
@@ -16,6 +19,7 @@ from repro.workloads.builder import (
     ProgramBuilder,
     RegAllocator,
 )
+from repro.workloads.spec2006 import build_benchmark
 from repro.workloads.trace import Machine, execute
 
 
@@ -92,6 +96,43 @@ class TestDataSegment:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DataSegment().alloc(0)
+
+
+class TestMemoryImage:
+    def test_packed_words_read_masked_and_zero_elsewhere(self):
+        segment = DataSegment()
+        base = segment.alloc_words([5, -1])
+        image = segment.image
+        word = base >> 3
+        assert image[word] == 5
+        assert image[word + 1] == MASK64
+        assert image[word + 2] == 0 and image[0] == 0
+        assert dict(image) == {word: 5, word + 1: MASK64}
+
+    def test_machines_read_one_image_and_never_write_it(self):
+        segment = DataSegment()
+        base = segment.alloc_words([1, 2])
+        first, second = Machine(segment.image), Machine(segment.image)
+        first.store_word(base, 9)
+        assert first.load_word(base) == 9
+        assert second.load_word(base) == 1
+        assert segment.image[base >> 3] == 1
+        assert second.load_word(base + 16) == 0
+
+    def test_interpreting_a_large_image_stays_small(self):
+        # bzip2's image holds 66,560 words.  As a dict, copied into the
+        # benchmark and again into the machine, it peaked above 10 MB
+        # here; packed and read lazily it peaks at 2.2 MB, so a run that
+        # interprets stays as low as one that loads a stored trace.
+        tracemalloc.start()
+        try:
+            built = build_benchmark("bzip2", 1)
+            trace = execute(built.program, 4000, built.machine())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 4000
+        assert peak < 4_000_000, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestRingChase:

@@ -192,7 +192,7 @@ def planted_trace(seed: int, slots: int, misses, gaps, move: bool,
 
 
 def run_audited(trace, mechanism, warmup: int = 500):
-    """Run *trace* on an audited ``Pipeline`` built on the object trace."""
+    """Run *trace* on an audited ``Pipeline`` built on it."""
     pipeline = Pipeline(trace, mechanisms=mechanism, seed=1)
     auditor = Auditor(pipeline)
     stats = pipeline.run(len(trace) - warmup, warmup)

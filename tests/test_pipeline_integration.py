@@ -13,7 +13,7 @@ from repro.harness.reporting import Table, geometric_mean, harmonic_mean
 from repro.harness.sweep import SweepEngine
 from repro.pipeline.config import CoreConfig, MechanismConfig
 from repro.pipeline.core import Pipeline
-from repro.pipeline.simulator import _TRACE_SLACK, Simulator
+from repro.pipeline.simulator import Simulator
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.spec2006 import (
     SPEC2006,
@@ -21,11 +21,8 @@ from repro.workloads.spec2006 import (
     build_benchmark,
     generate_trace,
 )
-from repro.workloads.columnar import unpack_trace
 from repro.workloads.trace import Machine, execute
 from repro.isa.registers import x
-
-from helpers import stats_dict  # noqa: E402  (shared test helper)
 
 
 def chain_trace(length=6000):
@@ -121,6 +118,18 @@ class TestRedundancyAnalysis:
     def test_reuse_rich_benchmarks(self):
         libquantum = analyze_benchmark("libquantum", 12000)
         assert libquantum.in_prf_fraction > 0.10
+
+    def test_cactusadm_is_zero_heavy(self):
+        cactus = analyze_benchmark("cactusADM", 12000)
+        assert cactus.zero_fraction > 0.05           # Fig. 1 shape
+
+    def test_most_benchmarks_are_redundant(self):
+        # "In most cases, the ratio is around or greater than 5%" (Fig. 1).
+        rich = sum(
+            analyze_benchmark(name, 12000).total_redundant_fraction > 0.05
+            for name in benchmark_names()
+        )
+        assert rich >= 15
 
     def test_zero_idioms_excluded(self):
         profile = analyze_benchmark("dealII", 8000)
@@ -391,22 +400,3 @@ class TestGeneratedStages:
         assert first[0] is second[0] and first[1] is second[1]
         other = genrename.compiled_stages(config, MechanismConfig.baseline())
         assert other[0] is not first[0]
-
-
-class TestObjectTracePacking:
-    def test_object_trace_pipeline_matches_the_simulator(self):
-        """A ``Pipeline`` built on an object ``Trace`` packs it into the
-        columnar form once; on the mcf rsep-realistic golden cell it must
-        give the simulator's stats exactly."""
-        simulator = Simulator(trace_store=None)
-        mechanism = MechanismConfig.rsep_realistic()
-        expected = simulator.run_benchmark(
-            "mcf", mechanism, warmup=1000, measure=4000, seed=1
-        ).stats
-        budget = 1000 + 4000 + _TRACE_SLACK
-        columnar = simulator.trace_for("mcf", 1, budget)
-        trace, _ = unpack_trace(columnar.to_payload(budget))
-        pipeline = Pipeline(trace, simulator.core_config, mechanism, 1)
-        assert pipeline.trace is not trace
-        assert pipeline.trace.rows[0] is trace.instructions[0]
-        assert stats_dict(pipeline.run(4000, 1000)) == stats_dict(expected)

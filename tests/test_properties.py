@@ -193,19 +193,13 @@ from repro.workloads.columnar import (
     KIND_LOAD,
     KIND_RETURN,
     KIND_STORE,
+    MOVE,
+    TAKEN,
+    ZERO_IDIOM,
     ColumnarTrace,
-    pack_trace,
-    unpack_trace,
 )
-from repro.workloads.trace import Trace
 
-#: Every field a decoded DynInst carries (static + dynamic + derived).
-DYN_FIELDS = [
-    "seq", "pc", "opcode", "fu", "latency", "pipelined", "dest", "src1",
-    "src2", "result", "addr", "is_load", "is_store", "is_branch",
-    "is_conditional", "is_call", "is_return", "taken", "target_pc",
-    "zero_idiom", "move", "line", "eligible",
-]
+from helpers import assert_rows_equal, reference_row  # noqa: E402
 
 _reg = st.integers(min_value=0, max_value=NUM_ARCH_REGS - 1)
 _opt_reg = st.one_of(st.just(NO_REG), _reg)
@@ -238,8 +232,26 @@ def _dyn_fields(draw):
     )
 
 
-def _build_trace(rows) -> Trace:
-    instructions = [
+def _build_trace(rows) -> ColumnarTrace:
+    """The field tuples as trace columns, the form the interpreter
+    writes."""
+    (opcodes, pcs, dests, src1s, src2s, results, addrs, takens, targets,
+     zero_idioms, moves) = (list(column) for column in zip(*rows))
+    flags = bytes(
+        (TAKEN if taken else 0) | (ZERO_IDIOM if zero_idiom else 0)
+        | (MOVE if move else 0)
+        for taken, zero_idiom, move in zip(takens, zero_idioms, moves)
+    )
+    return ColumnarTrace(
+        "fuzz", len(rows), pcs, bytes(opcodes), dests, src1s, src2s,
+        results, addrs, targets, flags,
+    )
+
+
+def _reference_rows(rows) -> list[DynInst]:
+    """``DynInst.__init__`` on the same field tuples: the reference
+    ``ColumnarTrace.row`` must equal."""
+    return [
         DynInst(
             seq=seq, pc=pc, opcode=opcode, dest=dest, src1=src1, src2=src2,
             result=result, addr=addr, taken=taken, target_pc=target_pc,
@@ -248,41 +260,32 @@ def _build_trace(rows) -> Trace:
         for seq, (opcode, pc, dest, src1, src2, result, addr, taken,
                   target_pc, zero_idiom, move) in enumerate(rows)
     ]
-    return Trace("fuzz", instructions)
-
-
-def _assert_rows_equal(expected, actual):
-    for field_name in DYN_FIELDS:
-        assert getattr(actual, field_name) == getattr(
-            expected, field_name
-        ), (expected.seq, field_name)
 
 
 class TestCodecProperties:
     @given(st.lists(_dyn_fields(), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_encode_decode_round_trip_both_planes(self, rows):
+        # The columns as written and as decoded from their payload both
+        # give the reference rows.
         trace = _build_trace(rows)
-        payload = pack_trace(trace, budget=len(trace))
-
-        decoded, budget = unpack_trace(payload)
-        assert budget == len(trace)
-        columnar = ColumnarTrace.from_payload(payload)
-        assert len(columnar) == len(trace) == len(decoded)
-        for index, original in enumerate(trace.instructions):
-            _assert_rows_equal(original, decoded[index])
-            _assert_rows_equal(original, columnar.row(index))
+        payload = trace.to_payload(len(rows))
+        assert payload["budget"] == len(rows)
+        decoded = ColumnarTrace.from_payload(payload)
+        assert len(decoded) == len(trace) == len(rows)
+        for index, expected in enumerate(_reference_rows(rows)):
+            assert_rows_equal(expected, trace.row(index))
+            assert_rows_equal(expected, decoded.row(index))
 
     @given(st.lists(_dyn_fields(), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_column_reads_equal_dyninst_decode(self, rows):
         # Per-field *column* reads — what fetch and the warmer consume —
-        # must agree with the decoded object for every index.
-        trace = _build_trace(rows)
+        # must agree with the reference row for every index.
         columnar = ColumnarTrace.from_payload(
-            pack_trace(trace, budget=len(trace))
+            _build_trace(rows).to_payload(len(rows))
         )
-        for index, d in enumerate(trace.instructions):
+        for index, d in enumerate(_reference_rows(rows)):
             assert columnar.pcs[index] == d.pc
             assert columnar.lines[index] == d.line
             assert columnar.dests[index] == d.dest
@@ -299,30 +302,27 @@ class TestCodecProperties:
             assert bool(kind & KIND_RETURN) == d.is_return
             assert bool(kind & KIND_LOAD) == d.is_load
             assert bool(kind & KIND_STORE) == d.is_store
-        assert columnar.result_producers == trace.result_producers
 
     @given(st.lists(_dyn_fields(), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_repack_and_pickle_stability(self, rows):
         # ColumnarTrace -> payload -> ColumnarTrace is lossless, and the
         # payload survives pickling (the store's wire path) unchanged.
-        trace = _build_trace(rows)
-        first = ColumnarTrace.from_payload(pack_trace(trace, 7))
+        first = ColumnarTrace.from_payload(_build_trace(rows).to_payload(7))
         payload = pickle.loads(
             pickle.dumps(first.to_payload(7),
                          protocol=pickle.HIGHEST_PROTOCOL)
         )
         assert payload["budget"] == 7
         second = ColumnarTrace.from_payload(payload)
-        for index in range(len(trace)):
-            _assert_rows_equal(trace.instructions[index], second.row(index))
+        for index, expected in enumerate(_reference_rows(rows)):
+            assert_rows_equal(expected, second.row(index))
 
     @given(st.lists(_dyn_fields(), min_size=2, max_size=20),
            st.data())
     @settings(max_examples=40, deadline=None)
     def test_truncated_column_is_rejected(self, rows, data):
-        trace = _build_trace(rows)
-        payload = pack_trace(trace, budget=len(trace))
+        payload = _build_trace(rows).to_payload(len(rows))
         column = data.draw(st.sampled_from([
             "pc", "opcode", "dest", "src1", "src2", "result", "addr",
             "target_pc", "flags",
@@ -330,18 +330,13 @@ class TestCodecProperties:
         payload[column] = payload[column][:-1]
         with pytest.raises(ValueError):
             ColumnarTrace.from_payload(payload)
-        with pytest.raises(ValueError):
-            unpack_trace(payload)
 
     def test_unknown_opcode_is_rejected(self):
-        trace = _build_trace([(Opcode.ADD, 4, 1, 2, 3, 9, NO_ADDR, False,
-                               -1, False, False)])
-        payload = pack_trace(trace, budget=1)
+        payload = _build_trace([(Opcode.ADD, 4, 1, 2, 3, 9, NO_ADDR, False,
+                                 -1, False, False)]).to_payload(1)
         payload["opcode"] = bytes([250])
         with pytest.raises(ValueError):
             ColumnarTrace.from_payload(payload)
-        with pytest.raises(ValueError):
-            unpack_trace(payload)
 
 
 class TestCodecEdgeCases:
@@ -354,11 +349,13 @@ class TestCodecEdgeCases:
         return DynInst(**defaults)
 
     def _round_trip(self, d: DynInst):
-        payload = pack_trace(Trace("edge", [d]), budget=1)
-        columnar = ColumnarTrace.from_payload(payload)
-        decoded, _ = unpack_trace(payload)
-        _assert_rows_equal(d, columnar.row(0))
-        _assert_rows_equal(d, decoded[0])
+        trace = _build_trace([(
+            d.opcode, d.pc, d.dest, d.src1, d.src2, d.result, d.addr,
+            d.taken, d.target_pc, d.zero_idiom, d.move,
+        )])
+        columnar = ColumnarTrace.from_payload(trace.to_payload(1))
+        assert_rows_equal(d, trace.row(0))
+        assert_rows_equal(d, columnar.row(0))
         return columnar
 
     def test_no_reg_no_addr_sentinels(self):
@@ -373,7 +370,7 @@ class TestCodecEdgeCases:
         d = self._single(dest=XZR)
         columnar = self._round_trip(d)
         assert not columnar.eligibles[0]
-        assert columnar.result_producers == 0
+        assert not columnar.row(0).produces_result()
 
     @pytest.mark.parametrize("opcode", [Opcode.DIV, Opcode.FDIV])
     def test_non_pipelined_dividers(self, opcode):
@@ -422,6 +419,8 @@ class TestCodecEdgeCases:
         from repro.workloads.spec2006 import generate_trace
 
         trace = generate_trace("gcc", 2000, seed=3)
-        columnar = ColumnarTrace.from_payload(pack_trace(trace, 2000))
-        for index, d in enumerate(trace.instructions):
-            _assert_rows_equal(d, columnar.row(index))
+        columnar = ColumnarTrace.from_payload(trace.to_payload(2000))
+        for index in range(len(trace)):
+            expected = reference_row(trace, index)
+            assert_rows_equal(expected, trace.row(index))
+            assert_rows_equal(expected, columnar.row(index))

@@ -12,31 +12,20 @@ from repro.pipeline.config import MechanismConfig
 from repro.pipeline.simulator import Simulator
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.spec2006 import generate_trace
-from repro.workloads.store import (
-    TraceStore,
-    pack_trace,
-    unpack_trace,
-    workload_code_version,
+from repro.workloads.store import TraceStore, workload_code_version
+
+from helpers import (  # noqa: E402  (shared test helpers)
+    assert_rows_equal,
+    reference_row,
+    stats_dict,
 )
-from repro.workloads.trace import Trace
-
-DYN_FIELDS = [
-    "seq", "pc", "opcode", "fu", "latency", "pipelined", "dest", "src1",
-    "src2", "result", "addr", "is_load", "is_store", "is_branch",
-    "is_conditional", "is_call", "is_return", "taken", "target_pc",
-    "zero_idiom", "move", "line", "eligible",
-]
-
-
-from helpers import stats_dict  # noqa: E402  (shared test helper)
 
 
 def assert_traces_identical(left, right):
     assert left.name == right.name
     assert len(left) == len(right)
     for a, b in zip(left, right):
-        for field in DYN_FIELDS:
-            assert getattr(a, field) == getattr(b, field), (a.seq, field)
+        assert_rows_equal(a, b)
 
 
 class TestCodec:
@@ -44,25 +33,27 @@ class TestCodec:
         # gcc mixes every instruction class: ALU, loads/stores, branches,
         # calls/returns, moves and zero idioms.
         trace = generate_trace("gcc", 3000, seed=2)
-        payload = pack_trace(trace, budget=3500)
-        decoded, budget = unpack_trace(payload)
-        assert budget == 3500
+        payload = trace.to_payload(3500)
+        decoded = ColumnarTrace.from_payload(payload)
+        assert payload["budget"] == 3500
         assert_traces_identical(trace, decoded)
+        for index in range(len(decoded)):
+            assert_rows_equal(reference_row(trace, index), decoded[index])
 
     def test_packed_payload_survives_pickle(self):
         trace = generate_trace("mcf", 1000, seed=1)
         payload = pickle.loads(
-            pickle.dumps(pack_trace(trace, 1000),
+            pickle.dumps(trace.to_payload(1000),
                          protocol=pickle.HIGHEST_PROTOCOL)
         )
-        decoded, _ = unpack_trace(payload)
-        assert_traces_identical(trace, decoded)
+        assert_traces_identical(trace, ColumnarTrace.from_payload(payload))
 
     def test_packed_pickle_is_much_smaller_than_object_pickle(self):
         trace = generate_trace("hmmer", 4000, seed=1)
-        packed = pickle.dumps(pack_trace(trace, 4000),
+        packed = pickle.dumps(trace.to_payload(4000),
                               protocol=pickle.HIGHEST_PROTOCOL)
-        objects = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+        objects = pickle.dumps(trace.instructions,
+                               protocol=pickle.HIGHEST_PROTOCOL)
         assert len(packed) < len(objects) / 2.5
 
     def test_decoded_trace_runs_bit_identically(self, tmp_path):
@@ -287,19 +278,21 @@ class TestTracePlaneSelection:
         assert isinstance(trace, ColumnarTrace)
 
     def test_planes_share_one_store_artifact(self, tmp_path):
-        # One file on disk: the store serves it as a columnar view, and
-        # the same payload decodes into the object rows it stands for.
-        Simulator(trace_store=TraceStore(tmp_path)).trace_for("mcf", 1, 800)
+        # One file on disk: the store serves it as a columnar view whose
+        # rows equal the freshly interpreted ones and the rows
+        # ``DynInst.__init__`` builds from the stored columns.
+        cold = Simulator(trace_store=TraceStore(tmp_path))
+        fresh = cold.trace_for("mcf", 1, 800)
         (path,) = tmp_path.glob("*.trace")
         warm = Simulator(trace_store=TraceStore(tmp_path))
         columnar = warm.trace_for("mcf", 1, 800)
         assert warm.trace_store.hits == 1
         assert isinstance(columnar, ColumnarTrace)
         with open(path, "rb") as handle:
-            decoded, _ = unpack_trace(pickle.load(handle))
-        assert isinstance(decoded, Trace)
+            stored = ColumnarTrace.from_payload(pickle.load(handle))
 
         def rows(trace):
             return [[getattr(d, f) for f in DynInst.__slots__] for d in trace]
 
-        assert rows(decoded) == rows(columnar)
+        reference = [reference_row(stored, i) for i in range(len(stored))]
+        assert rows(reference) == rows(columnar) == rows(fresh)
