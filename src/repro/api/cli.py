@@ -603,9 +603,7 @@ def _cmd_profile(args) -> int:
 
     if args.gate:
         try:
-            ok, report = overhead_gate(
-                repeats=args.repeats, tolerance=args.tolerance,
-            )
+            ok, report = overhead_gate(repeats=args.repeats)
         except ValueError as error:
             print(f"repro profile: {error}", file=sys.stderr)
             return 2
@@ -804,11 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="profile a full-detail run instead of a "
                          "sampled one (no warm phase)")
     profile.add_argument("--gate", action="store_true",
-                         help="CI overhead gate: obs on must be "
-                         "bit-identical and within --tolerance of obs off")
-    profile.add_argument("--tolerance", type=float, default=0.05,
-                         help="with --gate: allowed KIPS overhead "
-                         "fraction (default: 0.05)")
+                         help="CI obs gate: stats with obs on must equal "
+                         "stats with obs off (KIPS printed for "
+                         "information)")
     profile.add_argument("--repeats", type=int, default=3,
                          help="with --gate: interleaved A/B repeats "
                          "(default: 3)")

@@ -24,8 +24,14 @@ from repro.common.storage import StorageReport, fifo_history_bits
 class FifoHistory:
     """Bounded history of (hash, producer-index) with O(1) hash matching.
 
-    Hardware performs N parallel comparisons; software keeps an index from
-    hash to recent producer positions, which is behaviourally identical.
+    Hardware performs N parallel comparisons over its last N producers.
+    Software holds the same window: ``_window`` is the FIFO of the last
+    ``entries`` hashes, and ``_positions`` indexes each hash in it to
+    its producer indices, oldest first.  A push evicts the oldest
+    producer from its bucket and deletes a bucket it empties, so at most
+    ``entries`` positions are ever held.  Every search is limited to
+    ``entries``, and an evicted producer is always older than that, so
+    matching is behaviourally identical to the hardware's.
     """
 
     def __init__(
@@ -40,6 +46,7 @@ class FifoHistory:
         self.hash_bits = hash_bits
         self.csn_bits = csn_bits
         self._count = 0  # producers pushed so far (commit order)
+        self._window: deque[int] = deque()  # the last `entries` hashes
         self._positions: dict[int, deque[int]] = {}
         self.searches = 0
         self.matches = 0
@@ -55,43 +62,34 @@ class FifoHistory:
     def push(self, value_hash: int) -> int:
         """Record one committed producer; returns its producer index."""
         index = self._count
-        self._count = index + 1
-        positions = self._positions
-        bucket = positions.get(value_hash)
-        if bucket is None:
-            positions[value_hash] = deque((index,))
-            return index
-        bucket.append(index)
-        # Keep buckets trimmed so no bucket exceeds the window by much;
-        # the bucket is never empty here (we just appended), so only the
-        # age bound needs checking.
-        oldest_live = index + 1 - self.entries
-        popleft = bucket.popleft
-        while bucket[0] < oldest_live:
-            popleft()
+        self.push_group((value_hash,))
         return index
 
     def push_group(self, hashes) -> None:
         """Record one commit group's producers in a single pass.
 
-        Equivalent to ``push`` per hash, with the counter and the
-        positions dict held in locals across the group — the batch path
-        the commit loop uses (§IV.D.2 performs the group's N pushes in
-        parallel in hardware).
+        Equivalent to ``push`` per hash, with the counter, the window
+        and the positions dict held in locals across the group — the
+        batch path the commit loop uses (§IV.D.2 performs the group's N
+        pushes in parallel in hardware).
         """
         index = self._count
         positions = self._positions
+        window = self._window
         entries = self.entries
         for value_hash in hashes:
+            if len(window) == entries:
+                evicted = window.popleft()
+                bucket = positions[evicted]
+                bucket.popleft()
+                if not bucket:
+                    del positions[evicted]
+            window.append(value_hash)
             bucket = positions.get(value_hash)
             if bucket is None:
                 positions[value_hash] = deque((index,))
             else:
                 bucket.append(index)
-                oldest_live = index + 1 - entries
-                popleft = bucket.popleft
-                while bucket[0] < oldest_live:
-                    popleft()
             index += 1
         self._count = index
 
@@ -143,6 +141,7 @@ class FifoHistory:
         keeps the window state in locals across the group.
         """
         positions = self._positions
+        window = self._window
         entries = self.entries
         count = self._count
         limit = min(entries, max_distance)
@@ -176,14 +175,18 @@ class FifoHistory:
                         observed = best
                 append(observed)
             # ---- push -------------------------------------------------
+            if len(window) == entries:
+                evicted = window.popleft()
+                bucket = positions[evicted]
+                bucket.popleft()
+                if not bucket:
+                    del positions[evicted]
+            window.append(value_hash)
             bucket = positions.get(value_hash)
             if bucket is None:
                 positions[value_hash] = deque((count,))
             else:
                 bucket.append(count)
-                oldest_live = count + 1 - entries
-                while bucket[0] < oldest_live:
-                    bucket.popleft()
             count += 1
         self._count = count
         self.searches += searches

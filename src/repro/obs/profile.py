@@ -1,4 +1,4 @@
-"""The phase profiler behind ``repro profile`` (and the CI overhead gate).
+"""The phase profiler behind ``repro profile`` (and the CI obs gate).
 
 Two tools in one module:
 
@@ -10,16 +10,16 @@ Two tools in one module:
   same binding trick the generated loops use — so whatever stage is
   installed is exactly what gets attributed.
 * :func:`overhead_gate` is the observability plane's own CI gate: it
-  A/B-times the identical run with obs off and on (interleaved repeats,
-  best-of), requires bit-identical stats and an on-plane throughput
-  within tolerance (default 5%) of the off plane.
+  runs the identical cell with obs off and on (interleaved repeats) and
+  requires the obs-on stats to equal the obs-off stats field for field.
+  It prints each arm's best-of KIPS for information only.
 
 Timing wrappers cost real wall (5 ``perf_counter`` pairs per cycle), so
 profiled KIPS read below an uninstrumented run's (the end-to-end
 benchmark in ``e2ebench/`` times those); compare them only with other
 profiles.  Host clocks wobble, so no gate reads them: the exact perf
-gate counts calls into this package per fixed cell
-(``tests/test_call_counts.py``).
+gate counts calls into this package per fixed cell, the obs-on cell
+included (``tests/test_call_counts.py``).
 """
 
 from __future__ import annotations
@@ -220,19 +220,18 @@ def overhead_gate(
     measure: int = 12000,
     repeats: int = 3,
     metrics_every: int = 500,
-    tolerance: float = 0.05,
     obs_dir: str | None = None,
     seed: int = 1,
 ) -> tuple[bool, dict]:
-    """A/B-verify the obs-on plane: bit-identical stats, bounded slowdown.
+    """A/B-verify the obs-on plane: bit-identical stats.
 
-    Repeats alternate off/on so host-noise drift hits both arms equally;
-    best-of wall per arm is the throughput estimate (the perf harness's
-    robust estimator).  Returns ``(ok, report)``: ``ok`` requires the
-    on-arm stats to equal the off-arm stats field-for-field AND on-KIPS
-    >= ``(1 - tolerance) * off-KIPS``.  The off arm must really run
-    unobserved, so a call under an installed runtime (``REPRO_OBS=1
-    repro profile --gate``) is refused.
+    Returns ``(ok, report)``: ``ok`` requires the on-arm stats to equal
+    the off-arm stats field for field.  Repeats alternate off/on, and
+    the report carries each arm's best-of KIPS for information: wall
+    clock follows the host, so the obs-on arm's cost is bounded by its
+    pinned call count instead (``tests/test_call_counts.py``).  The off
+    arm must really run unobserved, so a call under an installed
+    runtime (``REPRO_OBS=1 repro profile --gate``) is refused.
     """
     from repro.harness.sweep import shared_engine
     from repro.obs import runtime as obs_runtime
@@ -279,7 +278,6 @@ def overhead_gate(
         arm: simulated / best[arm] / 1000.0 for arm in ("off", "on")
     }
     identical = observed_stats["off"] == observed_stats["on"]
-    within = kips["on"] >= (1.0 - tolerance) * kips["off"]
     report = {
         "benchmark": benchmark,
         "mechanism": mechanism.name,
@@ -287,12 +285,11 @@ def overhead_gate(
         "measure": measure,
         "repeats": repeats,
         "metrics_every": metrics_every,
-        "tolerance": tolerance,
         "kips_off": round(kips["off"], 1),
         "kips_on": round(kips["on"], 1),
         "overhead_pct": round(100.0 * (1.0 - kips["on"] / kips["off"]), 2),
         "stats_identical": identical,
-        "ok": identical and within,
+        "ok": identical,
     }
     return report["ok"], report
 
@@ -304,8 +301,7 @@ def render_gate(report: dict) -> str:
         f"(best of {report['repeats']})\n"
         f"  off: {report['kips_off']:.1f} KIPS   "
         f"on: {report['kips_on']:.1f} KIPS   "
-        f"overhead {report['overhead_pct']:+.1f}% "
-        f"(tolerance {100 * report['tolerance']:.0f}%)\n"
+        f"overhead {report['overhead_pct']:+.1f}% (information only)\n"
         f"  stats bit-identical: {report['stats_identical']}\n"
         f"  -> {verdict}"
     )

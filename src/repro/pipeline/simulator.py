@@ -86,6 +86,9 @@ class Simulator:
     ``None`` is passed — routed through the on-disk
     :class:`~repro.workloads.store.TraceStore`, so each trace is
     interpreted at most once per machine rather than once per process.
+    The memory cache holds one benchmark's traces at a time: every
+    sweep runs benchmark-major, so a benchmark's traces are dead once
+    the next benchmark's first cell asks for its own.
     """
 
     def __init__(
@@ -99,9 +102,10 @@ class Simulator:
             if trace_store is _DEFAULT_STORE
             else trace_store
         )
-        # (benchmark, seed, version) -> (trace, budget it was built for).
-        # The workload-code version is part of the key so editing e.g.
-        # workloads/kernels.py mid-process can never serve a stale trace.
+        # (benchmark, seed, version) -> (trace, budget it was built for),
+        # all of one benchmark.  The workload-code version is part of
+        # the key so editing e.g. workloads/kernels.py mid-process can
+        # never serve a stale trace.
         self._trace_cache: dict[
             tuple[str, int, str], tuple[ColumnarTrace, int]
         ] = {}
@@ -119,19 +123,26 @@ class Simulator:
 
         Lookup order: in-memory cache, then :func:`load_or_interpret`
         (the on-disk store, then interpretation, which writes the
-        store).
+        store).  Before it loads or interprets a trace of another
+        benchmark, it drops every trace it holds, so two benchmarks'
+        traces never coexist here.  It keeps every seed of the current
+        benchmark: seeds are a sweep's innermost loop, so a one-trace
+        cache would load again on every cell.
         """
         version = workload_code_version()
         key = (benchmark, seed, version)
-        entry = self._trace_cache.get(key)
+        cache = self._trace_cache
+        entry = cache.get(key)
         if entry is not None:
             trace, covered = entry
             if instructions <= covered or len(trace) < covered:
                 return trace
+        if any(cached != benchmark for cached, _, _ in cache):
+            cache.clear()
         entry = load_or_interpret(
             self.trace_store, benchmark, seed, instructions, version
         )
-        self._trace_cache[key] = entry
+        cache[key] = entry
         return entry[0]
 
     def run_benchmark(

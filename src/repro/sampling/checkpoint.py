@@ -11,17 +11,22 @@ alongside traces, and later runs restore it instead of re-warming.
 Capture walks the object graph generically (``__dict__``/``__slots__``),
 recording primitives and containers and skipping anything immutable or
 derived: callables (the code-generated fast paths), frozen-dataclass
-configurations and enums.  Restore walks the *live* graph of a freshly
-constructed pipeline in lockstep and writes values **in place** — table
-lists, folded registers and memo dicts keep their identity, which is
-essential because the generated fast paths close over those exact
-objects.  Shared objects (the global history is referenced by the branch
-unit, the distance predictor and D-VTAGE alike) are captured once and
-matched by traversal position, which is deterministic on both sides.
+configurations and enums, each recorded by name only.  Restore walks
+the *live* graph of a freshly constructed pipeline in lockstep and
+writes values **in place** — table lists, folded registers and memo
+dicts keep their identity, which is essential because the generated
+fast paths close over those exact objects.  Shared objects (the global
+history is referenced by the branch unit, the distance predictor and
+D-VTAGE alike) are captured once and matched by traversal position,
+which is deterministic on both sides.
 
 Any structural mismatch — a different geometry, a renamed attribute, a
 foreign payload — raises :class:`CheckpointError`; callers treat that as
-a cache miss and fall back to warming from scratch.
+a cache miss and fall back to warming from scratch.  The check is
+two-sided: an attribute the snapshot names must exist on the live
+object, and a non-callable attribute of a live object must be in its
+snapshot, so a checkpoint captured before a class gained state is
+refused instead of leaving that state freshly constructed.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import enum
 from array import array
 from collections import deque
 
-#: Bump when the snapshot encoding changes; readers reject other formats.
-CHECKPOINT_FORMAT = 1
+#: Bump when the snapshot encoding or the captured state changes;
+#: readers reject other formats.
+CHECKPOINT_FORMAT = 2
 
 _LEAF_TYPES = (bool, int, float, str, bytes, type(None))
 
@@ -119,10 +125,10 @@ def _capture(value, memo: dict[int, int]):
         return {"k": "R", "id": ident}
     ident = len(memo)
     memo[id(value)] = ident
+    # Every attribute is named; a callable is only an "X" marker, so
+    # restore knows it without capturing it.
     attrs = {
-        name: _capture(attr, memo)
-        for name, attr in _attr_items(value)
-        if not callable(attr)
+        name: _capture(attr, memo) for name, attr in _attr_items(value)
     }
     return {"k": "O", "id": ident, "c": type(value).__name__, "a": attrs}
 
@@ -170,7 +176,13 @@ def _restore(live, snap, restored: set[int]):
                     f"object mismatch: live {type(live).__name__}, "
                     f"snapshot {snap['c']}"
                 )
-            for name, vsnap in snap["a"].items():
+            attrs = snap["a"]
+            for name, value in _attr_items(live):
+                if name not in attrs and not callable(value):
+                    raise CheckpointError(
+                        f"snapshot of {snap['c']} lacks attribute {name!r}"
+                    )
+            for name, vsnap in attrs.items():
                 if not hasattr(live, name):
                     raise CheckpointError(f"missing attribute {name!r}")
                 new = _restore(getattr(live, name), vsnap, restored)

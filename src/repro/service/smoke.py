@@ -11,8 +11,9 @@ the first failure:
    re-run and a fresh session on the warmed store.
 2. **sampled** (``--sampled``): a degenerate 100%-duty sampling config
    equals the plain run; an active sampled run is cold == memoised ==
-   restored from its own µarch checkpoints, with its sampling fields set
-   and its IPC within a loose band of full detail.
+   restored from its own µarch checkpoints (every cell restores one and
+   none re-warms), with its sampling fields set and its IPC within a
+   loose band of full detail.
 3. **lake** (``--lake``): four fresh ``python -m repro sweep`` processes
    on one store — a cold one fills the result lake, a warm one must
    simulate nothing, a lake-off one must never touch the lake, and a
@@ -173,11 +174,19 @@ def sampled_smoke() -> int:
         cold = session.run(active)
         memo = session.run(active)
         # A fresh session on the same store restores the µarch
-        # checkpoints the cold run captured; results must not change.
+        # checkpoints the cold run captured, one per cell, and re-warms
+        # none (a refused checkpoint is re-captured); results must not
+        # change.
         warm_session = Session.for_spec(active)
         warm = warm_session.run(active)
-        if warm_session.simulator.trace_store.checkpoint_hits == 0:
-            print("sampled smoke: no checkpoint was restored")
+        warm_store = warm_session.simulator.trace_store
+        if (warm_store.checkpoint_hits, warm_store.checkpoint_writes) != (
+            active.cells, 0
+        ):
+            print("sampled smoke: the warm store loaded "
+                  f"{warm_store.checkpoint_hits} checkpoints and re-warmed "
+                  f"{warm_store.checkpoint_writes} cells (expected "
+                  f"{active.cells} and 0)")
             return 1
     if not cold.digest() == memo.digest() == warm.digest():
         print(f"sampled smoke: digests diverged (cold {cold.digest()}, "

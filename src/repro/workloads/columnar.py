@@ -7,10 +7,18 @@ store pickles them as a payload of packed ``array`` columns
 the pipeline's fetch stage, the functional warmer and the Fig. 1
 analysis read them directly.
 
+* Columns whose values change per instruction are packed: ``results``
+  is an ``array('Q')``, ``addrs`` an ``array('q')``, the register
+  columns are ``array('b')`` and the byte columns (opcodes, flags,
+  kinds, eligibility) are ``bytes``.  ``pcs``, ``targets`` and
+  ``lines`` stay lists, because fetch and warming index them per
+  instruction and an array index allocates a new int each time; in
+  them equal values share one int object, so a list costs one pointer
+  per instruction.  A fresh trace and a loaded one hold the same types.
 * Static per-opcode properties are never stored.  The per-opcode flags
   fold into one *kind* byte per instruction with one C-speed
-  ``bytes.translate``; only two cheap derived columns (cache-line index
-  and RSEP eligibility) take a Python pass.
+  ``bytes.translate``; the derived ``lines`` and ``eligibles`` columns
+  are C-speed passes too.
 * ``DynInst`` rows materialise lazily, one instruction at a time, only
   when the pipeline fetches that index, and stay cached: sweeps that
   replay one trace through many mechanism cells pay for a row once per
@@ -86,7 +94,28 @@ def _kind_table() -> bytes:
 
 _OPCODE_STATICS = _opcode_statics()
 _KIND_TABLE = _kind_table()
-_NUM_OPCODES = len(Opcode)
+_OPCODE_BYTES = bytes(range(len(Opcode)))
+
+#: ``bytes.translate`` tables to 1 where each column allows RSEP
+#: eligibility (DESIGN.md §9): a destination other than none (-1, the
+#: byte 255) or the zero register, a non-branch kind, no zero idiom.
+_DEST_ELIGIBLE = bytes(int(dest not in (0xFF, XZR)) for dest in range(256))
+_KIND_ELIGIBLE = bytes(int(not kind & KIND_BRANCH) for kind in range(256))
+_FLAG_ELIGIBLE = bytes(int(not flag & ZERO_IDIOM) for flag in range(256))
+
+#: Stored payload columns: (key, type, ``array`` typecode or ``None``).
+_PAYLOAD_COLUMNS = (
+    ("pc", array, "q"), ("opcode", bytes, None), ("dest", array, "b"),
+    ("src1", array, "b"), ("src2", array, "b"), ("result", array, "Q"),
+    ("addr", array, "q"), ("target_pc", array, "q"), ("flags", bytes, None),
+)
+
+
+def _shared(column: array) -> list:
+    """*column* as a list in which equal values are one int object:
+    ``setdefault`` returns the first object it stored for a value."""
+    canonical: dict[int, int] = {}
+    return list(map(canonical.setdefault, column, column))
 
 
 class ColumnarTrace:
@@ -118,19 +147,19 @@ class ColumnarTrace:
         self.addrs = addrs
         self.targets = targets
         self.flags = flags
-        # Derived columns.  ``kinds`` is pure C (one translate);
-        # ``lines``/``eligibles`` are the only Python passes — a couple
-        # of operations per instruction, vs ~25 for an eager decode.
-        self.kinds = opcodes.translate(_KIND_TABLE)
-        self.lines = [pc >> LINE_SHIFT for pc in pcs]
-        kind_branch = KIND_BRANCH
-        zero_idiom = ZERO_IDIOM
-        xzr = XZR
-        self.eligibles = [
-            dest != -1 and dest != xzr
-            and not kind & kind_branch and not flag & zero_idiom
-            for dest, kind, flag in zip(dests, self.kinds, flags)
-        ]
+        # Derived columns, all at C speed.  ``lines`` maps each distinct
+        # PC once, so equal lines share one int as equal PCs do.
+        # ``eligibles`` ANDs three translated 0/1 byte strings, each read
+        # as one little-endian integer.
+        kinds = self.kinds = opcodes.translate(_KIND_TABLE)
+        line_of = {pc: pc >> LINE_SHIFT for pc in set(pcs)}
+        self.lines = list(map(line_of.__getitem__, pcs))
+        self.eligibles = (
+            int.from_bytes(dests.tobytes().translate(_DEST_ELIGIBLE),
+                           "little")
+            & int.from_bytes(kinds.translate(_KIND_ELIGIBLE), "little")
+            & int.from_bytes(flags.translate(_FLAG_ELIGIBLE), "little")
+        ).to_bytes(n, "little")
         self.rows: list[DynInst | None] = [None] * n
 
     # -- construction ---------------------------------------------------
@@ -139,38 +168,42 @@ class ColumnarTrace:
     def from_payload(cls, payload: dict) -> "ColumnarTrace":
         """Wrap a stored payload; no ``DynInst`` is ever constructed.
 
-        Raises ``ValueError`` on a foreign format, columns of unequal
-        length or an unknown opcode (the store treats it as a miss).
+        The packed columns are kept as they are; ``pc`` and
+        ``target_pc`` become lists with one int object per distinct
+        value.  Raises ``ValueError`` on a foreign format, a column of
+        the wrong type or typecode, columns of unequal length or an
+        unknown opcode (the store treats it as a miss).
         """
         if payload.get("format") != FORMAT:
             raise ValueError(
                 f"unsupported trace format {payload.get('format')}"
             )
         n = payload["n"]
-        if not (
-            len(payload["pc"]) == len(payload["opcode"])
-            == len(payload["dest"]) == len(payload["src1"])
-            == len(payload["src2"]) == len(payload["result"])
-            == len(payload["addr"]) == len(payload["target_pc"])
-            == len(payload["flags"]) == n
-        ):
-            raise ValueError("trace payload columns disagree on length")
-        if n and max(payload["opcode"]) >= _NUM_OPCODES:
+        for key, kind, typecode in _PAYLOAD_COLUMNS:
+            column = payload[key]
+            if type(column) is not kind or (
+                typecode is not None and column.typecode != typecode
+            ):
+                raise ValueError(f"trace payload column {key!r} has the "
+                                 "wrong type")
+            if len(column) != n:
+                raise ValueError("trace payload columns disagree on length")
+        if payload["opcode"].translate(None, _OPCODE_BYTES):
             raise ValueError("trace payload contains an unknown opcode")
         return cls(
             payload["name"], n,
-            payload["pc"].tolist(), bytes(payload["opcode"]),
-            payload["dest"].tolist(), payload["src1"].tolist(),
-            payload["src2"].tolist(), payload["result"].tolist(),
-            payload["addr"].tolist(), payload["target_pc"].tolist(),
-            bytes(payload["flags"]),
+            _shared(payload["pc"]), payload["opcode"],
+            payload["dest"], payload["src1"], payload["src2"],
+            payload["result"], payload["addr"],
+            _shared(payload["target_pc"]), payload["flags"],
         )
 
     def to_payload(self, budget: int) -> dict:
         """Pack the columns into the stored payload (no rows touched).
 
         The only packer: the trace store persists exactly this dict.
-        ``seq`` is implicit (0..n-1).
+        The packed columns go in as they are; ``seq`` is implicit
+        (0..n-1).
         """
         return {
             "format": FORMAT,
@@ -179,11 +212,11 @@ class ColumnarTrace:
             "n": self.n,
             "pc": array("q", self.pcs),
             "opcode": self.opcodes,
-            "dest": array("b", self.dests),
-            "src1": array("b", self.src1s),
-            "src2": array("b", self.src2s),
-            "result": array("Q", self.results),
-            "addr": array("q", self.addrs),
+            "dest": self.dests,
+            "src1": self.src1s,
+            "src2": self.src2s,
+            "result": self.results,
+            "addr": self.addrs,
             "target_pc": array("q", self.targets),
             "flags": self.flags,
         }

@@ -21,6 +21,7 @@ index after the loop.
 from __future__ import annotations
 
 import struct
+from array import array
 from typing import TYPE_CHECKING, Mapping
 
 from repro.common.bitops import MASK64, mask64, to_signed64
@@ -340,10 +341,13 @@ def execute(
     Returns the committed path as a :class:`ColumnarTrace`.  The loop
     appends each instruction's dynamic fields to their columns; the
     static ones (PC, opcode, sources) are gathered by static index once
-    it ends.  No ``DynInst`` is built here: rows materialise lazily, as
-    they do for a trace loaded from the store.  Execution stops early at
-    ``HALT``.  The caller may pass a pre-initialised :class:`Machine`
-    (e.g. with a data image); by default an image-less machine is used.
+    it ends, and the per-instruction values are packed into arrays
+    (DESIGN.md §9).  The PC and target lists hold the program's own int
+    objects, one per static PC.  No ``DynInst`` is built here: rows
+    materialise lazily, as they do for a trace loaded from the store.
+    Execution stops early at ``HALT``.  The caller may pass a
+    pre-initialised :class:`Machine` (e.g. with a data image); by
+    default an image-less machine is used.
     """
     m = machine if machine is not None else Machine()
     regs = m.regs
@@ -426,12 +430,14 @@ def execute(
         seq += 1
         index = next_index
 
+    # Packed once here: a list append is cheaper per instruction than
+    # an array append, and the lists die with this call.
     return ColumnarTrace(
         program.name, seq,
         list(map(pcs.__getitem__, indices)),
         bytes(map(opcodes.__getitem__, indices)),
-        dests,
-        list(map(src1s.__getitem__, indices)),
-        list(map(src2s.__getitem__, indices)),
-        results, addrs, targets, bytes(flags),
+        array("b", dests),
+        array("b", list(map(src1s.__getitem__, indices))),
+        array("b", list(map(src2s.__getitem__, indices))),
+        array("Q", results), array("q", addrs), targets, bytes(flags),
     )

@@ -19,6 +19,11 @@ them, whether it was just interpreted or loaded from the store; so the
 first cell on a trace counts those ``ColumnarTrace.row`` calls, and a
 later cell on the same trace reuses the cached rows.
 
+One cell runs observed, under the CI obs gate's setting
+(``ObsSpec(enabled=True, metrics_every=500)``), so the cost of the
+telemetry plane is pinned as exactly as the pipeline's: one more call
+per metrics sample moves it.
+
 The child's environment is built from scratch, so no ``REPRO_*``
 variable and no coverage hook reaches it.  Counts are exact within one
 Python version only: the gate runs on CPython 3.11, CI's version, and
@@ -39,12 +44,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: (benchmark, mechanism preset, warmup, measure, sampled) -> calls into
-#: this package, pinned on CPython 3.11.
+#: (benchmark, mechanism preset, warmup, measure, sampled, observed) ->
+#: calls into this package, pinned on CPython 3.11.
 PINS = {
-    ("mcf", "baseline", 1000, 4000, False): 83_109,
-    ("mcf", "rsep-realistic", 1000, 4000, False): 98_857,
-    ("mcf", "rsep-realistic", 2000, 40000, True): 245_114,
+    ("mcf", "baseline", 1000, 4000, False, False): 83_109,
+    ("mcf", "rsep-realistic", 1000, 4000, False, False): 98_857,
+    ("mcf", "rsep-realistic", 2000, 40000, True, False): 245_114,
+    ("mcf", "rsep-realistic", 1000, 4000, False, True): 101_633,
 }
 
 CHILD = r"""
@@ -52,9 +58,12 @@ import cProfile
 import json
 import os
 import sys
+import tempfile
 import types
 
 import repro
+from repro.obs.config import ObsSpec
+from repro.obs.runtime import activated
 from repro.pipeline.config import MechanismConfig
 from repro.pipeline.core import Pipeline
 from repro.pipeline.simulator import _TRACE_SLACK, Simulator
@@ -74,22 +83,27 @@ def ours(code) -> bool:
 
 simulator = Simulator(trace_store=None)
 counts = []
-for benchmark, mechanism, warmup, measure, sampled in json.load(sys.stdin):
+cells = json.load(sys.stdin)
+obs_dir = tempfile.TemporaryDirectory()
+for benchmark, mechanism, warmup, measure, sampled, observed in cells:
     trace = simulator.trace_for(benchmark, 1, warmup + measure + _TRACE_SLACK)
-    pipeline = Pipeline(trace, simulator.core_config,
-                        MechanismConfig.preset(mechanism), 1)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    if sampled:
-        run = SampledRun(pipeline, SamplingConfig(enabled=True))
-        run.warm_up(warmup)
-        run.measure(measure)
-    else:
-        pipeline.run(measure, warmup)
-    profiler.disable()
+    obs = ObsSpec(enabled=observed, dir=obs_dir.name, metrics_every=500)
+    with activated(obs):
+        pipeline = Pipeline(trace, simulator.core_config,
+                            MechanismConfig.preset(mechanism), 1)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        if sampled:
+            run = SampledRun(pipeline, SamplingConfig(enabled=True))
+            run.warm_up(warmup)
+            run.measure(measure)
+        else:
+            pipeline.run(measure, warmup)
+        profiler.disable()
     pipeline.close()
     counts.append(sum(entry.callcount for entry in profiler.getstats()
                       if ours(entry.code)))
+obs_dir.cleanup()
 print(json.dumps(counts))
 """
 
@@ -122,7 +136,8 @@ def counted() -> dict:
 )
 @pytest.mark.parametrize("cell", list(PINS), ids=[
     f"{bench}-{mechanism}-{'sampled' if sampled else 'full-detail'}"
-    for bench, mechanism, _, _, sampled in PINS
+    + ("-observed" if observed else "")
+    for bench, mechanism, _, _, sampled, observed in PINS
 ])
 def test_calls_match_the_pin(counted, cell):
     assert counted[cell] == PINS[cell], (

@@ -595,7 +595,6 @@ class TestProfiler:
 
         ok, report = overhead_gate(
             warmup=300, measure=3000, repeats=2, metrics_every=200,
-            tolerance=0.9,  # generous: the test pins identity, CI pins 5%
             obs_dir=str(tmp_path / "gate"),
         )
         assert report["stats_identical"], report

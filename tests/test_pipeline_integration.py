@@ -378,6 +378,35 @@ class TestSimulatorAndRunner:
         assert session.engine.cell_hits == 1
         assert second.digest() == first.digest()
 
+    def test_simulator_holds_one_benchmarks_traces(self, monkeypatch):
+        # Benchmark-major sweeps: each of the 4 traces is interpreted
+        # once, every seed of the current benchmark stays cached, and no
+        # trace of another benchmark is held when one is interpreted.
+        import repro.pipeline.simulator as simulator_module
+
+        simulator = Simulator(trace_store=None)
+        held_while_interpreting = []
+
+        def counting_execute(program, instructions, machine=None):
+            held_while_interpreting.append(
+                {key[0] for key in simulator._trace_cache}
+            )
+            return execute(program, instructions, machine)
+
+        monkeypatch.setattr(simulator_module, "execute", counting_execute)
+        Session(engine=SweepEngine(simulator=simulator)).run(ExperimentSpec(
+            benchmarks=["mcf", "hmmer"],
+            mechanisms=[
+                MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
+            ],
+            seeds=(1, 2), window=WindowSpec(warmup=200, measure=800),
+        ))
+        assert held_while_interpreting == [set(), {"mcf"}, set(), {"hmmer"}]
+        assert sorted(
+            (benchmark, seed)
+            for benchmark, seed, _ in simulator._trace_cache
+        ) == [("hmmer", 1), ("hmmer", 2)]
+
     def test_core_config_redirect_derivation(self):
         config = CoreConfig()
         assert (

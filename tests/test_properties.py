@@ -119,6 +119,104 @@ class TestFifoHistoryProperties:
             pushed.append(value_hash)
 
 
+class _FifoReference:
+    """The hardware FIFO by brute force: the last ``entries`` hashes in a
+    list, scanned newest first on every search."""
+
+    def __init__(self, entries: int) -> None:
+        self.entries = entries
+        self.fifo: list[int] = []
+        self.searches = self.matches = self.preferred_matches = 0
+
+    def push(self, value_hash: int) -> None:
+        self.fifo.append(value_hash)
+        del self.fifo[:-self.entries]
+
+    def find(self, value_hash, max_distance, preferred=None):
+        self.searches += 1
+        best = None
+        limit = min(self.entries, max_distance)
+        for distance, older in enumerate(reversed(self.fifo), start=1):
+            if distance > limit:
+                break
+            if older != value_hash:
+                continue
+            if preferred is not None and distance == preferred:
+                self.matches += 1
+                self.preferred_matches += 1
+                return distance
+            if best is None:
+                best = distance
+        if best is not None:
+            self.matches += 1
+        return best
+
+
+_hash = st.integers(min_value=0, max_value=5)
+_fifo_call = st.one_of(
+    st.tuples(st.just("push"), _hash),
+    st.tuples(st.just("push_group"), st.lists(_hash, max_size=6)),
+    st.tuples(st.just("find"), _hash, st.integers(1, 12),
+              st.one_of(st.none(), st.integers(1, 12))),
+    st.tuples(st.just("find_push_group"),
+              st.lists(st.tuples(_hash, st.integers(-1, 12)), max_size=6),
+              st.integers(1, 12)),
+)
+
+
+class TestFifoWindowMatchesReference:
+    """``FifoHistory`` holds only its window and answers every search
+    exactly as a brute-force FIFO of the last ``entries`` hashes does."""
+
+    @given(st.integers(min_value=1, max_value=8),
+           st.lists(_fifo_call, max_size=60))
+    @settings(max_examples=80, derandomize=True, database=None,
+              deadline=None)
+    def test_calls_results_and_counters_match(self, entries, calls):
+        history = FifoHistory(entries=entries)
+        reference = _FifoReference(entries)
+        pushed = 0
+        for call in calls:
+            kind = call[0]
+            if kind == "push":
+                assert history.push(call[1]) == pushed
+                reference.push(call[1])
+                pushed += 1
+            elif kind == "push_group":
+                history.push_group(call[1])
+                for value_hash in call[1]:
+                    reference.push(value_hash)
+                pushed += len(call[1])
+            elif kind == "find":
+                _, value_hash, max_distance, preferred = call
+                assert history.find(
+                    value_hash, max_distance, preferred
+                ) == reference.find(value_hash, max_distance, preferred)
+            else:
+                _, ops, max_distance = call
+                hashes = [value_hash for value_hash, _ in ops]
+                prefs = [pref for _, pref in ops]
+                expected = []
+                for value_hash, pref in ops:
+                    expected.append(None if pref < 0 else reference.find(
+                        value_hash, max_distance, pref or None
+                    ))
+                    reference.push(value_hash)
+                assert history.find_push_group(
+                    hashes, prefs, max_distance
+                ) == expected
+                pushed += len(ops)
+            assert history.producer_count == pushed
+            assert (history.searches, history.matches,
+                    history.preferred_matches) == (
+                reference.searches, reference.matches,
+                reference.preferred_matches)
+            held = sum(map(len, history._positions.values()))
+            assert held == min(pushed, entries)
+            assert all(history._positions.values())  # no empty bucket
+            assert len(history._window) == held
+
+
 class TestProducerWindowProperties:
     @given(st.lists(st.sampled_from(["push", "commit", "squash"]),
                     max_size=300))
@@ -180,6 +278,7 @@ class TestRngProperties:
 # ---------------------------------------------------------------------------
 
 import pickle
+from array import array
 
 import pytest
 
@@ -243,8 +342,9 @@ def _build_trace(rows) -> ColumnarTrace:
         for taken, zero_idiom, move in zip(takens, zero_idioms, moves)
     )
     return ColumnarTrace(
-        "fuzz", len(rows), pcs, bytes(opcodes), dests, src1s, src2s,
-        results, addrs, targets, flags,
+        "fuzz", len(rows), pcs, bytes(opcodes), array("b", dests),
+        array("b", src1s), array("b", src2s), array("Q", results),
+        array("q", addrs), targets, flags,
     )
 
 

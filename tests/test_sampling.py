@@ -231,6 +231,32 @@ class TestCheckpoints:
         assert second_sim.trace_store.checkpoint_writes == 0
         assert stats_dict(first.stats) == stats_dict(second.stats)
 
+    def test_warm_store_restores_every_cells_checkpoint(self, tmp_path):
+        # The grid of the end-to-end ``sampled`` workload (mcf and
+        # dealII x the default mechanisms) on a smaller window: a fresh
+        # session on the warm store restores one checkpoint per cell and
+        # re-warms none, so a restore check that refused every
+        # checkpoint would fail here, not only cost time.
+        from repro.api.session import Session
+        from repro.api.spec import (
+            ExperimentSpec, SamplingSpec, StoreSpec, WindowSpec,
+            default_mechanisms,
+        )
+
+        spec = ExperimentSpec(
+            benchmarks=("mcf", "dealII"), mechanisms=default_mechanisms(),
+            window=WindowSpec(warmup=2000, measure=8000),
+            sampling=SamplingSpec(enabled=True),
+            store=StoreSpec(path=str(tmp_path), result_lake=False),
+        )
+        cold = Session.for_spec(spec).run(spec)
+        warm_session = Session.for_spec(spec)
+        warm = warm_session.run(spec)
+        store = warm_session.simulator.trace_store
+        assert spec.cells == 4
+        assert (store.checkpoint_hits, store.checkpoint_writes) == (4, 0)
+        assert warm.digest() == cold.digest()
+
     def test_corrupt_checkpoint_falls_back_to_warming(self, tmp_path):
         store = TraceStore(tmp_path)
         simulator = Simulator(trace_store=store)
@@ -261,6 +287,30 @@ class TestCheckpoints:
         )
         with pytest.raises(CheckpointError):
             restore_checkpoint(other, payload)
+
+    @pytest.mark.parametrize("path", [
+        ("history", "_bits"), ("rsep", "pairing", "_window"),
+    ], ids=["global-history", "fifo-window"])
+    def test_snapshot_lacking_live_state_is_rejected(self, path):
+        # A checkpoint captured before a class gained state must not
+        # restore into a pipeline that keeps that state fresh.
+        simulator = Simulator(trace_store=None)
+        trace = simulator.trace_for("mcf", 1, 4000)
+        warmed = Pipeline(
+            trace, simulator.core_config, MechanismConfig.rsep_realistic(), 1
+        )
+        SampledRun(warmed, ACTIVE).warm_up(2000)
+        payload = capture_checkpoint(warmed)
+        *parents, name = path
+        node = payload["roots"][parents[0]]
+        for parent in parents[1:]:
+            node = node["a"][parent]
+        del node["a"][name]
+        fresh = Pipeline(
+            trace, simulator.core_config, MechanismConfig.rsep_realistic(), 1
+        )
+        with pytest.raises(CheckpointError, match=repr(name)):
+            restore_checkpoint(fresh, payload)
 
     def test_state_roundtrip_in_place(self):
         """Restore writes into the live structures without rebinding."""

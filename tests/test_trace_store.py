@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
+import tracemalloc
+from array import array
 
 import pytest
 
 from repro.isa.instruction import DynInst
 from repro.pipeline.config import MechanismConfig
-from repro.pipeline.simulator import Simulator
+from repro.pipeline.simulator import Simulator, load_or_interpret
 from repro.workloads.columnar import ColumnarTrace
-from repro.workloads.spec2006 import generate_trace
+from repro.workloads.spec2006 import build_benchmark, generate_trace
 from repro.workloads.store import TraceStore, workload_code_version
+from repro.workloads.trace import execute
 
 from helpers import (  # noqa: E402  (shared test helpers)
     assert_rows_equal,
@@ -200,6 +204,26 @@ class TestCorruptionRecovery:
         assert store.load("mcf", 1, 500, version) is None
         assert store.recovered == 1
 
+    @pytest.mark.parametrize("column, value", [
+        ("result", lambda column: array("q", column.tobytes())),
+        ("dest", lambda column: column.tolist()),
+        ("pc", lambda column: array("Q", column.tobytes())),
+        ("flags", bytearray),
+    ], ids=["typecode", "list", "pc-typecode", "bytearray"])
+    def test_wrong_column_type_is_a_miss(self, tmp_path, column, value):
+        store = TraceStore(tmp_path)
+        version = workload_code_version()
+        store.save(generate_trace("mcf", 500, seed=1), "mcf", 1, 500,
+                   version)
+        path = self._stored_path(store)
+        payload = pickle.loads(path.read_bytes())
+        payload[column] = value(payload[column])
+        with pytest.raises(ValueError, match=repr(column)):
+            ColumnarTrace.from_payload(payload)
+        path.write_bytes(pickle.dumps(payload))
+        assert store.load("mcf", 1, 500, version) is None
+        assert (store.misses, store.recovered) == (1, 1)
+
     def test_unwritable_root_is_non_fatal(self, tmp_path):
         blocked = tmp_path / "not-a-dir"
         blocked.write_text("file, not a directory")
@@ -296,3 +320,63 @@ class TestTracePlaneSelection:
 
         reference = [reference_row(stored, i) for i in range(len(stored))]
         assert rows(reference) == rows(columnar) == rows(fresh)
+
+
+class TestCompactColumns:
+    """A trace holds about 58 bytes per instruction, fresh or loaded
+    (DESIGN.md §9): packed per-instruction columns, and PC lists whose
+    equal values share one int object."""
+
+    #: The sampled 200k sweep's trace length: 8,000 + 200,000 + slack.
+    N = 212_096
+    BOUND = 16_000_000  # bytes; the list-column layout retained 26-36 MB
+
+    @staticmethod
+    def _retained(build):
+        """``(result, bytes it still holds)`` of *build* under tracemalloc."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = build()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return result, retained
+
+    def test_interpreted_trace_retains_at_most_16_mb(self):
+        built = build_benchmark("mcf", 1)
+        trace, retained = self._retained(
+            lambda: execute(built.program, self.N, built.machine())
+        )
+        assert len(trace) == self.N
+        assert retained <= self.BOUND, retained
+
+    def test_loaded_trace_retains_at_most_16_mb(self, tmp_path):
+        store = TraceStore(tmp_path)
+        version = workload_code_version()
+        load_or_interpret(store, "mcf", 1, self.N, version)
+        loaded, retained = self._retained(
+            lambda: store.load("mcf", 1, self.N, version)
+        )
+        assert loaded is not None and len(loaded[0]) == self.N
+        assert retained <= self.BOUND, retained
+
+    def test_fresh_and_loaded_traces_share_one_representation(self):
+        fresh = generate_trace("gcc", 3000, seed=2)
+        loaded = ColumnarTrace.from_payload(pickle.loads(pickle.dumps(
+            fresh.to_payload(3000), protocol=pickle.HIGHEST_PROTOCOL
+        )))
+        for name in ColumnarTrace.__slots__:
+            a, b = getattr(fresh, name), getattr(loaded, name)
+            assert type(a) is type(b), name
+            assert getattr(a, "typecode", None) == getattr(
+                b, "typecode", None
+            ), name
+        for trace in (fresh, loaded):
+            assert type(trace.results) is array
+            for column in (trace.pcs, trace.targets, trace.lines):
+                assert type(column) is list
+                assert len({id(value) for value in column}) == len(
+                    set(column)
+                )
