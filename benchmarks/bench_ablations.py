@@ -10,8 +10,9 @@
 
 import dataclasses
 
-from conftest import bench_windows, run_ablation
+from conftest import run_ablation
 
+from repro.api import WindowSpec
 from repro.common.rng import XorShift64
 from repro.core.hashing import hash_collision_rate
 from repro.core.rsep import RsepConfig
@@ -177,18 +178,20 @@ def test_predictor_kind(benchmark):
 
 
 def run_comparator_study():
-    warmup, measure = bench_windows()
+    window = WindowSpec.from_env()
     groups = {}
     # Traces via the shared engine's simulator: served by the persistent
     # store / in-memory cache instead of a private re-interpretation,
     # sized exactly like Simulator.run_benchmark sizes them.
     simulator = shared_engine().simulator
     for name in ("lbm", "gamess", "gobmk", "mcf"):
-        trace = simulator.trace_for(name, 1, warmup + measure + _TRACE_SLACK)
+        trace = simulator.trace_for(
+            name, 1, window.warmup + window.measure + _TRACE_SLACK
+        )
         pipeline = Pipeline(
             trace, mechanisms=MechanismConfig.rsep_ideal(), seed=1
         )
-        pipeline.run(measure, warmup=warmup)
+        pipeline.run(window.measure, warmup=window.warmup)
         groups[name] = pipeline.rsep.pairing
     table = Table(["benchmark", "<=4 comparators", "<=6 comparators"])
     for name, pairing in groups.items():

@@ -2,11 +2,12 @@
 RSEP (ideal), value prediction, and RSEP + VP.
 
 Thin shell: the mechanisms, spec and formatter live in
-:mod:`repro.api.figures`; this bench only supplies the bench-scale
-window/benchmark overlay and the acceptance assertions.
+:mod:`repro.api.figures`; this bench only supplies the benchmark overlay
+and the acceptance assertions (the window is the environment's, as for
+``repro figures``).
 """
 
-from conftest import bench_benchmarks, bench_session, bench_window_spec
+from conftest import bench_benchmarks, bench_session
 
 from repro.api.figures import FIG4_MECHANISMS as MECHANISMS  # noqa: F401
 from repro.api.figures import run_figure
@@ -17,7 +18,6 @@ def run_fig4():
         "fig4",
         session=bench_session(),
         benchmarks=bench_benchmarks(),
-        window=bench_window_spec(),
     )
     print(text)
     return result

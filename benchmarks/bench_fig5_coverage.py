@@ -4,7 +4,7 @@ mechanism — RSEP alone, then VP on top of RSEP.
 Thin shell over :mod:`repro.api.figures` (spec + formatter live there).
 """
 
-from conftest import bench_benchmarks, bench_session, bench_window_spec
+from conftest import bench_benchmarks, bench_session
 
 from repro.api.figures import run_figure
 
@@ -14,7 +14,6 @@ def run_fig5():
         "fig5",
         session=bench_session(),
         benchmarks=bench_benchmarks(),
-        window=bench_window_spec(),
     )
     print(text)
     return result

@@ -5,7 +5,7 @@ issue-twice to any FU, and issue-twice-any-FU with sampling at start-train
 thresholds 15 and 63.  Thin shell over :mod:`repro.api.figures`.
 """
 
-from conftest import bench_benchmarks, bench_session, bench_window_spec
+from conftest import bench_benchmarks, bench_session
 
 from repro.api.figures import FIG6_VARIANTS as VARIANTS
 from repro.api.figures import run_figure
@@ -16,7 +16,6 @@ def run_fig6():
         "fig6",
         session=bench_session(),
         benchmarks=bench_benchmarks(),
-        window=bench_window_spec(),
     )
     print(text)
     return result

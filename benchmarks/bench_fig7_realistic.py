@@ -6,7 +6,7 @@ Thin shell over :mod:`repro.api.figures` (the formatter also prints the
 realistic configuration's storage report).
 """
 
-from conftest import bench_benchmarks, bench_session, bench_window_spec
+from conftest import bench_benchmarks, bench_session
 
 from repro.api.figures import run_figure
 
@@ -16,7 +16,6 @@ def run_fig7():
         "fig7",
         session=bench_session(),
         benchmarks=bench_benchmarks(),
-        window=bench_window_spec(),
     )
     print(text)
     return result

@@ -4,7 +4,7 @@
 Thin shell over :mod:`repro.api.figures`.
 """
 
-from conftest import bench_benchmarks, bench_session, bench_window_spec
+from conftest import bench_benchmarks, bench_session
 
 from repro.api.figures import run_figure
 
@@ -14,7 +14,6 @@ def run_table1():
         "table1",
         session=bench_session(),
         benchmarks=bench_benchmarks(),
-        window=bench_window_spec(),
     )
     print(text)
     return result

@@ -1,9 +1,11 @@
-"""Shared fixtures and window configuration for the figure benches.
+"""Shared helpers for the figure benches.
 
-Timing benches default to a representative benchmark subset and laptop
-windows so `pytest benchmarks/ --benchmark-only` completes in minutes.
-Set ``REPRO_FULL=1`` for all 29 benchmarks and ``REPRO_WARMUP`` /
-``REPRO_MEASURE`` / ``REPRO_SEEDS`` for higher fidelity.
+Timing benches default to a representative benchmark subset and the
+environment's window (``WindowSpec.from_env()``, 8000 + 20000, the one
+``repro figures`` uses) so `pytest benchmarks/ --benchmark-only`
+completes in minutes.  Set ``REPRO_FULL=1`` for all 29 benchmarks and
+``REPRO_WARMUP`` / ``REPRO_MEASURE`` / ``REPRO_SEEDS`` for higher
+fidelity.
 
 The figure benches run through the spec API (:mod:`repro.api.figures`):
 :func:`bench_session` is a default :class:`~repro.api.Session`, so all
@@ -15,9 +17,7 @@ simulated exactly once per session).  :func:`run_ablation` runs the
 ablation studies' specs on that same session.
 """
 
-import pytest
-
-from repro.api import ExperimentSpec, RunResult, Session, WindowSpec
+from repro.api import ExperimentSpec, RunResult, Session
 from repro.api import env as api_env
 from repro.workloads.spec2006 import benchmark_names, representative_names
 
@@ -32,29 +32,15 @@ def bench_benchmarks() -> list[str]:
     return representative_names()
 
 
-def bench_windows() -> tuple[int, int]:
-    return api_env.window_from_env(default_measure=24000)
-
-
-def bench_window_spec() -> WindowSpec:
-    warmup, measure = bench_windows()
-    return WindowSpec(warmup=warmup, measure=measure)
-
-
 def bench_session() -> Session:
     """A session on the process-wide shared sweep engine."""
     return Session()
 
 
 def run_ablation(benchmarks: list[str], mechanisms) -> RunResult:
-    """One ablation sweep at the bench window on the shared session."""
+    """One ablation sweep at the environment's window on the shared
+    session."""
     spec = ExperimentSpec.from_env(
         benchmarks=benchmarks, mechanisms=mechanisms,
-        window=bench_window_spec(),
     )
     return bench_session().run(spec)
-
-
-@pytest.fixture(scope="session")
-def windows():
-    return bench_windows()

@@ -2,12 +2,11 @@
 
 Subcommands::
 
-    repro sweep    run (or smoke-gate) a benchmark × mechanism sweep
+    repro sweep    run a benchmark × mechanism sweep
     repro figures  regenerate the paper's figures from declarative specs
     repro inspect  the one reader: artifacts, the result lake, event logs
                    (optionally followed), or the environment overlay
     repro profile  per-stage wall attribution and KIPS per benchmark
-                   (+ the obs overhead gate)
     repro serve    cluster host on TCP: shards in, verified out
 
 Every run subcommand builds an :class:`~repro.api.spec.ExperimentSpec`
@@ -154,27 +153,10 @@ def _print_holes(holes) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    if args.smoke:
-        ignored = [
-            flag for flag, value in (
-                ("--benchmark", args.benchmarks),
-                ("--mechanism", args.mechanisms),
-                ("--seeds", args.seeds), ("--warmup", args.warmup),
-                ("--measure", args.measure), ("--json", args.json),
-            ) if value is not None
-        ]
-        if ignored:
-            print("repro sweep --smoke runs a fixed gate; it cannot take "
-                  f"{', '.join(ignored)}", file=sys.stderr)
-            return 2
-        from repro.service.smoke import smoke
-
-        return smoke(sampled=args.sampled, lake=args.lake,
-                     shards=args.shards, hosts=args.hosts)
-    sampling = None
-    store = None
     from dataclasses import replace
 
+    sampling = None
+    store = None
     if args.sampled:
         sampling = replace(api_env.sampling_from_env(), enabled=True)
     if args.lake:
@@ -592,28 +574,14 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from dataclasses import replace
+
     from repro.obs.profile import (
         DEFAULT_BENCHMARKS,
-        overhead_gate,
         phase_profile,
-        render_gate,
         render_profile,
         write_json,
     )
-
-    if args.gate:
-        try:
-            ok, report = overhead_gate(repeats=args.repeats)
-        except ValueError as error:
-            print(f"repro profile: {error}", file=sys.stderr)
-            return 2
-        print(render_gate(report))
-        if args.json:
-            write_json(report, args.json)
-            print(f"wrote {args.json}")
-        return 0 if ok else 1
-    from dataclasses import replace
-
     from repro.sampling import SamplingConfig
 
     sampling = (
@@ -661,7 +629,7 @@ def _cmd_serve(args) -> int:
             started.cancel()
             task.result()  # serve() ended before binding: raise why
         # The tcp= line is machine-readable on purpose: with port 0 it
-        # is how a parent (the loopback cluster smoke) learns the real
+        # is how a parent that spawned this host learns the real
         # ephemeral port.
         host, port = server.bound_address
         print(f"repro serve: tcp={host}:{port}", flush=True)
@@ -697,22 +665,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sweep = sub.add_parser(
-        "sweep", help="run (or smoke-gate) a benchmark × mechanism sweep"
+        "sweep", help="run a benchmark × mechanism sweep"
     )
-    sweep.add_argument("--smoke", action="store_true",
-                       help="CI gates (repro.service.smoke): cold == "
-                       "memoised == warm-store, then the gate of each of "
-                       "--sampled, --lake and --shards/--hosts, in that "
-                       "order; stops at the first failure")
     sweep.add_argument("--sampled", action="store_true",
                        help="run interval-sampled (REPRO_INTERVAL and "
-                       "friends); with --smoke: also gate sampled "
-                       "simulation")
+                       "friends)")
     sweep.add_argument("--lake", action="store_true",
                        help="serve cells from (and populate) the "
-                       "spec-level result lake in the trace store; with "
-                       "--smoke: run the incremental-sweep gate (a fresh "
-                       "process on a warm lake must simulate zero cells)")
+                       "spec-level result lake in the trace store")
     sweep.add_argument("--benchmark", action="append", dest="benchmarks",
                        metavar="NAME",
                        help="benchmark (repeatable; default: the "
@@ -730,13 +690,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measured instructions (default: REPRO_MEASURE)")
     sweep.add_argument("--shards", type=int, default=None,
                        help="fault-tolerant sharded service shard count "
-                       "(default: REPRO_SHARDS; 0/1 = in-process); with "
-                       "--smoke: run the fault-injected sharded gate")
+                       "(default: REPRO_SHARDS; 0/1 = in-process)")
     sweep.add_argument("--hosts", metavar="LIST", default=None,
                        help="run clustered across remote `repro serve "
                        "--tcp` hosts, e.g. a:9091,b:9091 (default: "
-                       "REPRO_HOSTS); with --smoke: 'loopback' runs the "
-                       "loopback-cluster gate")
+                       "REPRO_HOSTS)")
     sweep.add_argument("--json", metavar="PATH", default=None,
                        help="write the RunResult artifact to PATH")
 
@@ -785,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile", help="per-stage wall attribution and KIPS per "
-        "benchmark (+ the obs overhead gate)"
+        "benchmark"
     )
     profile.add_argument("--benchmark", action="append", dest="benchmarks",
                          metavar="NAME",
@@ -801,13 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--full-detail", action="store_true",
                          help="profile a full-detail run instead of a "
                          "sampled one (no warm phase)")
-    profile.add_argument("--gate", action="store_true",
-                         help="CI obs gate: stats with obs on must equal "
-                         "stats with obs off (KIPS printed for "
-                         "information)")
-    profile.add_argument("--repeats", type=int, default=3,
-                         help="with --gate: interleaved A/B repeats "
-                         "(default: 3)")
     profile.add_argument("--json", metavar="PATH", default=None,
                          help="also write the payload as JSON")
 

@@ -156,18 +156,12 @@ def warn_unknown_vars(
 # ---------------------------------------------------------------------------
 
 
-def window_from_env(
-    default_warmup: int = 8000, default_measure: int = 20000
-) -> tuple[int, int]:
-    """(warmup, measure) instruction counts after ``REPRO_SCALE``.
-
-    The defaults are overridable because the figure benches historically
-    default to a slightly larger measured window (24000) than the
-    library (20000); both read the same variables.
-    """
+def window_from_env() -> tuple[int, int]:
+    """(warmup, measure) instruction counts after ``REPRO_SCALE``
+    (default 8000 + 20000, one window for every figure)."""
     scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    warmup = int(os.environ.get("REPRO_WARMUP", str(default_warmup)))
-    measure = int(os.environ.get("REPRO_MEASURE", str(default_measure)))
+    warmup = int(os.environ.get("REPRO_WARMUP", "8000"))
+    measure = int(os.environ.get("REPRO_MEASURE", "20000"))
     return max(256, int(warmup * scale)), max(512, int(measure * scale))
 
 

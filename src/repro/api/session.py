@@ -4,7 +4,7 @@ A session owns the infrastructure — the shared trace store and the
 memoising sweep engine — and exposes one operation, ``run(spec) ->
 RunResult``, plus its sharded and clustered fan-outs.  It is the one
 way experiments reach the simulator: the CLI, the figure pipeline, the
-benches, the examples and the CI gates all run specs here.  It routes
+benches, the examples and the tests all run specs here.  It routes
 into the :class:`~repro.harness.sweep.SweepEngine`, so every guarantee
 that engine gives (interpret once per machine, simulate each unique
 cell once per process) holds, and each cell's stats are bit-identical

@@ -63,8 +63,8 @@ class StoreSpec:
     additionally serves per-cell ``Stats`` artifacts from the store
     before simulating and populates them after (DESIGN.md §14).  None
     of these affect simulation *results* (lake-served cells are
-    digest-identical to fresh runs, gated by the incremental-sweep CI
-    gate), so the store never joins the spec fingerprint.
+    digest-identical to fresh runs, ``tests/test_result_lake.py``), so
+    the store never joins the spec fingerprint.
     """
 
     path: str | None = None

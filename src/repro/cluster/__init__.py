@@ -15,8 +15,8 @@ One ``repro sweep`` driving many ``repro serve --tcp`` hosts:
   :class:`~repro.service.supervisor.ShardSupervisor` uses in place of
   forked workers; hosts only simulate, the coordinator owns the lake.
 
-The loopback-cluster CI gate is one backend of
-:func:`repro.service.smoke.fault_smoke`.
+``tests/test_cluster.py`` drives it on in-process hosts and on two real
+``repro serve --tcp`` processes, one of which a ``crash`` fault kills.
 """
 
 from repro.cluster.framing import (  # noqa: F401

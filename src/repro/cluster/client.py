@@ -106,7 +106,7 @@ def submit_shard(
 
     *fault* rides along for the deterministic fault plane — the remote
     worker honours it exactly like a forked worker would, which is what
-    lets the loopback CI gate crash a real remote host on purpose.
+    lets a test crash a real ``repro serve`` process on purpose.
     """
     message: dict = {"op": "shard", "shard": shard_payload}
     if fault is not None:

@@ -1,6 +1,6 @@
 """Shared sweep engine: interpret once, simulate each unique cell once.
 
-Every figure bench, ablation, example and CI gate ultimately runs the
+Every figure bench, ablation, example and test ultimately runs the
 same kind of sweep — benchmark × mechanism × seed cells over a common
 window — through :class:`repro.api.Session`, which routes every spec
 into this engine.  Without it the same functional trace would be
@@ -28,9 +28,9 @@ and its workers run the misses through :meth:`SweepEngine.run_cell`,
 lake off, on the shared on-disk trace store, so even a cold sharded
 sweep interprets each trace once per machine.
 
-``repro sweep --smoke`` (:mod:`repro.service.smoke`) is the CI gate: it
-runs a tiny sweep cold, re-runs it through the memo and through a fresh
-engine on the warmed store, and fails if any path disagrees.
+``tests/test_sweep_engine.py`` and ``tests/test_trace_store.py`` run a
+sweep cold, through the memo and through a fresh engine on the warmed
+store, and fail if any path disagrees.
 """
 
 from __future__ import annotations

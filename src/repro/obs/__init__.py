@@ -17,9 +17,9 @@ on a ``repro`` command line, which installs one for the whole command):
   (excluded from the content digest, so obs on/off runs stay
   digest-identical).
 
-:mod:`repro.obs.profile` is the phase profiler behind ``repro profile``
-and the CI overhead gate; it is imported lazily (never from here) so the
-observability plane itself stays dependency-free.
+:mod:`repro.obs.profile` is the phase profiler behind ``repro profile``;
+it is imported lazily (never from here) so the observability plane
+itself stays dependency-free.
 """
 
 from repro.obs.config import ObsSpec

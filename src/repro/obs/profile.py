@@ -1,32 +1,25 @@
-"""The phase profiler behind ``repro profile`` (and the CI obs gate).
+"""The phase profiler behind ``repro profile``.
 
-Two tools in one module:
-
-* :func:`phase_profile` times one fresh pipeline per benchmark, its
-  trace built (and timed as ``interp``) outside the run, with every
-  pipeline stage wrapped in a wall-clock accumulator, and emits one
-  comparable, versioned JSON payload: the stage split plus a KIPS row
-  per benchmark.  Stage wrapping is instance-attribute shadowing — the
-  same binding trick the generated loops use — so whatever stage is
-  installed is exactly what gets attributed.
-* :func:`overhead_gate` is the observability plane's own CI gate: it
-  runs the identical cell with obs off and on (interleaved repeats) and
-  requires the obs-on stats to equal the obs-off stats field for field.
-  It prints each arm's best-of KIPS for information only.
+:func:`phase_profile` times one fresh pipeline per benchmark, its trace
+built (and timed as ``interp``) outside the run, with every pipeline
+stage wrapped in a wall-clock accumulator, and emits one comparable,
+versioned JSON payload: the stage split plus a KIPS row per benchmark.
+Stage wrapping is instance-attribute shadowing — the same binding trick
+the generated loops use — so whatever stage is installed is exactly
+what gets attributed.
 
 Timing wrappers cost real wall (5 ``perf_counter`` pairs per cycle), so
 profiled KIPS read below an uninstrumented run's (the end-to-end
 benchmark in ``e2ebench/`` times those); compare them only with other
 profiles.  Host clocks wobble, so no gate reads them: the exact perf
-gate counts calls into this package per fixed cell, the obs-on cell
-included (``tests/test_call_counts.py``).
+gate counts calls into this package per fixed cell, an observed cell
+included (``tests/test_call_counts.py``), and the obs plane's
+bit-identity is a tier-1 test (``tests/test_obs.py::TestBitIdentity``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import tempfile
 import time
 
 #: Profile payload layout version.
@@ -206,105 +199,6 @@ def render_profile(payload: dict) -> str:
             f"{row['wall_seconds']:>10.3f} {row['kips_instrumented']:>8.1f}"
         )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# The observability overhead gate (CI)
-# ---------------------------------------------------------------------------
-
-
-def overhead_gate(
-    benchmark: str = "mcf",
-    mechanism_name: str = "rsep-realistic",
-    warmup: int = 2000,
-    measure: int = 12000,
-    repeats: int = 3,
-    metrics_every: int = 500,
-    obs_dir: str | None = None,
-    seed: int = 1,
-) -> tuple[bool, dict]:
-    """A/B-verify the obs-on plane: bit-identical stats.
-
-    Returns ``(ok, report)``: ``ok`` requires the on-arm stats to equal
-    the off-arm stats field for field.  Repeats alternate off/on, and
-    the report carries each arm's best-of KIPS for information: wall
-    clock follows the host, so the obs-on arm's cost is bounded by its
-    pinned call count instead (``tests/test_call_counts.py``).  The off
-    arm must really run unobserved, so a call under an installed
-    runtime (``REPRO_OBS=1 repro profile --gate``) is refused.
-    """
-    from repro.harness.sweep import shared_engine
-    from repro.obs import runtime as obs_runtime
-    from repro.obs.config import ObsSpec
-    from repro.pipeline.config import MechanismConfig
-    from repro.pipeline.core import Pipeline
-    from repro.pipeline.simulator import _TRACE_SLACK
-
-    if obs_runtime.current() is not None:
-        raise ValueError(
-            "the overhead gate needs an unobserved process for its off "
-            "arm; unset REPRO_OBS"
-        )
-    clock = time.perf_counter
-    simulator = shared_engine().simulator
-    mechanism = MechanismConfig.preset(mechanism_name)
-    trace = simulator.trace_for(
-        benchmark, seed, warmup + measure + _TRACE_SLACK
-    )
-    if obs_dir is None:
-        obs_dir = tempfile.mkdtemp(prefix="repro-obs-gate-")
-    best: dict[str, float | None] = {"off": None, "on": None}
-    observed_stats: dict[str, dict] = {}
-    arm_spec = {
-        "off": None,
-        "on": ObsSpec(enabled=True, dir=obs_dir,
-                      metrics_every=metrics_every),
-    }
-    for _ in range(max(1, repeats)):
-        for arm in ("off", "on"):
-            with obs_runtime.activated(arm_spec[arm]):
-                pipeline = Pipeline(
-                    trace, simulator.core_config, mechanism, seed
-                )
-                start = clock()
-                stats = pipeline.run(measure, warmup)
-                wall = clock() - start
-            pipeline.close()
-            observed_stats[arm] = dataclasses.asdict(stats)
-            simulated = pipeline.total_committed
-            if best[arm] is None or wall < best[arm]:
-                best[arm] = wall
-    kips = {
-        arm: simulated / best[arm] / 1000.0 for arm in ("off", "on")
-    }
-    identical = observed_stats["off"] == observed_stats["on"]
-    report = {
-        "benchmark": benchmark,
-        "mechanism": mechanism.name,
-        "warmup": warmup,
-        "measure": measure,
-        "repeats": repeats,
-        "metrics_every": metrics_every,
-        "kips_off": round(kips["off"], 1),
-        "kips_on": round(kips["on"], 1),
-        "overhead_pct": round(100.0 * (1.0 - kips["on"] / kips["off"]), 2),
-        "stats_identical": identical,
-        "ok": identical,
-    }
-    return report["ok"], report
-
-
-def render_gate(report: dict) -> str:
-    verdict = "ok" if report["ok"] else "FAILED"
-    return (
-        f"obs overhead gate: {report['benchmark']} × {report['mechanism']} "
-        f"(best of {report['repeats']})\n"
-        f"  off: {report['kips_off']:.1f} KIPS   "
-        f"on: {report['kips_on']:.1f} KIPS   "
-        f"overhead {report['overhead_pct']:+.1f}% (information only)\n"
-        f"  stats bit-identical: {report['stats_identical']}\n"
-        f"  -> {verdict}"
-    )
 
 
 def write_json(payload: dict, path: str) -> None:

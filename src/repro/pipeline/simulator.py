@@ -223,9 +223,11 @@ class Simulator:
                     try:
                         restore_checkpoint(pipeline, payload)
                         restored = True
+                        store.checkpoint_hits += 1
                     except Exception:
-                        # Stale/foreign payload: the pipeline may be half
-                        # mutated — rebuild and warm from scratch.
+                        # Stale/foreign payload: a miss.  The pipeline may
+                        # be half mutated — rebuild and warm from scratch.
+                        store.checkpoint_misses += 1
                         pipeline.close()
                         pipeline = Pipeline(
                             trace, self.core_config, mechanisms, seed

@@ -8,10 +8,9 @@ reassignment and quarantine (:mod:`~repro.service.supervisor`), and
 merges the digest-verified shard artifacts back into one
 :class:`~repro.api.result.RunResult` that is bit-identical to an
 in-process run.  A deterministic fault-injection plane
-(:mod:`~repro.service.faults`, ``REPRO_FAULTS``) lets tests and the CI
-smoke gates (:mod:`~repro.service.smoke`) exercise every failure path,
-and :mod:`~repro.service.server` runs shards for a cluster coordinator
-(``repro serve``).
+(:mod:`~repro.service.faults`, ``REPRO_FAULTS``) lets the tests exercise
+every failure path, and :mod:`~repro.service.server` runs shards for a
+cluster coordinator (``repro serve``).
 """
 
 from repro.service.faults import FaultPlan, FaultPlanError

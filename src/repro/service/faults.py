@@ -3,12 +3,12 @@
 A :class:`FaultPlan` names exactly which shard attempts fail and how, so
 every failure path of the supervisor — worker death, hang, corrupt or
 tampered artifacts, poison shards — is exercised deterministically by
-tests and the CI smoke gate rather than waiting for production to
-discover them.  The plan is plain data: it parses from the
-``REPRO_FAULTS`` environment variable (or a constructor argument),
-serialises back to the same text, and travels to worker processes inside
-the shard payload — workers never consult ambient environment state, so
-a plan replays identically anywhere.
+the tests rather than waiting for production to discover them.  The
+plan is plain data: it parses from the ``REPRO_FAULTS`` environment
+variable (or a constructor argument), serialises back to the same text,
+and travels to worker processes inside the shard payload — workers
+never consult ambient environment state, so a plan replays identically
+anywhere.
 
 Grammar (comma-separated entries)::
 
@@ -28,7 +28,7 @@ Grammar (comma-separated entries)::
   exhausted and the supervisor quarantines it).
 
 Examples: ``crash:0,corrupt:1`` (first attempts fail, retries succeed —
-the CI gate), ``crash:2:*`` (shard 2 is poison).
+what the fault tests inject), ``crash:2:*`` (shard 2 is poison).
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ The shard op is what a cluster coordinator's
 work order's embedded store path is coordinator-local and deliberately
 ignored) with the result lake off, and honours the coordinator's
 injected fault exactly like a forked worker would — ``crash`` really
-kills the whole server process, which is what makes the loopback CI
-gate's host-failover scenario honest.
+kills the whole server process, which is what makes the real-host
+failover test in ``tests/test_cluster.py`` honest.
 """
 
 from __future__ import annotations

@@ -30,8 +30,9 @@ supervisor owns what happens next:
 
 Because every cell is deterministic and every artifact digest-verified,
 a merged sharded run — even one that crashed, hung and corrupted its way
-through retries — is bit-identical to an unfaulted in-process run; the
-CI smoke gate (:mod:`repro.service.smoke`) pins exactly that.
+through retries — is bit-identical to an unfaulted in-process run;
+``tests/test_service.py`` (forked workers) and ``tests/test_cluster.py``
+(hosts, real ``repro serve`` processes included) pin exactly that.
 """
 
 from __future__ import annotations

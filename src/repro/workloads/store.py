@@ -297,7 +297,8 @@ class TraceStore:
 
         Unreadable files (truncated, corrupt, foreign format) are
         misses; the caller re-warms and :meth:`save_checkpoint`
-        overwrites the bad artifact.
+        overwrites the bad artifact.  A loaded payload is not yet a
+        hit: the caller counts one when it restores the payload.
         """
         path = self.checkpoint_path(benchmark, seed, token)
         try:
@@ -308,7 +309,6 @@ class TraceStore:
         except Exception:
             self.checkpoint_misses += 1
             return None
-        self.checkpoint_hits += 1
         return payload
 
     def save_checkpoint(

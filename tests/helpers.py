@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def stats_dict(stats) -> dict:
@@ -121,3 +128,60 @@ class ServerThread:
         if fault is not None:
             message["fault"] = fault
         return client.call(self.address, message, timeout=60.0)
+
+
+#: How ``repro serve`` announces the port it bound.
+_ANNOUNCE = re.compile(r"tcp=([0-9.]+):(\d+)")
+#: Seconds a spawned host may take to announce its port.
+_ANNOUNCE_DEADLINE = 30.0
+
+
+def spawn_host(**extra_env: str) -> tuple[subprocess.Popen, str]:
+    """One ``repro serve --tcp 127.0.0.1:0`` child process.
+
+    It runs this checkout's sources with no ambient ``REPRO_*`` state,
+    no trace store and *extra_env* (e.g. ``REPRO_OBS="1"``), with its
+    stderr merged into ``process.stdout``.  Returns ``(process,
+    "host:port")`` once the child announces its ephemeral port
+    (``RuntimeError`` if it has not within ``_ANNOUNCE_DEADLINE``);
+    stop it with :func:`stop_host`.
+    """
+    env = {
+        name: value for name, value in os.environ.items()
+        if not name.startswith("REPRO_")
+    }
+    env["PYTHONPATH"] = str(SRC)
+    env["REPRO_TRACE_STORE"] = "off"
+    env.update(extra_env)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
+    )
+    # A child still silent at the deadline is killed, which ends the
+    # read below with EOF.
+    deadline = threading.Timer(_ANNOUNCE_DEADLINE, process.kill)
+    deadline.start()
+    try:
+        for line in process.stdout:
+            match = _ANNOUNCE.search(line)
+            if match:
+                return process, f"{match.group(1)}:{match.group(2)}"
+    finally:
+        deadline.cancel()
+    stop_host(process)
+    raise RuntimeError(
+        f"repro serve never announced its port (exit {process.returncode})"
+    )
+
+
+def stop_host(process: subprocess.Popen) -> None:
+    """Terminate a :func:`spawn_host` child (if still alive) and reap it."""
+    if process.poll() is None:
+        process.terminate()
+        try:
+            process.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait(timeout=10.0)
+    process.stdout.close()

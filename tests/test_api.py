@@ -702,60 +702,6 @@ class TestCliSweep:
         artifact = RunResult.load(out)
         assert {c.mechanism for c in artifact.cells} == {"baseline", "rsep"}
 
-    def test_smoke_flag_delegates_to_the_gate(self, capsys):
-        from repro.api.cli import main
-
-        assert main(["sweep", "--smoke"]) == 0
-        assert "sweep smoke: cold == memoised == warm-store" in (
-            capsys.readouterr().out
-        )
-
-    @staticmethod
-    def _record_gates(monkeypatch, failing: str | None = None) -> list:
-        """Replace each smoke gate by a recorder; *failing* returns 1."""
-        from repro.service import smoke
-
-        ran = []
-
-        def gate(name):
-            def run(**kwargs):
-                ran.append((name, kwargs))
-                return 1 if name == failing else 0
-            return run
-
-        for name in ("sweep", "sampled", "lake", "fault"):
-            monkeypatch.setattr(smoke, f"{name}_smoke", gate(name))
-        return ran
-
-    def test_smoke_runs_every_requested_gate_in_order(self, monkeypatch):
-        from repro.api.cli import main
-
-        ran = self._record_gates(monkeypatch)
-        assert main(["sweep", "--smoke", "--hosts", "loopback", "--lake",
-                     "--shards", "3", "--sampled"]) == 0
-        assert ran == [
-            ("sweep", {}), ("sampled", {}), ("lake", {}),
-            ("fault", {"loopback": True, "shards": 3}),
-        ]
-
-    def test_smoke_stops_at_the_first_failing_gate(self, monkeypatch):
-        from repro.api.cli import main
-
-        ran = self._record_gates(monkeypatch, failing="lake")
-        assert main(["sweep", "--smoke", "--lake", "--shards", "2"]) == 1
-        assert [name for name, _ in ran] == ["sweep", "lake"]
-
-    def test_smoke_runs_the_lake_and_sharded_gates_together(
-        self, capsys, monkeypatch
-    ):
-        from repro.api.cli import main
-
-        monkeypatch.setenv("REPRO_FAULTS", "crash:0,corrupt:1")
-        assert main(["sweep", "--smoke", "--lake", "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        for gate in ("sweep smoke:", "lake smoke:", "sharded smoke:"):
-            assert gate in out
-
     def test_sampled_flag_enables_interval_sampling(
         self, tmp_path, monkeypatch
     ):
@@ -774,14 +720,6 @@ class TestCliSweep:
         artifact = RunResult.load(out)
         assert artifact.spec.sampling.enabled
         assert artifact.cells[0].stats.intervals > 0
-
-    def test_smoke_refuses_sweep_configuration_flags(self, capsys):
-        # The gate is fixed; silently dropping --benchmark/--json would
-        # let a user believe the gate covered their configuration.
-        from repro.api.cli import main
-
-        assert main(["sweep", "--smoke", "--benchmark", "mcf"]) == 2
-        assert "--benchmark" in capsys.readouterr().err
 
 
 class TestCliReportInspect:

@@ -19,10 +19,10 @@ them, whether it was just interpreted or loaded from the store; so the
 first cell on a trace counts those ``ColumnarTrace.row`` calls, and a
 later cell on the same trace reuses the cached rows.
 
-One cell runs observed, under the CI obs gate's setting
-(``ObsSpec(enabled=True, metrics_every=500)``), so the cost of the
-telemetry plane is pinned as exactly as the pipeline's: one more call
-per metrics sample moves it.
+One cell runs observed (``ObsSpec(enabled=True, metrics_every=500)``),
+so the cost of the telemetry plane is pinned as exactly as the
+pipeline's: one more call per metrics sample moves it.  That obs on
+leaves the stats bit-identical is ``tests/test_obs.py::TestBitIdentity``.
 
 The child's environment is built from scratch, so no ``REPRO_*``
 variable and no coverage hook reaches it.  Counts are exact within one

@@ -2,11 +2,11 @@
 
 ``repro`` (repro.api.cli) is the single front door.  These tests invoke
 its ``main([...])`` exactly as the installed script does — with
-``--smoke``-class arguments kept small enough for CI — pin the
-``setup.py`` declaration to a real import target so a rename can never
-ship a broken script, and check that every ``python -m repro…`` command
-the documentation teaches names the ``repro`` module and parses.  (The
-remaining subcommands are covered in ``tests/test_api.py``.)
+arguments kept small enough for CI — pin the ``setup.py`` declaration
+to a real import target so a rename can never ship a broken script, and
+check that every ``python -m repro…`` command the documentation teaches
+names the ``repro`` module and parses.  (The remaining subcommands are
+covered in ``tests/test_api.py``.)
 """
 
 from __future__ import annotations
@@ -85,13 +85,19 @@ class TestSweepCli:
             assert exit_info.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
 
-    def test_smoke_gate_passes(self, capsys):
-        # The actual CI gate: cold == memoised == warm-store over a
-        # private temporary store.  (The sampled extension has its own
-        # CI invocation; it is too slow for the tier-1 suite.)
-        assert main(["sweep", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "sweep smoke: cold == memoised == warm-store" in out
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--smoke"], ["profile", "--gate"],
+        ["profile", "--repeats", "3"],
+    ], ids=["sweep-smoke", "profile-gate", "profile-repeats"])
+    def test_retired_gate_options_are_unrecognised(self, argv, capsys):
+        # The checks these options ran are tier-1 tests; the program
+        # carries no test mode.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in (
+            capsys.readouterr().err
+        )
 
 
 #: Where the project documents commands to run.

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ServerThread, event_records
+from helpers import ServerThread, event_records, spawn_host, stop_host
 from repro.api import env as api_env
 from repro.api.result import RunResult
 from repro.api.session import Session
@@ -608,6 +608,50 @@ class TestLakeWriteBack:
 
 
 # ---------------------------------------------------------------------------
+# Real hosts: two repro serve processes, one killed by the crash fault
+# ---------------------------------------------------------------------------
+
+
+class TestRealHosts:
+    def test_survives_a_host_crash_and_a_corrupt_artifact(
+        self, tmp_path, reference
+    ):
+        """``crash:0,corrupt:1`` across two ``repro serve --tcp``
+        children: the crash fault's ``os._exit`` ends a host process (a
+        :class:`ScriptedHost` only drops a connection), and the
+        coordinator still reassigns, retries, merges digest-identical
+        and files one lake cell per grid cell."""
+        spec = tiny_spec(
+            store=StoreSpec(path=str(tmp_path), result_lake=True)
+        )
+        hosts = {}
+        try:
+            for _ in range(2):
+                process, address = spawn_host()
+                hosts[address] = process
+            outcome = run_clustered(
+                spec, hosts=",".join(hosts), shards=2,
+                supervisor=fast_supervisor(faults="crash:0,corrupt:1"),
+            )
+            dead = [
+                label for label, report in outcome.host_reports.items()
+                if report["status"] == "dead"
+            ]
+            assert len(dead) == 1, outcome.host_reports
+            assert hosts[dead[0]].wait(timeout=10.0) == 13  # os._exit(13)
+            (alive,) = set(hosts) - set(dead)
+            assert hosts[alive].poll() is None
+        finally:
+            for process in hosts.values():
+                stop_host(process)
+        assert outcome.mode == "clustered" and outcome.complete
+        assert outcome.digest() == reference.digest()
+        assert sorted(outcome.attempts) == [0, 1]
+        assert min(outcome.attempts.values()) >= 2  # both shards faulted
+        assert len(list(tmp_path.glob("*.cell"))) == spec.cells
+
+
+# ---------------------------------------------------------------------------
 # Shared validation and CLI error paths
 # ---------------------------------------------------------------------------
 
@@ -634,23 +678,10 @@ class TestCli:
 
     def test_serve_exits_quietly_on_sigint_mid_request(self, tmp_path):
         events = tmp_path / "events"
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-            "REPRO_OBS": "1", "REPRO_OBS_DIR": str(events),
-        }
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env,
+        server, address = spawn_host(
+            REPRO_OBS="1", REPRO_OBS_DIR=str(events)
         )
         try:
-            address = None
-            while address is None:
-                line = server.stdout.readline()
-                assert line, "repro serve exited before announcing"
-                if "tcp=" in line:
-                    address = line.strip().rsplit("tcp=", 1)[1]
             shard = plan_shards(tiny_spec(), 2)[0]
             closed = []
 
@@ -674,14 +705,12 @@ class TestCli:
                 time.sleep(0.02)
             time.sleep(0.1)
             server.send_signal(signal.SIGINT)
-            _, stderr = server.communicate(timeout=30.0)
+            output, _ = server.communicate(timeout=30.0)
         finally:
-            if server.poll() is None:
-                server.kill()
-                server.communicate()
+            stop_host(server)
         submitter.join(timeout=10.0)
         assert server.returncode == 0
-        assert "Traceback" not in stderr, stderr
+        assert "Traceback" not in output, output
         assert closed == ["closed"]  # the parked request just ended
 
     def test_serve_exits_1_when_it_cannot_listen(self):
@@ -703,8 +732,10 @@ class TestCli:
         ), line
         assert "tcp=" not in done.stdout
 
-    def test_sweep_smoke_hosts_accepts_only_loopback(self, capsys):
+    def test_sweep_hosts_loopback_is_a_bad_host_entry(self, capsys):
         from repro.api.cli import main
 
-        assert main(["sweep", "--smoke", "--hosts", "a:1"]) == 2
-        assert "loopback" in capsys.readouterr().err
+        assert main(["sweep", "--hosts", "loopback"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("repro sweep: host entry 'loopback' is not "
+                        "host:port (e.g. 127.0.0.1:9091)")

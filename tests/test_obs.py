@@ -566,7 +566,7 @@ class TestFaultedShardedSweep:
 
 
 # ---------------------------------------------------------------------------
-# Profiler + overhead gate
+# Profiler
 # ---------------------------------------------------------------------------
 
 
@@ -589,17 +589,6 @@ class TestProfiler:
         assert stages["commit"] > 0 and stages["issue"] > 0
         text = render_profile(payload)
         assert "commit" in text and "KIPS instrumented" in text
-
-    def test_overhead_gate_stats_identical(self, tmp_path):
-        from repro.obs.profile import overhead_gate, render_gate
-
-        ok, report = overhead_gate(
-            warmup=300, measure=3000, repeats=2, metrics_every=200,
-            obs_dir=str(tmp_path / "gate"),
-        )
-        assert report["stats_identical"], report
-        assert ok, report
-        assert "bit-identical: True" in render_gate(report)
 
     def test_profile_cli(self, tmp_path, capsys):
         out_path = tmp_path / "profile.json"

@@ -123,7 +123,9 @@ class TestFreedWhenTheCellEnds:
         del foreign
         engine = SweepEngine(simulator=simulator)
         engine.run_cell("mcf", baseline, 1, sampling=SAMPLED, **WINDOW)
-        assert store.checkpoint_hits == 1  # loaded, then refused
+        # Loaded, then refused: a miss, re-warmed and re-captured.
+        assert (store.checkpoint_hits, store.checkpoint_misses) == (0, 1)
+        assert store.checkpoint_writes == 2
         assert len(built) == 3 and _live(built) == 0
 
     @pytest.mark.parametrize("sampling", [SamplingConfig(), SAMPLED],

@@ -15,6 +15,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+from repro.api.result import RunResult
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec, StoreSpec, WindowSpec
 from repro.harness.sweep import SweepEngine
@@ -23,7 +24,7 @@ from repro.pipeline.simulator import Simulator
 from repro.workloads import store as store_module
 from repro.workloads.store import CELL_FORMAT, TraceStore, cell_stats_digest
 
-from helpers import stats_dict  # noqa: E402  (shared test helper)
+from helpers import event_records, stats_dict  # noqa: E402
 
 KWARGS = dict(seed=1, warmup=256, measure=1000)
 
@@ -84,16 +85,26 @@ class TestLakeRoundTrip:
         assert engine.simulator.trace_store.cell_hits == 0
 
     def test_lake_off_is_todays_behaviour(self, tmp_path):
-        # Default-off: same store, no .cell artifact, stats identical.
-        gated = SweepEngine(simulator=Simulator(trace_store=TraceStore(
-            tmp_path / "gated"
-        )))
-        plain = gated.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
-        assert not _cell_files(tmp_path / "gated")
-        laked = _engine(tmp_path / "laked").run_cell(
+        # Default-off: no .cell artifact written or read, stats identical.
+        def gated(root) -> SweepEngine:
+            return SweepEngine(
+                simulator=Simulator(trace_store=TraceStore(root))
+            )
+
+        fresh = gated(tmp_path / "fresh")
+        plain = fresh.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
+        assert not _cell_files(tmp_path / "fresh")
+        laked = _engine(tmp_path).run_cell(
             "mcf", MechanismConfig.baseline(), **KWARGS
         )
+        assert len(_cell_files(tmp_path)) == 1
+        warm = gated(tmp_path)  # the lake holds the cell; it is not read
+        again = warm.run_cell("mcf", MechanismConfig.baseline(), **KWARGS)
+        assert warm.cell_misses == 1
+        assert warm.lake_hits == warm.lake_misses == 0
+        assert warm.simulator.trace_store.cell_hits == 0
         assert stats_dict(plain.stats) == stats_dict(laked.stats)
+        assert stats_dict(again.stats) == stats_dict(laked.stats)
 
     def test_no_store_means_no_lake(self):
         engine = SweepEngine(
@@ -258,6 +269,41 @@ class TestFrontDoor:
         warm = warm_session.run(spec)
         assert warm_session.engine.cell_misses == 0
         assert warm.digest() == cold.digest()
+
+    def test_cli_sweep_lake_serves_a_second_run(self, tmp_path,
+                                                monkeypatch):
+        """``repro sweep --lake`` through ``main``: a second run on the
+        same store simulates nothing (its ``sweep.cell`` spans) and
+        writes the same digest; a run without ``--lake`` simulates every
+        cell on that warm store and writes no cell on a fresh one."""
+        from repro.api.cli import main
+
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_METRICS_EVERY", "0")
+
+        def sweep(store: str, run: str, *flags: str) -> tuple[int, str]:
+            monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / store))
+            monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / run))
+            artifact = tmp_path / f"{run}.json"
+            assert main([
+                "sweep", "--benchmark", "mcf", "--benchmark", "dealII",
+                "--warmup", "256", "--measure", "1000", *flags,
+                "--json", str(artifact),
+            ]) == 0
+            simulated = sum(
+                record["name"] == "sweep.cell" and record["kind"] == "begin"
+                for record in event_records(tmp_path / run)
+            )
+            return simulated, RunResult.load(artifact).digest()
+
+        cold = sweep("store", "cold", "--lake")
+        assert cold[0] == 4
+        assert len(_cell_files(tmp_path / "store")) == 4
+        assert sweep("store", "warm", "--lake") == (0, cold[1])
+        assert sweep("store", "off") == cold
+        assert sweep("fresh", "plain") == cold
+        assert list((tmp_path / "fresh").glob("*.trace"))
+        assert not _cell_files(tmp_path / "fresh")
 
     def test_store_spec_reads_env_and_round_trips(self, monkeypatch):
         assert StoreSpec.from_env().result_lake is False

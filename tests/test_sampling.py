@@ -234,9 +234,10 @@ class TestCheckpoints:
     def test_warm_store_restores_every_cells_checkpoint(self, tmp_path):
         # The grid of the end-to-end ``sampled`` workload (mcf and
         # dealII x the default mechanisms) on a smaller window: a fresh
-        # session on the warm store restores one checkpoint per cell and
-        # re-warms none, so a restore check that refused every
-        # checkpoint would fail here, not only cost time.
+        # session on the warm store restores one checkpoint per cell (a
+        # hit counts a restore, not a file load) and re-warms none, so a
+        # restore check that refused every checkpoint would fail here,
+        # not only cost time.
         from repro.api.session import Session
         from repro.api.spec import (
             ExperimentSpec, SamplingSpec, StoreSpec, WindowSpec,

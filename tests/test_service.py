@@ -737,23 +737,15 @@ class TestServiceCli:
         assert "sharded over 2 shard(s)" in out
         assert RunResult.load(artifact).digest() == reference.digest()
 
-    def test_sweep_smoke_shards_gate(self, capsys, monkeypatch):
-        from repro.api.cli import main
-
-        monkeypatch.setenv("REPRO_FAULTS", "crash:0,corrupt:1")
-        assert main(["sweep", "--smoke", "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "sharded smoke" in out and "== in-process" in out
-
     FIGURES_ARGV = [
         "figures", "fig4", "fig6", "fig7",
         "--benchmark", "mcf", "--benchmark", "hmmer",
         "--warmup", "256", "--measure", "1024",
     ]
 
-    def _figure_digests(self, out_dir) -> dict[str, str]:
+    def _figure_results(self, out_dir) -> dict[str, RunResult]:
         return {
-            path.name: RunResult.load(path).digest()
+            path.name: RunResult.load(path)
             for path in sorted(out_dir.glob("*.json"))
         }
 
@@ -771,9 +763,17 @@ class TestServiceCli:
         monkeypatch.setenv("REPRO_SHARDS", "1")
         in_process = tmp_path / "in-process"
         assert main(self.FIGURES_ARGV + ["--out", str(in_process)]) == 0
-        digests = self._figure_digests(faulted)
-        assert sorted(digests) == ["fig4.json", "fig6.json", "fig7.json"]
-        assert digests == self._figure_digests(in_process)
+        faulted_results = self._figure_results(faulted)
+        in_process_results = self._figure_results(in_process)
+        assert sorted(faulted_results) == sorted(in_process_results) == [
+            "fig4.json", "fig6.json", "fig7.json",
+        ]
+        for name, result in faulted_results.items():
+            unfaulted = in_process_results[name]
+            assert result.digest() == unfaulted.digest()
+            # Each artifact records the shard count its batch ran with:
+            # one per benchmark when faulted, one in process.
+            assert (result.spec.shards, unfaulted.spec.shards) == (2, 1)
 
     def test_figures_with_a_poison_shard_fail_loudly(
         self, tmp_path, capsys, monkeypatch

@@ -167,10 +167,3 @@ class TestRunnerIntegration:
         assert engine.cell_misses == 1 and small_engine.cell_misses == 1
         assert set(engine._cells).isdisjoint(small_engine._cells)
         assert stats_dict(big.stats) != stats_dict(small.stats)
-
-
-class TestSmokeGate:
-    def test_smoke_passes(self):
-        from repro.service.smoke import sweep_smoke
-
-        assert sweep_smoke() == 0
